@@ -8,7 +8,7 @@ profile when the function is rotation-invariant about the pole axis, or in
 general through a hypersingular derivative of the backprojected flat data.
 
 Modules:
-    geometry    planes, cross-section parameters, orthonormal frames
+    geometry    flats, planes through the pole, cross-section parameters and rules
     stereo      stereographic projection and its Jacobian weights
     quadrature  Gauss-Legendre panels and product rules on spheres and flats
     transforms  the slice transform, the flat transform, and the conjugation
@@ -33,13 +33,10 @@ from .analysis import (
 from .geometry import (
     Dimensions,
     FlatSpec,
-    Frame,
     SlicePlane,
-    build_frame,
     make_flat,
     random_flat,
     sample_sphere_cross_section,
-    slice_plane_from_section,
 )
 from .inversion import (
     InversionReport,
@@ -92,7 +89,6 @@ from .transforms import (
     op_B,
     op_B_inverse,
     orientation_set,
-    plane_correspondence,
     radon_john,
     section_to_plane,
     slice_transform,
@@ -116,7 +112,6 @@ __all__ = [
     "FAMILIES",
     "FactorizationReport",
     "FlatSpec",
-    "Frame",
     "InversionReport",
     "KPlaneProbeReport",
     "POLE_GUARD",
@@ -134,7 +129,6 @@ __all__ = [
     "VerdictReport",
     "ZonalProfile",
     "build_field",
-    "build_frame",
     "coeff_B_l",
     "coeff_B_l_prime",
     "coeff_c",
@@ -160,7 +154,6 @@ __all__ = [
     "orientation_set",
     "panel_edges",
     "parse_scene",
-    "plane_correspondence",
     "plane_to_sphere_weight",
     "power_growth_field",
     "profile_to_sphere_field",
@@ -174,7 +167,6 @@ __all__ = [
     "scene_profile",
     "section_to_plane",
     "sigma",
-    "slice_plane_from_section",
     "slice_transform",
     "sphere_field_to_profile",
     "sphere_rule",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Dimensions, FlatSpec, random_flat, slice_plane_from_section
+from .geometry import Dimensions, SlicePlane, random_flat
 from .quadrature import QuadratureSpec, composite_gauss, sphere_rule
 from .transforms import PlaneField, SphereField, radon_john, slice_transform
 from .zonal import sigma
@@ -40,6 +40,10 @@ __all__ = [
 # than this, u recomputed from unit-vector coordinates keeps no precision.
 U_FLOOR = 1e-12
 
+# Outer edge of the refined cap; lp_weight_check integrates the rest of the
+# sphere as one bulk annulus.
+U_BASE = 1e-2
+
 # Cauchy threshold on the last increment, from the convergence contract.
 CAUCHY_TOL = 1e-6
 
@@ -53,6 +57,11 @@ GROWTH_FACTOR = 1.5
 # geometrically bound the tail by a geometric series (convergent).
 INCREMENT_FLAT = 0.98
 INCREMENT_DECAY = 0.9
+
+# Support experiment: plane distance of the control planes, and the largest
+# far-plane transform, relative to the peak of the field, that counts as zero.
+CONTROL_DIST = 0.5
+NOISE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,10 +143,10 @@ def _annulus_integral(
     return total
 
 
-def _default_levels(u_base: float) -> list[float]:
+def _default_levels() -> list[float]:
     # Shrink the inner radius by 100x per level until the representable floor.
     levels = []
-    u = u_base
+    u = U_BASE
     while u / 100.0 >= U_FLOOR * (1.0 - 1e-9):
         u /= 100.0
         levels.append(u)
@@ -169,14 +178,7 @@ def _refinement_verdict(values: list[float]) -> str:
     return "inconclusive"
 
 
-def existence_check(
-    f: SphereField,
-    dims: Dimensions,
-    eps_levels: list[float] | None = None,
-    spec: QuadratureSpec | None = None,
-    *,
-    u_base: float = 1e-2,
-) -> VerdictReport:
+def existence_check(f: SphereField, dims: Dimensions, spec: QuadratureSpec | None = None) -> VerdictReport:
     """Refinement study of the existence integral of f near the pole.
 
     Integrates |f| against the pole weight (1 - eta_last)^{-(n+1-k)/2} over
@@ -187,19 +189,11 @@ def existence_check(
     """
     if spec is None:
         spec = QuadratureSpec()
-    if eps_levels is None:
-        eps_levels = _default_levels(u_base)
-    else:
-        eps_levels = sorted((float(e) for e in eps_levels), reverse=True)
-        if not eps_levels or eps_levels[0] >= u_base:
-            raise ValueError("eps levels must be positive and below the base cap size")
-        if eps_levels[-1] < U_FLOOR / 2:
-            warnings.warn("refinement below u = 1e-12 has no representable digits", stacklevel=2)
     exponent = -0.5 * (dims.n + 1 - dims.k)
     trace = []
     total = 0.0
-    u_hi = u_base
-    for level, u_lo in enumerate(eps_levels):
+    u_hi = U_BASE
+    for level, u_lo in enumerate(_default_levels()):
         total += _annulus_integral(f, dims, u_lo, u_hi, exponent, 1.0, spec)
         trace.append((level, total))
         u_hi = u_lo
@@ -216,12 +210,11 @@ def lp_weight_check(f: SphereField, p: float, dims: Dimensions, spec: Quadrature
     if not 1.0 <= p < n / (k - 1.0):
         raise ValueError("p out of admissible range [1, n/(k-1))")
     exponent = p * (k - 1.0) - n
-    u_base = 1e-2
-    bulk = _annulus_integral(f, dims, u_base, 2.0, exponent, p, spec)
+    bulk = _annulus_integral(f, dims, U_BASE, 2.0, exponent, p, spec)
     trace = []
     total = bulk
-    u_hi = u_base
-    for level, u_lo in enumerate(_default_levels(u_base)):
+    u_hi = U_BASE
+    for level, u_lo in enumerate(_default_levels()):
         total += _annulus_integral(f, dims, u_lo, u_hi, exponent, p, spec)
         trace.append((level, total))
         u_hi = u_lo
@@ -259,8 +252,6 @@ def support_experiment(
     spec: QuadratureSpec,
     trials: int,
     *,
-    control_dist: float = 0.5,
-    noise_floor: float = 1e-10,
     probe_reconstruction: bool = False,
     riesz_params=None,
 ) -> SupportReport:
@@ -269,8 +260,8 @@ def support_experiment(
     Direction (i): f supported in {eta_last <= b} must give zero slice
     transforms on every plane with dist > b_star, since such cross-sections
     stay inside the cap; the report records the worst violation against
-    noise_floor * peak(f), plus control values at moderate distance showing
-    the data is not trivially zero.
+    NOISE_FLOOR * peak(f), plus control values at distance CONTROL_DIST
+    showing the data is not trivially zero.
 
     Direction (ii) (probe_reconstruction=True): data measured at dist <=
     b_star only (far-plane data hard-zeroed) is fed through the full inversion
@@ -288,13 +279,13 @@ def support_experiment(
         dist = cap.b_star + (0.999 - cap.b_star) * rng.uniform(1e-3, 1.0)
         t = dist / math.sqrt(1.0 - dist * dist)
         zeta = random_flat(rng, dims.n, d, t)
-        val = slice_transform(f, slice_plane_from_section(zeta), spec)
+        val = slice_transform(f, SlicePlane(zeta), spec)
         max_beyond = max(max_beyond, abs(val))
     max_control = 0.0
-    t_control = control_dist / math.sqrt(1.0 - control_dist**2)
+    t_control = CONTROL_DIST / math.sqrt(1.0 - CONTROL_DIST**2)
     for _ in range(max(8, trials // 8)):
         zeta = random_flat(rng, dims.n, d, t_control)
-        val = slice_transform(f, slice_plane_from_section(zeta), spec)
+        val = slice_transform(f, SlicePlane(zeta), spec)
         max_control = max(max_control, abs(val))
     recon_max = None
     if probe_reconstruction:
@@ -305,7 +296,7 @@ def support_experiment(
         max_beyond=max_beyond,
         max_control=max_control,
         trials=trials,
-        noise_floor=noise_floor,
+        noise_floor=NOISE_FLOOR,
         reconstruction_max=recon_max,
     )
 
@@ -354,19 +345,17 @@ def kplane_support_probe(
     dims: Dimensions,
     spec: QuadratureSpec,
     trials: int,
-    *,
-    flat_dim: int | None = None,
 ) -> KPlaneProbeReport:
     """Probe whether flat integrals of g vanish on flats avoiding the ball |x| <= r.
 
     For g supported in that ball the transform vanishes on every flat at
     distance beyond r; fields without compact support (a Gaussian, say) show
     nonzero values outside any radius, and the report simply records the
-    magnitudes.  Flats default to the trace dimension dims.k - 1.
+    magnitudes.  Flats have the trace dimension dims.k - 1.
     """
     if r <= 0.0:
         raise ValueError("support radius must be positive")
-    d = dims.k - 1 if flat_dim is None else flat_dim
+    d = dims.k - 1
     if g.decay_exponent is not None and g.decay_exponent <= d:
         warnings.warn("decay exponent <= flat dimension: outside theorem hypothesis", stacklevel=2)
     rng = np.random.default_rng(spec.seed)

@@ -22,10 +22,7 @@ __all__ = [
     "Dimensions",
     "FlatSpec",
     "SlicePlane",
-    "Frame",
     "make_flat",
-    "slice_plane_from_section",
-    "build_frame",
     "sample_sphere_cross_section",
     "random_flat",
 ]
@@ -194,35 +191,6 @@ class SlicePlane:
         return w
 
 
-def slice_plane_from_section(zeta: FlatSpec) -> SlicePlane:
-    """Wrap a trace flat as the corresponding plane through the pole."""
-    return SlicePlane(zeta)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A rotation of R^{n+1} fixing the pole, stored as an orthogonal matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("frame must be a square matrix")
-        if np.max(np.abs(m @ m.T - np.eye(m.shape[0]))) > 10 * ORTHO_TOL:
-            raise ValueError("frame must be orthogonal")
-        if np.linalg.det(m) < 0.0:
-            raise ValueError("frame must be orientation preserving")
-        pole = np.zeros(m.shape[0])
-        pole[-1] = 1.0
-        if np.max(np.abs(m @ pole - pole)) > 10 * ORTHO_TOL:
-            raise ValueError("frame must fix the pole")
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords, dtype=float) @ self.matrix.T
-
-
 def _complete_orthonormal(rows: np.ndarray, n: int) -> np.ndarray:
     """Deterministically extend orthonormal rows to a full basis of R^n."""
     out = [r for r in rows]
@@ -240,46 +208,6 @@ def _complete_orthonormal(rows: np.ndarray, n: int) -> np.ndarray:
     if len(out) != n:
         raise ValueError("degenerate flat: could not complete the basis")
     return np.asarray(out)
-
-
-def build_frame(zeta0_basis, theta) -> Frame:
-    """Rotation of R^{n+1} fixing the pole, taking coordinate directions onto a trace.
-
-    The returned frame maps e_{n-k+1}, ..., e_{n-1} onto the trace directions,
-    e_n onto theta, and acts trivially on the pole axis.  The remaining columns
-    are completed deterministically from the standard basis; a basis sign is
-    flipped if needed to land in the rotation group.
-    """
-    rows = np.atleast_2d(np.asarray(zeta0_basis, dtype=float))
-    th = np.asarray(theta, dtype=float)
-    n = th.shape[0]
-    if rows.shape[1] != n:
-        raise ValueError("dimension mismatch between trace basis and theta")
-    if abs(np.linalg.norm(th) - 1.0) > 1e-10:
-        raise ValueError("theta must be a unit vector")
-    if np.max(np.abs(rows @ th)) > 1e-10:
-        raise ValueError("theta must be orthogonal to the trace directions")
-    ortho = _orthonormalize(rows)
-    d = ortho.shape[0]
-    prescribed = np.vstack([ortho, th[None, :]])
-    full = _complete_orthonormal(prescribed, n)
-    # Columns n-k+1 .. n-1 carry the trace, column n carries theta (1-based).
-    alpha0 = np.empty((n, n))
-    free = full[d + 1 :]
-    for j, row in enumerate(free):
-        alpha0[:, j] = row
-    for j in range(d):
-        alpha0[:, n - 1 - d + j] = ortho[j]
-    alpha0[:, n - 1] = th
-    if np.linalg.det(alpha0) < 0.0:
-        if len(free) > 0:
-            alpha0[:, 0] = -alpha0[:, 0]
-        else:
-            # No free columns: flip a trace direction, which spans the same flat.
-            alpha0[:, n - 1 - d] = -alpha0[:, n - 1 - d]
-    mat = np.eye(n + 1)
-    mat[:n, :n] = alpha0
-    return Frame(mat)
 
 
 def random_flat(rng: np.random.Generator, n: int, dim: int, distance: float) -> FlatSpec:

@@ -235,13 +235,27 @@ def _difference_signs(ell: int) -> np.ndarray:
     return np.array([(-1.0) ** j * math.comb(ell, j) for j in range(1, ell + 1)])
 
 
+def _richardson(levels, p: int):
+    """Two Richardson stages over the truncated values at eps, eps/2, eps/4.
+
+    The truncation error of the difference integral is a series in eps^p,
+    eps^(p+2), ...; the first stage removes the eps^p term from each adjacent
+    pair, the second removes eps^(p+2).  Returns (a1, a2, value).
+    """
+    denom = 2.0**p - 1.0
+    a1 = levels[1] + (levels[1] - levels[0]) / denom
+    a2 = levels[2] + (levels[2] - levels[1]) / denom
+    return a1, a2, a2 + (a2 - a1) / (2.0 ** (p + 2) - 1.0)
+
+
 def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     """Hypersingular derivative of h at a batch of points X of shape (B, n).
 
-    Returns (values, nonconv, scale): the extrapolated derivative per point,
-    the largest eps-halving difference at a point where the differences
-    failed to decrease (0.0 when they decreased everywhere), and the largest
-    absolute result (for judging whether the failure matters).
+    Returns (values, nonconv, scale, levels): the extrapolated derivative per
+    point, the largest eps-halving difference at a point where the differences
+    failed to decrease (0.0 when they decreased everywhere), the largest
+    absolute result (for judging whether the failure matters), and the
+    truncated values at eps, eps/2 and eps/4 as a (3, B) array.
     """
     n = X.shape[1]
     k = params.k_order
@@ -265,6 +279,7 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     surface = sigma(n - 1)
 
     out = np.empty(len(X))
+    out_levels = np.empty((3, len(X)))
     nonconv = 0.0
     chunk = max(1, _CHUNK_POINTS // max(1, len(rho) * len(omega) * ell))
     for lo_i in range(0, len(X), chunk):
@@ -288,11 +303,8 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
             h_at_x / k + (tail_avg @ signs) / (k + gamma)
         )
         levels = [(angular @ (radial_factor * m) + tail) / d_norm for m in level_masks]
-        denom = 2.0**p - 1.0
-        a1 = levels[1] + (levels[1] - levels[0]) / denom
-        a2 = levels[2] + (levels[2] - levels[1]) / denom
-        res = a2 + (a2 - a1) / (2.0 ** (p + 2) - 1.0)
-        out[lo_i : lo_i + chunk] = res
+        out_levels[:, lo_i : lo_i + chunk] = levels
+        out[lo_i : lo_i + chunk] = _richardson(levels, p)[2]
         d1 = np.abs(levels[1] - levels[0])
         d2 = np.abs(levels[2] - levels[1])
         # smooth fields shrink the halving differences by 2^p or better; a
@@ -303,7 +315,7 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
             nonconv = max(nonconv, float(np.max(d2[bad])))
     if not np.all(np.isfinite(out)):
         raise ValueError("integrand blowup in hypersingular integral")
-    return out, nonconv, float(np.max(np.abs(out))) if len(out) else 0.0
+    return out, nonconv, float(np.max(np.abs(out))) if len(out) else 0.0, out_levels
 
 
 def _tail_offsets(omega: np.ndarray, ell: int) -> np.ndarray:
@@ -327,7 +339,7 @@ def riesz_derivative(h, x, params: RieszParams, dims: Dimensions, spec: Quadratu
         raise ValueError("point dimension does not match dims.n")
     single = arr.ndim == 1
     flat = arr.reshape(-1, arr.shape[-1])
-    values, nonconv, scale = _riesz_batch(h, flat, params, spec)
+    values, nonconv, scale, _ = _riesz_batch(h, flat, params, spec)
     _warn_if_nonconvergent(nonconv, scale)
     if single:
         return float(values[0])
@@ -346,57 +358,10 @@ def _warn_if_nonconvergent(nonconv: float, scale: float):
 def riesz_refinement_report(h, x, params: RieszParams, spec: QuadratureSpec) -> RefinementTrace:
     """Single-point variant of riesz_derivative keeping the refinement trace."""
     X = np.asarray(getattr(x, "coords", x), dtype=float).reshape(1, -1)
-    k = params.k_order
-    p = _evenized(params.resolved_ell) - k
-    values = []
-    for scale in (1.0, 0.5, 0.25):
-        sub = RieszParams(
-            k_order=k,
-            ell=params.ell,
-            eps=params.eps * scale,
-            outer_R=params.outer_R,
-            tail_decay=params.tail_decay,
-        )
-        values.append(_truncated_value(h, X, sub, spec)[0])
-    denom = 2.0**p - 1.0
-    a1 = values[1] + (values[1] - values[0]) / denom
-    a2 = values[2] + (values[2] - values[1]) / denom
-    value = a2 + (a2 - a1) / (2.0 ** (p + 2) - 1.0)
-    return RefinementTrace(
-        levels=(values[0], values[1], values[2]),
-        stage_one=(a1, a2),
-        value=float(value),
-        gap=abs(a2 - a1),
-    )
-
-
-def _truncated_value(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec) -> np.ndarray:
-    """Truncated (single-cutoff) normalized integral at cutoff params.eps."""
-    n = X.shape[1]
-    k = params.k_order
-    ell = params.resolved_ell
-    gamma = params.tail_decay if params.tail_decay is not None else max(n - k, 0)
-    omega, w_omega = sphere_rule(n - 1, spec.sphere_order)
-    rho, w_rho, masks = _radial_panels(params.eps, params.outer_R, max(8, spec.radial_order // 8))
-    keep = masks[0]  # nodes above eps
-    signs = _difference_signs(ell)
-    offsets = rho[keep][:, None, None, None] * omega[None, :, None, :] * np.arange(
-        1, ell + 1, dtype=float
-    )[None, None, :, None]
-    pts = X[:, None, None, None, :] - offsets[None, ...]
-    vals = np.asarray(h(pts.reshape(-1, n)), dtype=float).reshape(
-        len(X), int(keep.sum()), len(omega), ell
-    )
-    h_at_x = np.asarray(h(X), dtype=float)
-    diff = vals @ signs + h_at_x[:, None, None]
-    angular = diff @ w_omega
-    radial_factor = (w_rho * rho ** (-k - 1.0))[keep]
-    surface = sigma(n - 1)
-    tail_pts = X[:, None, None, :] - params.outer_R * _tail_offsets(omega, ell)
-    tail_vals = np.asarray(h(tail_pts.reshape(-1, n)), dtype=float).reshape(len(X), len(omega), ell)
-    tail_avg = np.tensordot(tail_vals, w_omega, axes=([1], [0])) / surface
-    tail = surface * params.outer_R ** (-k) * (h_at_x / k + (tail_avg @ signs) / (k + gamma))
-    return (angular @ radial_factor + tail) / coeff_d(n, ell, k)
+    *_, levels = _riesz_batch(h, X, params, spec)
+    levels = tuple(float(v) for v in levels[:, 0])
+    a1, a2, value = _richardson(levels, _evenized(params.resolved_ell) - params.k_order)
+    return RefinementTrace(levels=levels, stage_one=(a1, a2), value=value, gap=abs(a2 - a1))
 
 
 class _LineDualField:
@@ -409,18 +374,14 @@ class _LineDualField:
     data on the line through the point, interpolated in offset.
     """
 
-    def __init__(self, data, spec: QuadratureSpec, *,
-                 fine_span: float = TABLE_FINE_SPAN,
-                 fine_step: float = TABLE_FINE_STEP,
-                 coarse_step: float = TABLE_COARSE_STEP):
+    def __init__(self, data, spec: QuadratureSpec):
         self._data = data
         count = spec.orientation_samples
         theta = (np.arange(count) + 0.5) * (math.pi / count)
         self._normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         self._directions = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        self._coarse_step = coarse_step
-        half = max(1, round(fine_span / fine_step))
-        self._p = np.arange(-half, half + 1) * fine_step
+        half = round(TABLE_FINE_SPAN / TABLE_FINE_STEP)
+        self._p = np.arange(-half, half + 1) * TABLE_FINE_STEP
         self._table = self._fill(self._p)
 
     def _fill(self, p_values: np.ndarray) -> np.ndarray:
@@ -435,8 +396,9 @@ class _LineDualField:
         cur = self._p[-1]
         if p_needed <= cur:
             return
-        target = max(p_needed + self._coarse_step, 2.0 * cur)
-        fresh = np.arange(cur + self._coarse_step, target + self._coarse_step, self._coarse_step)
+        step = TABLE_COARSE_STEP
+        target = max(p_needed + step, 2.0 * cur)
+        fresh = np.arange(cur + step, target + step, step)
         right = self._fill(fresh)
         left = self._fill(-fresh[::-1])
         self._p = np.concatenate([-fresh[::-1], self._p, fresh])
@@ -545,8 +507,7 @@ class _GenericDualField:
         return out
 
 
-def make_dual_field(phi, flat_dim: int, dims: Dimensions, spec: QuadratureSpec, *,
-                    table_kwargs: dict | None = None):
+def make_dual_field(phi, flat_dim: int, dims: Dimensions, spec: QuadratureSpec):
     """Backprojection h = average of the flat data phi over flats through x.
 
     phi is called with a FlatSpec and must return a float.  The result is a
@@ -557,7 +518,7 @@ def make_dual_field(phi, flat_dim: int, dims: Dimensions, spec: QuadratureSpec, 
     cross-checks at small sizes.
     """
     if flat_dim == 1 and dims.n == 2:
-        base = _LineDualField(phi, spec, **(table_kwargs or {}))
+        base = _LineDualField(phi, spec)
         return _CachedField2D(base)
     return _GenericDualField(phi, flat_dim, dims.n, spec)
 
@@ -578,7 +539,7 @@ def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpe
     def eval_field(x):
         arr = np.asarray(x, dtype=float)
         flat = arr.reshape(-1, arr.shape[-1])
-        values, nonconv, scale = _riesz_batch(h, flat, params, spec)
+        values, nonconv, scale, _ = _riesz_batch(h, flat, params, spec)
         _warn_if_nonconvergent(nonconv, scale)
         return (values / constant).reshape(arr.shape[:-1])
 

@@ -32,8 +32,6 @@ class QuadratureSpec:
     sphere_order        nodes per angular dimension in product sphere rules
     radial_order        Gauss-Legendre order per radial panel
     radial_cutoff       truncation radius for integrals over flats
-    hs_epsilon          largest inner cutoff of the hypersingular integral
-    hs_outer            outer truncation radius of the hypersingular integral
     orientation_samples flats per point in dual-transform averages
     seed                seeds orientation sampling and random plane draws
     """
@@ -41,8 +39,6 @@ class QuadratureSpec:
     sphere_order: int = 64
     radial_order: int = 128
     radial_cutoff: float = 40.0
-    hs_epsilon: float = 0.05
-    hs_outer: float = 30.0
     orientation_samples: int = 256
     seed: int = 0
 
@@ -51,8 +47,6 @@ class QuadratureSpec:
             raise ValueError("orders and sample counts must be positive")
         if self.radial_cutoff < 1.0:
             raise ValueError("radial_cutoff must be at least 1")
-        if not 0.0 < self.hs_epsilon < self.hs_outer:
-            raise ValueError("need 0 < hs_epsilon < hs_outer")
 
 
 @lru_cache(maxsize=None)

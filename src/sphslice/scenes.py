@@ -97,8 +97,8 @@ class SceneSpec:
         return self.parameters[name]
 
 
-def parse_scene(path: str, dims_override: Dimensions | None = None) -> SceneSpec:
-    """Read a key = value scene file; dims_override wins over n/k in the file."""
+def parse_scene(path: str) -> SceneSpec:
+    """Read a key = value scene file; n and k default to 3 and 2."""
     family = None
     params: dict = {}
     n, k = 3, 2
@@ -129,8 +129,7 @@ def parse_scene(path: str, dims_override: Dimensions | None = None) -> SceneSpec
                 raise SceneError(f"{path}:{lineno}: {key} needs a numeric value") from exc
     if family is None:
         raise SceneError(f"{path}: scene file does not name a family")
-    dims = dims_override if dims_override is not None else _make_dims(path, n, k)
-    return SceneSpec(family=family, parameters=params, dims=dims)
+    return SceneSpec(family=family, parameters=params, dims=_make_dims(path, n, k))
 
 
 def _parse_int(path: str, lineno: int, value: str) -> int:

@@ -19,7 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Dimensions, FlatSpec, SlicePlane, make_flat, sample_sphere_cross_section
+from .geometry import (
+    Dimensions,
+    FlatSpec,
+    SlicePlane,
+    _complete_orthonormal,
+    make_flat,
+    sample_sphere_cross_section,
+)
 from .quadrature import QuadratureSpec, flat_rule, sphere_rule
 from .stereo import nu, nu_inverse, plane_to_sphere_weight
 
@@ -31,7 +38,6 @@ __all__ = [
     "radon_john",
     "op_B",
     "op_B_inverse",
-    "plane_correspondence",
     "section_to_plane",
     "factorization_check",
     "dual_transform",
@@ -135,13 +141,8 @@ def op_B_inverse(g: PlaneField, dims: Dimensions) -> SphereField:
     return SphereField(eval=feval, zonal=False, pole_exponent=mu)
 
 
-def plane_correspondence(tau: SlicePlane) -> FlatSpec:
-    """Trace of a plane through the pole in the equatorial plane."""
-    return tau.section
-
-
 def section_to_plane(zeta: FlatSpec) -> SlicePlane:
-    """Inverse of plane_correspondence."""
+    """The plane through the pole whose trace in the equatorial plane is zeta."""
     return SlicePlane(zeta)
 
 
@@ -197,7 +198,7 @@ def orientation_set(flat_dim: int, n: int, count: int, seed: int) -> np.ndarray:
             return dirs[:, None, :]
         frames = np.empty((count, 2, 3))
         for i, normal in enumerate(dirs):
-            frames[i] = _complement_rows(normal[None, :], 3)
+            frames[i] = _complete_orthonormal(normal[None, :], 3)[1:]
         return frames
     rng = np.random.default_rng(seed)
     frames = np.empty((count, flat_dim, n))
@@ -206,22 +207,6 @@ def orientation_set(flat_dim: int, n: int, count: int, seed: int) -> np.ndarray:
         q *= np.sign(np.diag(r))
         frames[i] = q[:, :flat_dim].T
     return frames
-
-
-def _complement_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    out = [r for r in rows]
-    for i in range(n):
-        cand = np.zeros(n)
-        cand[i] = 1.0
-        for _ in range(2):
-            for u in out:
-                cand -= (cand @ u) * u
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-8:
-            out.append(cand / nrm)
-        if len(out) == n:
-            break
-    return np.asarray(out[len(rows):])
 
 
 def flat_through(basis: np.ndarray, x: np.ndarray) -> FlatSpec:

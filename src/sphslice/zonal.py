@@ -40,6 +40,11 @@ __all__ = [
 # Dyadic panels whose mass stops decaying signal a divergent tail.
 _TAIL_RATIO = 0.95
 
+# Logarithmic inversion grid in the stereographic radius s.
+S_MIN = 1e-3
+S_MAX = 1e3
+GRID_POINTS = 800
+
 
 def sigma(d: int) -> float:
     """Surface measure of the unit sphere of dimension d (sigma_0 = 2)."""
@@ -132,15 +137,7 @@ def _half_integral(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def zonal_invert(
-    F0: Callable[[float], float],
-    dims: Dimensions,
-    spec: QuadratureSpec,
-    *,
-    s_min: float = 1e-3,
-    s_max: float = 1e3,
-    num: int = 400,
-) -> ZonalProfile:
+def zonal_invert(F0: Callable[[float], float], dims: Dimensions, spec: QuadratureSpec) -> ZonalProfile:
     """Recover the zonal profile from its forward transform.
 
     Works in the squared variable u = t^2 on a logarithmic grid: the forward
@@ -148,14 +145,10 @@ def zonal_invert(
     profile, so the inverse is ceil((k-1)/2) integer derivatives (5-point
     differences) composed, for even k, with a complementary half-order
     integration (product-trapezoidal rule).  Accuracy degrades within a few
-    nodes of the grid ends; evaluate the result well inside [s_min, s_max].
+    nodes of the grid ends; evaluate the result well inside [S_MIN, S_MAX].
     """
     k = dims.k
-    if num < 16:
-        raise ValueError("grid too coarse for the difference stencils")
-    if not 0.0 < s_min < s_max:
-        raise ValueError("need 0 < s_min < s_max")
-    s = np.geomspace(s_min, s_max, num)
+    s = np.geomspace(S_MIN, S_MAX, GRID_POINTS)
     xi = np.log(s)
     h = xi[1] - xi[0]
     u = s * s
@@ -190,7 +183,7 @@ def zonal_invert(
     return ZonalProfile(f0=f0, grid=(s, values))
 
 
-def profile_to_sphere_field(profile: ZonalProfile, dims: Dimensions, *, pole_exponent: float = 0.0):
+def profile_to_sphere_field(profile: ZonalProfile, dims: Dimensions):
     """Zonal sphere field with the given radial profile.
 
     The stereographic radius at a sphere point is s = sqrt((1+eta_last)/(1-eta_last));
@@ -206,7 +199,7 @@ def profile_to_sphere_field(profile: ZonalProfile, dims: Dimensions, *, pole_exp
         vals = np.asarray(profile(sq), dtype=float)
         return np.where(np.isfinite(sq), vals, 0.0)
 
-    return SphereField(eval=feval, zonal=True, pole_exponent=pole_exponent)
+    return SphereField(eval=feval, zonal=True)
 
 
 def sphere_field_to_profile(f, dims: Dimensions) -> ZonalProfile:

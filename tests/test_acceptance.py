@@ -143,7 +143,7 @@ def test_04_zonal_round_trip(capsys):
         def forward(t):
             return zonal_forward(truth, float(t), dims, spec)
 
-        recovered = zonal_invert(forward, dims, spec, num=800)
+        recovered = zonal_invert(forward, dims, spec)
         ref = np.asarray(truth(s_grid), dtype=float)
         err = float(np.max(np.abs(recovered(s_grid) - ref) / (1.0 + np.abs(ref))))
         cases.append(f"{family} k={k}: {err:.2e}")

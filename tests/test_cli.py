@@ -144,6 +144,13 @@ def test_numeric_failure_exits_3(tmp_path):
     assert run(["zonal-forward", str(scene), "--t-count", "5"]) == 3
 
 
+@pytest.mark.parametrize("flags,setting", [(["--eps", "0"], "eps"),
+                                           (["--eps", "10", "--outer", "30"], "outer_R")])
+def test_bad_truncation_window_exits_3(capsys, gauss_scene, flags, setting):
+    assert run(["forward", gauss_scene, "1", "--sphere-order", "16"] + flags) == 3
+    assert setting in capsys.readouterr().err
+
+
 def test_help_documents_plane_law(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -6,11 +6,10 @@ import pytest
 from sphslice import (
     Dimensions,
     FlatSpec,
-    build_frame,
+    SlicePlane,
     make_flat,
     random_flat,
     sample_sphere_cross_section,
-    slice_plane_from_section,
 )
 
 # cotangent offset 3 puts the section at distance 3/sqrt(10) from the origin
@@ -44,7 +43,7 @@ def test_flat_spec_rejects_skew_offset():
 
 def test_slice_plane_distance():
     zeta = make_flat(np.array([[1.0, 0.0]]), 3.0 * np.array([0.0, 1.0]))
-    tau = slice_plane_from_section(zeta)
+    tau = SlicePlane(zeta)
     assert tau.t == pytest.approx(3.0)
     assert tau.dist == pytest.approx(DIST_AT_T3, abs=1e-15)
     assert tau.radius == pytest.approx(1.0 / math.sqrt(10.0))
@@ -75,7 +74,7 @@ def test_random_flat_deterministic():
 def test_cross_section_nodes(n, k, t):
     rng = np.random.default_rng(11)
     zeta = random_flat(rng, n, k - 1, t)
-    tau = slice_plane_from_section(zeta)
+    tau = SlicePlane(zeta)
     pts, w = sample_sphere_cross_section(tau, 32)
     assert pts.shape[1] == n + 1
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-13
@@ -89,20 +88,8 @@ def test_cross_section_nodes(n, k, t):
 def test_cross_section_lowest_point():
     # the section's smallest last coordinate is 2*dist^2 - 1, attained sharply
     zeta = make_flat(np.array([[1.0, 0.0]]), 2.0 * np.array([0.0, 1.0]))
-    tau = slice_plane_from_section(zeta)
+    tau = SlicePlane(zeta)
     pts, _ = sample_sphere_cross_section(tau, 256)
     floor = 2.0 * tau.dist**2 - 1.0
     assert np.min(pts[:, -1]) >= floor - 1e-12
     assert np.min(pts[:, -1]) == pytest.approx(floor, abs=1e-3)
-
-
-def test_build_frame_is_rotation():
-    zeta = random_flat(np.random.default_rng(3), 3, 1, 0.9)
-    tau = slice_plane_from_section(zeta)
-    frame = build_frame(zeta.basis, tau.theta)
-    Q = frame.matrix
-    assert np.allclose(Q @ Q.T, np.eye(Q.shape[0]), atol=1e-12)
-    assert np.linalg.det(Q) == pytest.approx(1.0)
-    pole = np.zeros(Q.shape[0])
-    pole[-1] = 1.0
-    assert np.allclose(Q @ pole, pole)

@@ -203,6 +203,15 @@ def test_refinement_trace_monotone():
     assert trace.value == pytest.approx(2.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("x", [(0.0, 0.0), (0.4, -0.2), (1.1, 0.7)])
+def test_refinement_report_value_is_riesz_derivative(x):
+    # the trace and the derivative come from one kernel, so they agree exactly
+    h = dual_of_gaussian_2d()
+    x = np.array(x)
+    trace = riesz_refinement_report(h, x, PARAMS, SPEC)
+    assert trace.value == riesz_derivative(h, x, PARAMS, Dimensions(2, 2), SPEC)
+
+
 def test_nonconvergence_warning():
     # a cone tip makes the difference integral log-divergent at its apex
     def cone(X):

@@ -15,7 +15,6 @@ from sphslice import (
     op_B,
     op_B_inverse,
     orientation_set,
-    plane_correspondence,
     radon_john,
     section_to_plane,
     sigma,
@@ -117,17 +116,6 @@ def test_radon_orientation_invariance():
     s = 1.0 / math.sqrt(2.0)
     val_b = radon_john(gaussian_plane_field(), line_at(0.7, direction=[s, s]), SPEC)
     assert val_a == pytest.approx(val_b, rel=1e-12)
-
-
-def test_plane_correspondence_roundtrip():
-    from sphslice import random_flat
-
-    zeta = random_flat(np.random.default_rng(2), 3, 1, 1.3)
-    tau = section_to_plane(zeta)
-    back = plane_correspondence(tau)
-    assert np.allclose(back.offset, zeta.offset, atol=1e-14)
-    # bases may differ by an in-span rotation; the projectors must agree
-    assert np.allclose(back.basis.T @ back.basis, zeta.basis.T @ zeta.basis, atol=1e-13)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3)])

@@ -72,7 +72,7 @@ def test_roundtrip_gaussian(k):
     dims = Dimensions(3, k)
     profile = gauss_profile()
 
-    recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims, spec, num=800)
+    recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims, spec)
     s = np.geomspace(0.1, 10.0, 50)
     err = np.abs(recovered(s) - profile(s)) / (1.0 + np.abs(profile(s)))
     assert np.max(err) < 1e-3
@@ -84,7 +84,7 @@ def test_roundtrip_rational_profile():
     dims = Dimensions(3, 2)
     profile = ZonalProfile(lambda s: (1.0 + np.asarray(s, dtype=float) ** 2) ** -2)
 
-    recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims, spec, num=800)
+    recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims, spec)
     s = np.geomspace(0.1, 10.0, 50)
     err = np.abs(recovered(s) - profile(s)) / (1.0 + np.abs(profile(s)))
     assert np.max(err) < 1e-3
