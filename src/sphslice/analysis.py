@@ -58,10 +58,13 @@ GROWTH_FACTOR = 1.5
 INCREMENT_FLAT = 0.98
 INCREMENT_DECAY = 0.9
 
-# Support experiment: plane distance of the control planes, and the largest
-# far-plane transform, relative to the peak of the field, that counts as zero.
+# Support experiment: plane distance of the control planes, the largest
+# far-plane transform, relative to the peak of the field, that counts as zero,
+# and the smallest control-plane transform, relative to that peak, that shows
+# the data is not trivially zero.
 CONTROL_DIST = 0.5
 NOISE_FLOOR = 1e-10
+CONTROL_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -238,6 +241,10 @@ class SupportReport:
     @property
     def vanishing_ok(self) -> bool:
         return self.max_beyond <= self.noise_floor * max(self.scale, 1e-300)
+
+    @property
+    def control_ok(self) -> bool:
+        return self.max_control > CONTROL_FLOOR * max(self.scale, 1e-300)
 
 
 def _peak_on_sphere(f: SphereField, dims: Dimensions, spec: QuadratureSpec) -> float:

@@ -37,7 +37,7 @@ class RunConfig:
     """Resolved execution settings of one CLI run."""
 
     quadrature: QuadratureSpec
-    riesz: RieszParams | None
+    riesz: RieszParams
     output_path: str | None
 
 
@@ -165,9 +165,7 @@ def _load(args, *, zonal=False):
         orientation_samples=256,
         seed=args.seed,
     )
-    riesz = None
-    if dims.k - 1 >= 1:
-        riesz = RieszParams(k_order=dims.k - 1, ell=args.ell, eps=args.eps, outer_R=args.outer)
+    riesz = RieszParams(k_order=dims.k - 1, ell=args.ell, eps=args.eps, outer_R=args.outer)
     config = RunConfig(quadrature=spec, riesz=riesz, output_path=args.out)
     return scene, dims, spec, config
 
@@ -180,20 +178,16 @@ def _fmt(value) -> str:
 
 def _provenance(command: str, scene: SceneSpec, config: RunConfig, tol=None, extra=None) -> list[str]:
     params = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(scene.parameters.items()) if v is not None)
-    spec = config.quadrature
+    spec, r = config.quadrature, config.riesz
     lines = [
         f"command: {command}",
         f"scene: family={scene.family} {params} n={scene.dims.n} k={scene.dims.k}".rstrip(),
         "quadrature: "
         f"sphere_order={spec.sphere_order} radial_order={spec.radial_order} "
         f"cutoff={_fmt(spec.radial_cutoff)} orientation_samples={spec.orientation_samples}",
+        f"riesz: k_order={r.k_order} ell={r.resolved_ell} eps={_fmt(r.eps)} outer={_fmt(r.outer_R)}",
+        f"seed: {spec.seed}",
     ]
-    if config.riesz is not None:
-        r = config.riesz
-        lines.append(
-            f"riesz: k_order={r.k_order} ell={r.resolved_ell} eps={_fmt(r.eps)} outer={_fmt(r.outer_R)}"
-        )
-    lines.append(f"seed: {spec.seed}")
     if tol is not None:
         lines.append(f"tol: {_fmt(tol)}")
     if extra:
@@ -471,13 +465,13 @@ def _cmd_support(args) -> int:
     field = build_field(scene)
     cap = CapSpec(args.b)
     report = support_experiment(field, cap, dims, spec, args.trials)
-    control_ok = report.max_control > 1e-3 * max(report.scale, 1e-300)
     rows = [
         ["beyond_threshold", f"b_star={_fmt(report.threshold)}",
          "pass" if report.vanishing_ok else "fail", report.max_beyond],
-        ["control_nonzero", f"dist={_fmt(CONTROL_DIST)}", "pass" if control_ok else "fail", report.max_control],
+        ["control_nonzero", f"dist={_fmt(CONTROL_DIST)}", "pass" if report.control_ok else "fail",
+         report.max_control],
     ]
-    verdict = "PASS" if (report.vanishing_ok and control_ok) else "FAIL"
+    verdict = "PASS" if (report.vanishing_ok and report.control_ok) else "FAIL"
     footer = [f"scale: {_fmt(report.scale)}", f"{verdict} (noise floor {_fmt(report.noise_floor)})"]
     header = _provenance("support", scene, config,
                          extra=[f"b: {_fmt(args.b)}", f"trials: {args.trials}"])

@@ -49,13 +49,23 @@ class QuadratureSpec:
             raise ValueError("radial_cutoff must be at least 1")
 
 
+# Rules are built once per process for each key and returned read-only, so
+# every caller shares one copy.  The flat templates are the largest entries
+# (one node per pair of radial and angular nodes), hence their smaller cache.
+_RULE_CACHE_SIZE = 64
+_TEMPLATE_CACHE_SIZE = 16
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _leggauss(order: int):
     # Cached reference rule on [-1, 1]; callers rescale, never mutate.
-    x, w = leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _read_only(*leggauss(order))
 
 
 def gauss_legendre(order: int, a: float, b: float):
@@ -87,15 +97,16 @@ def panel_edges(lo: float, hi: float) -> np.ndarray:
     return np.asarray(edges)
 
 
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
 def composite_gauss(lo: float, hi: float, order: int):
-    """Composite Gauss-Legendre on dyadic panels spanning [lo, hi]."""
+    """Composite Gauss-Legendre on dyadic panels spanning [lo, hi] (cached, read-only)."""
     edges = panel_edges(lo, hi)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         x, w = gauss_legendre(order, a, b)
         nodes.append(x)
         weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return _read_only(np.concatenate(nodes), np.concatenate(weights))
 
 
 def _resolve_order(spec_or_order, attr: str) -> int:
@@ -111,24 +122,29 @@ def sphere_rule(d: int, spec_or_order):
     summing to the sphere area.  d = 0 is the two-point set {+1, -1}; d = 1 is
     the uniform circle rule; d >= 2 is a product of a Gauss-Gegenbauer rule in
     the polar cosine with a recursive rule on the equatorial sphere.  Exact for
-    spherical polynomials of degree up to the requested order.
+    spherical polynomials of degree up to the requested order.  The arrays are
+    cached per (d, order) and read-only.
     """
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
     order = _resolve_order(spec_or_order, "sphere_order")
     if order < 1:
         raise ValueError("order must be >= 1")
+    return _sphere_rule(d, order)
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _sphere_rule(d: int, order: int):
     if d == 0:
-        nodes = np.array([[1.0], [-1.0]])
-        return nodes, np.array([1.0, 1.0])
+        return _read_only(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     if d == 1:
         m = order if order % 2 == 0 else order + 1  # even count keeps the rule antipodal
         ang = 2.0 * np.pi * (np.arange(m) + 0.5) / m
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
-        return nodes, np.full(m, 2.0 * np.pi / m)
+        return _read_only(nodes, np.full(m, 2.0 * np.pi / m))
     # Polar weight (1 - z^2)^{(d-2)/2} corresponds to Gegenbauer alpha = (d-1)/2.
     z, wz = roots_gegenbauer(order, 0.5 * (d - 1))
-    sub_nodes, sub_w = sphere_rule(d - 1, order)
+    sub_nodes, sub_w = _sphere_rule(d - 1, order)
     sin_pol = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
     nodes = np.concatenate(
         [
@@ -138,7 +154,7 @@ def sphere_rule(d: int, spec_or_order):
         axis=1,
     )
     weights = (wz[:, None] * sub_w[None, :]).ravel()
-    return nodes, weights
+    return _read_only(nodes, weights)
 
 
 def flat_rule(zeta, spec: QuadratureSpec):
@@ -157,10 +173,15 @@ def flat_rule(zeta, spec: QuadratureSpec):
     d = basis.shape[0]
     if d < 1:
         raise ValueError("flat must have dimension >= 1")
-    rho, w_rho = composite_gauss(0.0, spec.radial_cutoff, spec.radial_order)
-    dirs, w_dir = sphere_rule(d - 1, spec.sphere_order)
-    # y = rho * omega in intrinsic coordinates, mapped through the basis rows.
-    intrinsic = rho[:, None, None] * dirs[None, :, :]
-    nodes = offset[None, :] + intrinsic.reshape(-1, d) @ basis
+    intrinsic, weights = _flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)
+    return offset[None, :] + intrinsic @ basis, weights
+
+
+@lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
+def _flat_template(d: int, radial_cutoff: float, radial_order: int, sphere_order: int):
+    """Intrinsic nodes rho * omega, shape (m, d), and weights of every d-flat's rule."""
+    rho, w_rho = composite_gauss(0.0, radial_cutoff, radial_order)
+    dirs, w_dir = sphere_rule(d - 1, sphere_order)
+    intrinsic = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     weights = (w_rho * rho ** (d - 1))[:, None] * w_dir[None, :]
-    return nodes, weights.ravel()
+    return _read_only(intrinsic, weights.ravel())

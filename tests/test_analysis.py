@@ -9,12 +9,14 @@ from sphslice import (
     PlaneField,
     QuadratureSpec,
     SphereField,
+    SupportReport,
     existence_check,
     kplane_support_probe,
     lp_weight_check,
     power_growth_field,
     support_experiment,
 )
+from sphslice.analysis import CONTROL_FLOOR, NOISE_FLOOR
 
 SPEC = QuadratureSpec()
 
@@ -122,6 +124,20 @@ def test_support_detects_unsupported_field():
     )
     report = support_experiment(wide, CapSpec(0.0), dims, SPEC, trials=20)
     assert not report.vanishing_ok
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 250.0])
+def test_support_control_verdict_boundary(scale):
+    floor = CONTROL_FLOOR * max(scale, 1e-300)
+
+    def report(max_control):
+        return SupportReport(threshold=0.7, scale=scale, max_beyond=0.0, max_control=max_control,
+                             trials=1, noise_floor=NOISE_FLOOR)
+
+    # The control data must exceed the floor strictly to show it is not zero.
+    assert not report(0.0).control_ok
+    assert not report(floor).control_ok
+    assert report(np.nextafter(floor, np.inf)).control_ok
 
 
 def disk_bump_plane_field():

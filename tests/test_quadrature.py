@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphslice import quadrature
 from sphslice import (
     QuadratureSpec,
     composite_gauss,
@@ -114,3 +115,67 @@ def test_spec_is_frozen():
     spec = QuadratureSpec()
     with pytest.raises(AttributeError):
         spec.sphere_order = 12
+
+
+# -- cached rules ------------------------------------------------------------
+
+
+def _uncached_flat_rule(zeta, spec):
+    """flat_rule built from scratch, with no cache on any level."""
+    d = zeta.dim
+    rho, w_rho = composite_gauss.__wrapped__(0.0, spec.radial_cutoff, spec.radial_order)
+    quadrature._sphere_rule.cache_clear()
+    dirs, w_dir = quadrature._sphere_rule.__wrapped__(d - 1, spec.sphere_order)
+    intrinsic = rho[:, None, None] * dirs[None, :, :]
+    nodes = zeta.offset[None, :] + intrinsic.reshape(-1, d) @ zeta.basis
+    weights = (w_rho * rho ** (d - 1))[:, None] * w_dir[None, :]
+    return nodes, weights.ravel()
+
+
+def _assert_cached(first, second, fresh):
+    for a, b, c in zip(first, second, fresh, strict=True):
+        assert b is a
+        assert np.array_equal(a, c)
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_sphere_rule_is_cached_read_only(d):
+    sphere_rule(d + 1, 13)  # the recursion fills the d-dimensional entry first
+    first = sphere_rule(d, 13)
+    second = sphere_rule(d, 13)
+    quadrature._sphere_rule.cache_clear()
+    _assert_cached(first, second, quadrature._sphere_rule.__wrapped__(d, 13))
+
+
+def test_sphere_rule_spec_and_order_share_an_entry():
+    spec = QuadratureSpec(sphere_order=15)
+    info = quadrature._sphere_rule.cache_info
+    first = sphere_rule(2, spec)
+    hits, misses = info().hits, info().misses
+    second = sphere_rule(2, spec.sphere_order)
+    assert (info().hits, info().misses) == (hits + 1, misses)
+    assert second[0] is first[0] and second[1] is first[1]
+
+
+def test_composite_gauss_is_cached_read_only():
+    first = composite_gauss(0.0, 40.0, 128)
+    second = composite_gauss(0.0, 40.0, 128)
+    _assert_cached(first, second, composite_gauss.__wrapped__(0.0, 40.0, 128))
+
+
+@pytest.mark.parametrize("flat_dim, ambient", [(1, 2), (1, 3), (2, 3)])
+def test_flat_rule_matches_uncached_build(flat_dim, ambient):
+    spec = QuadratureSpec(sphere_order=24, radial_order=32, radial_cutoff=12.0)
+    rng = np.random.default_rng(flat_dim + ambient)
+    q, _ = np.linalg.qr(rng.standard_normal((ambient, ambient)))
+    zeta = make_flat(q[:, :flat_dim].T, 0.7 * q[:, flat_dim])
+    other = make_flat(q[:, 1 : flat_dim + 1].T, 0.3 * q[:, 0])
+    nodes, weights = flat_rule(zeta, spec)
+    other_nodes, other_weights = flat_rule(other, spec)
+    fresh_nodes, fresh_weights = _uncached_flat_rule(zeta, spec)
+    assert np.array_equal(nodes, fresh_nodes)
+    assert np.array_equal(other_nodes, _uncached_flat_rule(other, spec)[0])
+    # Every flat of one dimension shares the template's weights.
+    _assert_cached((weights,), (other_weights,), (fresh_weights,))
