@@ -92,6 +92,19 @@ class FlatSpec:
         return float(np.linalg.norm(self.offset))
 
 
+def _unchecked_flat(basis: np.ndarray, offset: np.ndarray) -> FlatSpec:
+    """A FlatSpec whose basis is orthonormal and offset orthogonal by construction.
+
+    Skips the checks of FlatSpec.__post_init__ (tens of microseconds per
+    flat) but stores read-only copies as it does.  Only for arrays the library
+    has built so that the checks hold.
+    """
+    flat = object.__new__(FlatSpec)
+    object.__setattr__(flat, "basis", _freeze(basis))
+    object.__setattr__(flat, "offset", _freeze(offset))
+    return flat
+
+
 def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     # Modified Gram-Schmidt with one re-orthogonalization pass.
     out = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .geometry import Dimensions, FlatSpec
+from .geometry import Dimensions, FlatSpec, _unchecked_flat
 from .quadrature import QuadratureSpec, gauss_legendre, sphere_rule
 from .transforms import PlaneField, SphereField, flat_through, op_B_inverse, orientation_set, section_to_plane
 from .zonal import sigma
@@ -60,6 +60,12 @@ NEAR_STEP = 0.04
 NEAR_SPAN = 4.0
 FAR_STEP = 0.25
 FAR_PAD = 2.0
+
+# Each zone's spline is evaluated through a SPLINE_TILES x SPLINE_TILES grid
+# of windows onto its knot spans (see _SplineZone), SPLINE_BLOCK points at a
+# time, which bounds the scratch memory of sorting points by tile.
+SPLINE_TILES = 16
+SPLINE_BLOCK = 1 << 17
 
 # Relative gap between the two Richardson stages above which the refinement
 # is reported as not settled.
@@ -267,7 +273,7 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     signs = _difference_signs(ell)
     p = _evenized(ell) - k
 
-    if hasattr(h, "reserve"):
+    if hasattr(h, "reserve") and len(X):
         lo, hi = X.min(axis=0), X.max(axis=0)
         reach = ell * params.outer_R + FAR_PAD
         h.reserve((lo - NEAR_SPAN, hi + NEAR_SPAN), (lo - reach, hi + reach))
@@ -372,6 +378,11 @@ class _LineDualField:
     and coarse outside, and grows on demand when queries reach beyond it.
     The value at a point is the average over orientations of the tabulated
     data on the line through the point, interpolated in offset.
+
+    The growth cannot move to construction: how far the table must reach
+    depends on the points evaluated, through the ell*outer_R + FAR_PAD reach
+    of the far spline zone around their bounding box, which is known only
+    when the reconstruction is called.  One evaluation grows the table once.
     """
 
     def __init__(self, data, spec: QuadratureSpec):
@@ -379,17 +390,21 @@ class _LineDualField:
         count = spec.orientation_samples
         theta = (np.arange(count) + 0.5) * (math.pi / count)
         self._normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        self._directions = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+        directions = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+        # Each orientation's line is validated once; the lines at offsets
+        # p * normal share its basis and skip the checks.
+        self._unit_lines = [
+            FlatSpec(basis=d[None, :], offset=normal) for d, normal in zip(directions, self._normals)
+        ]
         half = round(TABLE_FINE_SPAN / TABLE_FINE_STEP)
         self._p = np.arange(-half, half + 1) * TABLE_FINE_STEP
         self._table = self._fill(self._p)
 
     def _fill(self, p_values: np.ndarray) -> np.ndarray:
-        block = np.empty((len(self._normals), len(p_values)))
-        for i, (normal, direction) in enumerate(zip(self._normals, self._directions)):
-            basis = direction[None, :]
+        block = np.empty((len(self._unit_lines), len(p_values)))
+        for i, line in enumerate(self._unit_lines):
             for j, p in enumerate(p_values):
-                block[i, j] = self._data(FlatSpec(basis=basis, offset=p * normal))
+                block[i, j] = self._data(_unchecked_flat(line.basis, p * line.offset))
         return block
 
     def _ensure(self, p_needed: float):
@@ -415,7 +430,25 @@ class _LineDualField:
         return acc / len(self._normals)
 
 
+def _tile_cuts(knots: np.ndarray, degree: int) -> np.ndarray:
+    """Knot indices cutting the spans of a spline axis into up to SPLINE_TILES runs."""
+    spans = len(knots) - 2 * degree - 1
+    return degree + np.unique(np.round(np.linspace(0, spans, SPLINE_TILES + 1)).astype(int))
+
+
 class _SplineZone:
+    """An interpolating spline of a field over a rectangle, evaluated by tiles.
+
+    The one fit is cut along its knot spans into a grid of tiles.  Each tile
+    is a window of the same spline: the knots of its spans plus degree knots
+    on either side, and the coefficients those spans use.  FITPACK computes a
+    point's value from the knots and coefficients of the span holding it and
+    clamps to the outer knots, which the edge tiles share with the fit, so a
+    tile returns bit for bit what the whole spline would.  What changes is
+    FITPACK's linear search for the span, which starts at the first knot for
+    every point and now runs over a tile's knots instead of the zone's.
+    """
+
     def __init__(self, lo, hi, step: float, degree: int, base):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
@@ -424,7 +457,20 @@ class _SplineZone:
         ax1 = np.linspace(self.lo[1], self.hi[1], counts[1])
         grid = np.stack(np.meshgrid(ax0, ax1, indexing="ij"), axis=-1).reshape(-1, 2)
         vals = np.asarray(base(grid), dtype=float).reshape(len(ax0), len(ax1))
-        self._spline = RectBivariateSpline(ax0, ax1, vals, kx=degree, ky=degree)
+        spline = RectBivariateSpline(ax0, ax1, vals, kx=degree, ky=degree)
+        tx, ty, c = spline.tck
+        k = degree
+        cuts_x, cuts_y = _tile_cuts(tx, k), _tile_cuts(ty, k)
+        coeffs = c.reshape(len(tx) - k - 1, len(ty) - k - 1)
+        self._edges = (tx[cuts_x[1:-1]], ty[cuts_y[1:-1]])
+        # type(spline), not the module name, which a caller may have replaced
+        self._tiles = [
+            type(spline)._from_tck(
+                (tx[a0 - k : a1 + k + 1], ty[b0 - k : b1 + k + 1], coeffs[a0 - k : a1, b0 - k : b1].ravel(), k, k)
+            )
+            for a0, a1 in zip(cuts_x[:-1], cuts_x[1:])
+            for b0, b1 in zip(cuts_y[:-1], cuts_y[1:])
+        ]
 
     def covers(self, lo, hi) -> bool:
         return bool(np.all(lo >= self.lo - 1e-9) and np.all(hi <= self.hi + 1e-9))
@@ -433,7 +479,26 @@ class _SplineZone:
         return np.all((X >= self.lo - 1e-9) & (X <= self.hi + 1e-9), axis=1)
 
     def eval(self, X: np.ndarray) -> np.ndarray:
-        return self._spline.ev(X[:, 0], X[:, 1])
+        edges_x, edges_y = self._edges
+        out = np.empty(len(X))
+        for lo in range(0, len(X), SPLINE_BLOCK):
+            x, y = X[lo : lo + SPLINE_BLOCK].T
+            # side="right" is FITPACK's span rule: a point on a knot belongs to
+            # the span that starts there
+            tile = (
+                np.searchsorted(edges_x, x, side="right") * (len(edges_y) + 1)
+                + np.searchsorted(edges_y, y, side="right")
+            ).astype(np.int16)
+            order = np.argsort(tile, kind="stable")  # a radix sort on int16
+            x, y = x[order], y[order]
+            vals = np.empty(len(order))
+            start = 0
+            for spline, stop in zip(self._tiles, np.cumsum(np.bincount(tile, minlength=len(self._tiles)))):
+                if stop > start:
+                    vals[start:stop] = spline.ev(x[start:stop], y[start:stop])
+                start = stop
+            out[lo : lo + SPLINE_BLOCK][order] = vals
+        return out
 
 
 class _CachedField2D:
@@ -467,7 +532,7 @@ class _CachedField2D:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self._far is None:
+        if self._far is None and len(X):
             lo, hi = X.min(axis=0), X.max(axis=0)
             self._far = _SplineZone(lo - FAR_PAD, hi + FAR_PAD, FAR_STEP, 3, self._base)
         out = np.empty(len(X))

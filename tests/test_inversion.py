@@ -3,10 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 from scipy.special import dawsn, i0e
 
 from sphslice import (
     Dimensions,
+    FlatSpec,
     InversionReport,
     PlaneField,
     QuadratureSpec,
@@ -16,12 +18,14 @@ from sphslice import (
     coeff_c,
     coeff_d,
     invert_radon,
+    invert_slice,
     make_dual_field,
     radon_john,
     reconstruction_report,
     riesz_derivative,
     riesz_refinement_report,
 )
+import sphslice.inversion as inversion
 from sphslice.transforms import dual_transform, make_flat
 
 
@@ -289,3 +293,118 @@ def test_pipeline_argmax_lands_on_center(recovered_gaussian):
     best = pts[np.argmax(vals)]
     step = axis[1] - axis[0]
     assert np.max(np.abs(best - CENTER)) <= step
+
+
+# A cheap plane reconstruction: the line integrals of exp(-|x|^2) are known in
+# closed form, sqrt(pi) exp(-p^2) at distance p, so no quadrature is needed.
+SMALL_SPEC = QuadratureSpec(orientation_samples=16)
+SMALL_POINTS = np.array([[0.0, 0.0], [0.7, -0.4]])
+
+
+def gaussian_lines(zeta):
+    return math.sqrt(math.pi) * math.exp(-zeta.distance**2)
+
+
+def small_reconstruction():
+    return invert_radon(gaussian_lines, Dimensions(2, 2), PARAMS, SMALL_SPEC)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
+def test_empty_batch_gives_empty_result(shape):
+    rec = small_reconstruction()
+    assert rec(np.zeros(shape)).shape == shape[:-1]
+    field = make_dual_field(gaussian_lines, 1, Dimensions(2, 2), SMALL_SPEC)
+    assert field(np.zeros((0, 2))).shape == (0,)
+    sphere = invert_slice(lambda tau: 1.0, Dimensions(2, 2), None, SMALL_SPEC)
+    assert sphere(np.zeros(shape[:-1] + (3,))).shape == shape[:-1]
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_spline_zone_tiles_equal_the_global_fit(monkeypatch, degree):
+    # the tiles are windows onto one fit, so every value is bit for bit the fit's
+    fits = []
+
+    def capture(*args, **kwargs):
+        fits.append(RectBivariateSpline(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(inversion, "RectBivariateSpline", capture)
+    lo, hi = np.array([-1.3, -0.4]), np.array([2.1, 1.9])
+
+    def field(X):
+        return np.sin(2.0 * X[:, 0]) * np.cos(3.0 * X[:, 1]) + 0.1 * X[:, 0]
+
+    zone = inversion._SplineZone(lo, hi, 0.02, degree, field)
+    (fit,) = fits
+    assert len(zone._tiles) == inversion.SPLINE_TILES**2
+    rng = np.random.default_rng(degree)
+    tx, ty = fit.tck[:2]
+    cases = {
+        "interior": rng.uniform(lo, hi, size=(1000, 2)),
+        # every knot pair, which includes every tile edge
+        "knots": np.stack(np.meshgrid(tx, ty, indexing="ij"), axis=-1).reshape(-1, 2),
+        "knot lines": np.concatenate([
+            np.stack([tx, rng.uniform(lo[1], hi[1], len(tx))], axis=1),
+            np.stack([rng.uniform(lo[0], hi[0], len(ty)), ty], axis=1),
+        ]),
+        "corners": np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]]),
+        # clamped to the outer knots
+        "outside": np.concatenate([
+            rng.uniform(lo - 1.0, lo, size=(200, 2)),
+            rng.uniform(hi, hi + 1.0, size=(200, 2)),
+            np.stack([rng.uniform(lo[0], hi[0], 200), rng.uniform(hi[1], hi[1] + 1.0, 200)], axis=1),
+        ]),
+        "several blocks": rng.uniform(lo - 0.1, hi + 0.1, size=(inversion.SPLINE_BLOCK + 999, 2)),
+    }
+    for name, X in cases.items():
+        assert np.array_equal(zone.eval(X), fit.ev(X[:, 0], X[:, 1])), name
+    assert zone.eval(np.empty((0, 2))).shape == (0,)
+
+
+def test_spline_fits_go_through_the_module_name(monkeypatch):
+    # bench/tracer.py counts fits by putting a plain function in place of
+    # inversion.RectBivariateSpline; the cache must not need the class there
+    want = small_reconstruction()(SMALL_POINTS)
+    fits = []
+    fit = inversion.RectBivariateSpline
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "RectBivariateSpline", counting_fit)
+    got = small_reconstruction()(SMALL_POINTS)
+    assert np.array_equal(got, want)
+    assert len(fits) == 2
+
+
+def test_one_evaluation_grows_the_line_table_once(monkeypatch):
+    fills = []
+    fill = inversion._LineDualField._fill
+
+    def counting_fill(self, p_values):
+        fills.append(len(p_values))
+        return fill(self, p_values)
+
+    monkeypatch.setattr(inversion._LineDualField, "_fill", counting_fill)
+    rec = small_reconstruction()
+    assert len(fills) == 1
+    rec(SMALL_POINTS)
+    assert len(fills) == 3  # one growth fills both sides of the offset grid
+    rec(SMALL_POINTS)
+    assert len(fills) == 3
+
+
+def test_line_table_flats_are_valid_and_read_only():
+    seen = []
+
+    def data(zeta):
+        FlatSpec(zeta.basis, zeta.offset)
+        seen.append(zeta)
+        return gaussian_lines(zeta)
+
+    field = inversion._LineDualField(data, QuadratureSpec(orientation_samples=4))
+    field(np.array([[25.0, 0.0]]))  # grows the table
+    assert len(seen) > 4 * 1001
+    for zeta in seen:
+        assert not zeta.basis.flags.writeable and not zeta.offset.flags.writeable
