@@ -14,7 +14,6 @@ pole-distance of a stored unit vector has no accurate digits left.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,7 +235,6 @@ class SupportReport:
     max_control: float        # largest |transform| over control planes
     trials: int
     noise_floor: float
-    reconstruction_max: float | None = None  # peak |reconstruction| on the cap, if probed
 
     @property
     def vanishing_ok(self) -> bool:
@@ -258,23 +256,14 @@ def support_experiment(
     dims: Dimensions,
     spec: QuadratureSpec,
     trials: int,
-    *,
-    probe_reconstruction: bool = False,
-    riesz_params=None,
 ) -> SupportReport:
     """Test that data over far planes vanishes for a field vanishing on the cap.
 
-    Direction (i): f supported in {eta_last <= b} must give zero slice
-    transforms on every plane with dist > b_star, since such cross-sections
-    stay inside the cap; the report records the worst violation against
-    NOISE_FLOOR * peak(f), plus control values at distance CONTROL_DIST
-    showing the data is not trivially zero.
-
-    Direction (ii) (probe_reconstruction=True): data measured at dist <=
-    b_star only (far-plane data hard-zeroed) is fed through the full inversion
-    and the reconstruction is sampled on the cap, where it should vanish; the
-    peak is recorded as reconstruction_max.  This path runs the hypersingular
-    inversion and costs minutes at default settings.
+    A field f supported in {eta_last <= b} must give zero slice transforms on
+    every plane with dist > b_star, since such cross-sections stay inside the
+    cap; the report records the worst violation against NOISE_FLOOR * peak(f),
+    plus control values at distance CONTROL_DIST showing the data is not
+    trivially zero.  Only the forward transform is sampled; no inversion runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -294,9 +283,6 @@ def support_experiment(
         zeta = random_flat(rng, dims.n, d, t_control)
         val = slice_transform(f, SlicePlane(zeta), spec)
         max_control = max(max_control, abs(val))
-    recon_max = None
-    if probe_reconstruction:
-        recon_max = _reconstruction_probe(f, cap, dims, spec, riesz_params)
     return SupportReport(
         threshold=cap.b_star,
         scale=scale,
@@ -304,36 +290,7 @@ def support_experiment(
         max_control=max_control,
         trials=trials,
         noise_floor=NOISE_FLOOR,
-        reconstruction_max=recon_max,
     )
-
-
-def _reconstruction_probe(f, cap, dims, spec, riesz_params) -> float:
-    from .inversion import RieszParams, invert_slice
-
-    if riesz_params is None:
-        riesz_params = RieszParams(k_order=dims.k - 1)
-    threshold = cap.b_star
-
-    def measured(tau) -> float:
-        # Keep only sub-threshold data; beyond b_star the data is zero by (i).
-        if tau.dist > threshold:
-            return 0.0
-        return slice_transform(f, tau, spec)
-
-    recon = invert_slice(measured, dims, riesz_params, spec)
-    # Sample the open cap away from the pole itself.
-    omega, _ = sphere_rule(dims.n - 1, 16)
-    heights = np.linspace(cap.b + 0.05 * (1.0 - cap.b), 0.98, 12)
-    sin_pol = np.sqrt(1.0 - heights**2)
-    pts = np.concatenate(
-        [
-            (sin_pol[:, None, None] * omega[None, :, :]).reshape(-1, dims.n),
-            np.repeat(heights, len(omega))[:, None],
-        ],
-        axis=1,
-    )
-    return float(np.max(np.abs(recon(pts))))
 
 
 @dataclass(frozen=True)
@@ -358,13 +315,12 @@ def kplane_support_probe(
     For g supported in that ball the transform vanishes on every flat at
     distance beyond r; fields without compact support (a Gaussian, say) show
     nonzero values outside any radius, and the report simply records the
-    magnitudes.  Flats have the trace dimension dims.k - 1.
+    magnitudes.  Flats have the trace dimension dims.k - 1; radon_john warns
+    when the decay exponent of g does not exceed it.
     """
     if r <= 0.0:
         raise ValueError("support radius must be positive")
     d = dims.k - 1
-    if g.decay_exponent is not None and g.decay_exponent <= d:
-        warnings.warn("decay exponent <= flat dimension: outside theorem hypothesis", stacklevel=2)
     rng = np.random.default_rng(spec.seed)
     max_outside = 0.0
     for _ in range(trials):

@@ -5,7 +5,8 @@ computes with fixed seeds, and writes comma-separated output with a
 #-prefixed provenance header, so identical configurations give byte-identical
 files within one environment (the same Python, numpy and scipy); across
 environments the last printed digits may differ.  Exit codes: 0 success,
-1 tolerance failure, 2 usage or malformed input, 3 numerical error.
+1 tolerance failure, 2 usage, malformed input or an unsupported case (invert
+needs n = 2), 3 numerical error.
 
 Random planes are drawn with offset magnitude t = tan(uniform(0, pi/2 - 0.01))
 and orientation from the QR factorization of a seeded Gaussian matrix, so all
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SceneError as exc:
+    except (SceneError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
@@ -112,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_zonal_invert)
 
     p = sub.add_parser("invert", parents=[common],
-                       help="full reconstruction of a scene from its slice data")
+                       help="full reconstruction of a scene from its slice data (n = 2 only)")
     p.add_argument("scene", help="scene file")
     p.add_argument("--grid-order", type=int, default=8, help="order of the evaluation grid on the sphere")
     p.add_argument("--cap-limit", type=float, default=0.9,

@@ -120,23 +120,16 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def make_flat(basis, offset, dims: Dimensions | None = None) -> FlatSpec:
+def make_flat(basis, offset) -> FlatSpec:
     """Build a FlatSpec from raw spanning vectors and an arbitrary flat point.
 
     The spanning vectors are orthonormalized; the offset is replaced by its
     component orthogonal to the span, which represents the same affine set.
-    When dims is given, the vectors must live in R^{dims.n} and the flat must
-    have the trace dimension dims.k - 1.
     """
     rows = np.atleast_2d(np.asarray(basis, dtype=float))
     v = np.asarray(offset, dtype=float)
     if v.ndim != 1 or rows.shape[1] != v.shape[0]:
         raise ValueError("dimension mismatch between basis and offset")
-    if dims is not None:
-        if rows.shape[1] != dims.n:
-            raise ValueError(f"dimension mismatch: expected vectors in R^{dims.n}")
-        if rows.shape[0] != dims.k - 1:
-            raise ValueError(f"dimension mismatch: expected {dims.k - 1} spanning vectors")
     ortho = _orthonormalize(rows)
     v = v - (v @ ortho.T) @ ortho
     return FlatSpec(ortho, v)

@@ -14,7 +14,8 @@ where ell is the difference order and d a normalizing constant depending on
 eps, eps/2, eps/4; truncation at an outer radius is compensated by a decay
 model for h (see riesz_derivative).  Slice data is inverted by carrying it to
 flat data over the plane correspondence, inverting there, and conjugating
-back to the sphere.
+back to the sphere.  Backprojection is implemented for lines in the plane
+(n = 2) only; other dimensions are refused (see make_dual_field).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from scipy.interpolate import RectBivariateSpline
 
 from .geometry import Dimensions, FlatSpec, _unchecked_flat
 from .quadrature import QuadratureSpec, gauss_legendre, sphere_rule
+# flat_through and orientation_set are unused here but stay importable as
+# inversion.<name>: the traced benchmark (bench/tracer.py) replaces them.
 from .transforms import PlaneField, SphereField, flat_through, op_B_inverse, orientation_set, section_to_plane
 from .zonal import sigma
 
@@ -86,18 +89,15 @@ class RieszParams:
     ell is the finite-difference order: for odd k_order it must equal
     k_order (higher differences annihilate the needed moment), for even
     k_order it must exceed it; None picks the smallest valid choice.
-    eps is the largest inner cutoff of the Richardson ladder, outer_R the
-    truncation radius, and tail_decay the power with which the field decays
-    beyond outer_R (None means n - k_order, the rate of a backprojection;
-    0 models a field that stays flat, and makes constants differentiate to
-    exactly zero).
+    eps is the largest inner cutoff of the Richardson ladder and outer_R the
+    truncation radius; both must be finite.  Beyond outer_R the field is
+    modelled as decaying like r^{-(n - k_order)}, the rate of a backprojection.
     """
 
     k_order: int
     ell: int | None = None
     eps: float = 0.05
     outer_R: float = 30.0
-    tail_decay: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.k_order, int) or self.k_order < 1:
@@ -109,12 +109,10 @@ class RieszParams:
                 raise ValueError("odd k_order requires ell == k_order")
             if self.k_order % 2 == 0 and self.ell <= self.k_order:
                 raise ValueError("even k_order requires ell > k_order")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self.outer_R < 4.0 * self.eps:
-            raise ValueError("outer_R must be at least 4 * eps")
-        if self.tail_decay is not None and self.tail_decay < 0.0:
-            raise ValueError("tail_decay must be >= 0")
+        if not math.isfinite(self.eps) or self.eps <= 0.0:
+            raise ValueError("eps must be finite and positive")
+        if not math.isfinite(self.outer_R) or self.outer_R < 4.0 * self.eps:
+            raise ValueError("outer_R must be finite and at least 4 * eps")
 
     @property
     def resolved_ell(self) -> int:
@@ -266,7 +264,7 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     n = X.shape[1]
     k = params.k_order
     ell = params.resolved_ell
-    gamma = params.tail_decay if params.tail_decay is not None else max(n - k, 0)
+    gamma = max(n - k, 0)
     d_norm = coeff_d(n, ell, k)
     omega, w_omega = sphere_rule(n - 1, spec.sphere_order)
     rho, w_rho, level_masks = _radial_panels(params.eps, params.outer_R, max(8, spec.radial_order // 8))
@@ -501,6 +499,16 @@ class _SplineZone:
         return out
 
 
+def _grown(zone: _SplineZone | None, lo, hi, step: float, degree: int, base, pad: float = 0.0) -> _SplineZone:
+    """zone if it covers the box [lo, hi]; else a zone over the padded box joined with zone's."""
+    if zone is not None and zone.covers(lo, hi):
+        return zone
+    lo, hi = lo - pad, hi + pad
+    if zone is not None:
+        lo, hi = np.minimum(lo, zone.lo), np.maximum(hi, zone.hi)
+    return _SplineZone(lo, hi, step, degree, base)
+
+
 class _CachedField2D:
     """Two-zone spline cache over a planar field.
 
@@ -519,73 +527,39 @@ class _CachedField2D:
     def reserve(self, near_bbox, far_bbox):
         near_lo, near_hi = (np.asarray(v, dtype=float) for v in near_bbox)
         far_lo, far_hi = (np.asarray(v, dtype=float) for v in far_bbox)
-        if self._near is None or not self._near.covers(near_lo, near_hi):
-            if self._near is not None:
-                near_lo = np.minimum(near_lo, self._near.lo)
-                near_hi = np.maximum(near_hi, self._near.hi)
-            self._near = _SplineZone(near_lo, near_hi, NEAR_STEP, 5, self._base)
-        if self._far is None or not self._far.covers(far_lo, far_hi):
-            if self._far is not None:
-                far_lo = np.minimum(far_lo, self._far.lo)
-                far_hi = np.maximum(far_hi, self._far.hi)
-            self._far = _SplineZone(far_lo, far_hi, FAR_STEP, 3, self._base)
+        self._near = _grown(self._near, near_lo, near_hi, NEAR_STEP, 5, self._base)
+        self._far = _grown(self._far, far_lo, far_hi, FAR_STEP, 3, self._base)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self._far is None and len(X):
-            lo, hi = X.min(axis=0), X.max(axis=0)
-            self._far = _SplineZone(lo - FAR_PAD, hi + FAR_PAD, FAR_STEP, 3, self._base)
         out = np.empty(len(X))
         near_mask = self._near.contains(X) if self._near is not None else np.zeros(len(X), dtype=bool)
         far_part = X[~near_mask]
         if len(far_part):
             lo, hi = far_part.min(axis=0), far_part.max(axis=0)
-            if not self._far.covers(lo, hi):
-                self._far = _SplineZone(
-                    np.minimum(lo - FAR_PAD, self._far.lo),
-                    np.maximum(hi + FAR_PAD, self._far.hi),
-                    FAR_STEP,
-                    3,
-                    self._base,
-                )
+            self._far = _grown(self._far, lo, hi, FAR_STEP, 3, self._base, FAR_PAD)
             out[~near_mask] = self._far.eval(far_part)
         if near_mask.any():
             out[near_mask] = self._near.eval(X[near_mask])
         return out
 
 
-class _GenericDualField:
-    """Direct orientation average of flat data; slow, any dimension."""
-
-    def __init__(self, data, flat_dim: int, n: int, spec: QuadratureSpec):
-        self._data = data
-        self._bases = orientation_set(flat_dim, n, spec.orientation_samples, spec.seed)
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        for i, x in enumerate(X):
-            total = 0.0
-            for basis in self._bases:
-                total += self._data(flat_through(basis, x))
-            out[i] = total / len(self._bases)
-        return out
-
-
 def make_dual_field(phi, flat_dim: int, dims: Dimensions, spec: QuadratureSpec):
-    """Backprojection h = average of the flat data phi over flats through x.
+    """Backprojection h = average of the line data phi over lines through x in the plane.
 
-    phi is called with a FlatSpec and must return a float.  The result is a
-    batched callable on (N, n) arrays.  For lines in the plane the data is
-    tabulated once and interpolated, and the field is wrapped in a two-zone
-    spline cache (see _CachedField2D); other dimensions fall back to direct
-    orientation averaging, which is orders of magnitude slower and meant for
-    cross-checks at small sizes.
+    phi is called with a FlatSpec and must return a float.  The data is
+    tabulated once and interpolated (see _LineDualField), and the field is
+    wrapped in a two-zone spline cache (see _CachedField2D); the result is a
+    batched callable on (N, 2) arrays.  Lines in the plane (flat_dim 1,
+    dims.n 2) are the only case backprojected at practical cost: any other
+    case raises NotImplementedError before phi is called.
     """
-    if flat_dim == 1 and dims.n == 2:
-        base = _LineDualField(phi, spec)
-        return _CachedField2D(base)
-    return _GenericDualField(phi, flat_dim, dims.n, spec)
+    if (flat_dim, dims.n) != (1, 2):
+        raise NotImplementedError(
+            "inversion is implemented only for lines in the plane (flat dimension 1, n = 2); "
+            f"got flat dimension {flat_dim}, n = {dims.n}"
+        )
+    return _CachedField2D(_LineDualField(phi, spec))
 
 
 def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> PlaneField:
@@ -594,7 +568,9 @@ def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpe
     phi(zeta) must return the integral over the flat zeta of the unknown
     field, for flats of dimension params.k_order in R^{dims.n}.  The result
     evaluates the backprojection of phi and applies the matching fractional
-    derivative and constant.
+    derivative and constant.  Only lines in the plane (dims.n 2, k_order 1)
+    are supported; other dimensions raise NotImplementedError here, before
+    any data is computed (see make_dual_field).
     """
     if not 1 <= params.k_order < dims.n:
         raise ValueError("flat order must satisfy 1 <= k_order < n")
@@ -602,11 +578,7 @@ def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpe
     constant = coeff_c(params.k_order, dims.n)
 
     def eval_field(x):
-        arr = np.asarray(x, dtype=float)
-        flat = arr.reshape(-1, arr.shape[-1])
-        values, nonconv, scale, _ = _riesz_batch(h, flat, params, spec)
-        _warn_if_nonconvergent(nonconv, scale)
-        return (values / constant).reshape(arr.shape[:-1])
+        return riesz_derivative(h, x, params, dims, spec) / constant
 
     return PlaneField(eval=eval_field, decay_exponent=None)
 
@@ -617,7 +589,9 @@ def invert_slice(F, dims: Dimensions, params: RieszParams | None, spec: Quadratu
     F(tau) must return the cross-section integral of the unknown field over
     the slice plane tau.  The data is carried to flat data over the plane
     correspondence, inverted there, and conjugated back; the reconstruction
-    degrades towards the pole, where the conjugation weight blows up.
+    degrades towards the pole, where the conjugation weight blows up.  Only
+    S^2 sliced by 2-planes (Dimensions(2, 2)) is supported; other dimensions
+    raise NotImplementedError before F is called (see make_dual_field).
     """
     if params is None:
         params = RieszParams(k_order=dims.k - 1)

@@ -9,6 +9,7 @@ slowly decaying integrands pulled back from the sphere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,8 +46,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if min(self.sphere_order, self.radial_order, self.orientation_samples) < 1:
             raise ValueError("orders and sample counts must be positive")
-        if self.radial_cutoff < 1.0:
-            raise ValueError("radial_cutoff must be at least 1")
+        if not math.isfinite(self.radial_cutoff) or self.radial_cutoff < 1.0:
+            raise ValueError("radial_cutoff must be finite and at least 1")
 
 
 # Rules are built once per process for each key and returned read-only, so

@@ -37,6 +37,9 @@ __all__ = [
     "suggested_cutoff",
 ]
 
+# Tail mass left beyond the radial cutoff that suggested_cutoff picks.
+CUTOFF_TOL = 1e-7
+
 FAMILIES = (
     "constant",
     "zonal_gaussian",
@@ -214,7 +217,7 @@ def scene_profile(scene: SceneSpec) -> ZonalProfile:
     raise SceneError(f"family {scene.family} is not zonal")
 
 
-def suggested_cutoff(scene: SceneSpec, tol: float = 1e-7) -> float:
+def suggested_cutoff(scene: SceneSpec) -> float:
     """Radial cutoff for plane-side integrals of the scene's conjugated field.
 
     The conjugated field of a bounded scene decays like 2^{k-1}|x|^{2-2k}, so
@@ -225,15 +228,15 @@ def suggested_cutoff(scene: SceneSpec, tol: float = 1e-7) -> float:
     k = scene.dims.k
     if scene.family == "constant":
         prefactor = sigma(k - 2) * 2.0 ** (k - 1) / (k - 1)
-        return float((prefactor / tol) ** (1.0 / (k - 1)))
+        return float((prefactor / CUTOFF_TOL) ** (1.0 / (k - 1)))
     if scene.family == "zonal_gaussian":
         width = scene["width"]
-        return float(width * math.sqrt(math.log(1.0 / tol)) + 2.0 + width)
+        return float(width * math.sqrt(math.log(1.0 / CUTOFF_TOL)) + 2.0 + width)
     if scene.family == "cap_bump":
         b = scene["b"]
         return float(math.sqrt((1.0 + b) / (1.0 - b)) + 1.0)
     if scene.family == "first_harmonic_weighted":
-        return float(math.sqrt(math.log(1.0 / tol)) + 3.0)
+        return float(math.sqrt(math.log(1.0 / CUTOFF_TOL)) + 3.0)
     # custom_profile_csv: the loaded profile vanishes beyond its grid.
     profile = scene_profile(scene)
     s_grid = profile.grid[0] if profile.grid is not None else None

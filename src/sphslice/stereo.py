@@ -112,7 +112,7 @@ def nu_inverse(eta):
     return out
 
 
-def sphere_to_plane_weight(x, exponent: int, dims=None) -> np.ndarray:
+def sphere_to_plane_weight(x, exponent: int) -> np.ndarray:
     """Conversion factor 2^m (|x|^2 + 1)^{-m} carried by the projection.
 
     The exponent m is the power of the conformal factor an integrand picks up:
@@ -120,8 +120,6 @@ def sphere_to_plane_weight(x, exponent: int, dims=None) -> np.ndarray:
     k-plane cross-section.
     """
     arr = _coords(x)
-    if dims is not None and arr.shape[-1] != dims.n:
-        raise ValueError("dimension mismatch between point and dims")
     s2 = np.sum(arr * arr, axis=-1)
     return (2.0 / (s2 + 1.0)) ** exponent
 

@@ -145,10 +145,42 @@ def test_numeric_failure_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("flags,setting", [(["--eps", "0"], "eps"),
-                                           (["--eps", "10", "--outer", "30"], "outer_R")])
+                                           (["--eps", "10", "--outer", "30"], "outer_R"),
+                                           (["--eps", "nan"], "eps"),
+                                           (["--outer", "nan"], "outer_R"),
+                                           (["--outer", "inf"], "outer_R"),
+                                           (["--cutoff", "nan"], "radial_cutoff")])
 def test_bad_truncation_window_exits_3(capsys, gauss_scene, flags, setting):
     assert run(["forward", gauss_scene, "1", "--sphere-order", "16"] + flags) == 3
     assert setting in capsys.readouterr().err
+
+
+def test_invert_beyond_the_plane_exits_2(capsys, gauss_scene):
+    # the scene is S^3 with 2-planes; only S^2 (lines in the plane) inverts
+    assert run(["invert", gauss_scene]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lines in the plane" in err and "n = 3" in err
+
+
+@pytest.mark.parametrize("command,flags,columns,rows", [
+    ("radon", ["3"], "alpha,beta,gamma,t,dist,value", 3),
+    # n = 3 keeps dual_transform's orientation sample in space exercised
+    ("dual", ["--grid-size", "2", "--extent", "1.5"], "x1,x2,x3,value", 8),
+    ("zonal-forward", ["--t-max", "2", "--t-count", "5"], "t,dist,value", 5),
+])
+def test_output_is_reproducible_with_expected_shape(tmp_path, gauss_scene, command, flags, columns, rows):
+    argv = [command, gauss_scene] + flags + ["--seed", "9", "--sphere-order", "16", "--radial-order", "16"]
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert run(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    lines = [ln for ln in outputs[0].decode().splitlines() if not ln.startswith("#")]
+    assert lines[0] == columns
+    values = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    assert values.shape == (rows, len(columns.split(",")))
+    assert np.all(np.isfinite(values))
 
 
 def test_help_documents_plane_law(capsys):

@@ -26,7 +26,6 @@ from sphslice import (
     riesz_refinement_report,
 )
 import sphslice.inversion as inversion
-from sphslice.transforms import dual_transform, make_flat
 
 
 def mp_B(ell, alpha):
@@ -226,19 +225,6 @@ def test_nonconvergence_warning():
         riesz_derivative(cone, np.zeros(2), PARAMS, Dimensions(2, 2), SPEC)
 
 
-def test_generic_dual_matches_direct_average():
-    dims = Dimensions(3, 2)
-    spec = QuadratureSpec(orientation_samples=32)
-
-    def data(zeta):
-        return math.exp(-zeta.distance**2) * (1.0 + zeta.basis[0, 0] ** 2)
-
-    h = make_dual_field(data, 1, dims, spec)
-    for x in (np.zeros(3), np.array([1.0, -0.5, 2.0])):
-        direct = dual_transform(data, x, 1, dims, spec)
-        assert h(x[None, :])[0] == pytest.approx(direct, rel=1e-14)
-
-
 def test_invert_radon_rejects_bad_order():
     with pytest.raises(ValueError):
         invert_radon(lambda z: 0.0, Dimensions(2, 2), RieszParams(k_order=2, ell=3), SPEC)
@@ -309,6 +295,33 @@ def small_reconstruction():
     return invert_radon(gaussian_lines, Dimensions(2, 2), PARAMS, SMALL_SPEC)
 
 
+@pytest.mark.parametrize("dims", [Dimensions(3, 2), Dimensions(3, 3), Dimensions(4, 2)])
+def test_inversion_beyond_the_plane_fails_before_any_data(dims):
+    # only lines in the plane are backprojected at practical cost; the rest
+    # must refuse at construction instead of running for hours
+    calls = []
+
+    def data(arg):
+        calls.append(arg)
+        return 0.0
+
+    params = RieszParams(k_order=dims.k - 1)
+    builds = {
+        "make_dual_field": lambda: make_dual_field(data, dims.k - 1, dims, SMALL_SPEC),
+        "invert_radon": lambda: invert_radon(data, dims, params, SMALL_SPEC),
+        "invert_slice": lambda: invert_slice(data, dims, None, SMALL_SPEC),
+    }
+    for name, build in builds.items():
+        with pytest.raises(NotImplementedError, match=r"lines in the plane \(flat dimension 1, n = 2\)"):
+            build()
+        assert not calls, name
+
+
+def test_plane_reconstruction_rejects_a_point_of_another_dimension():
+    with pytest.raises(ValueError, match="point dimension does not match dims.n"):
+        small_reconstruction()(np.zeros(3))
+
+
 @pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
 def test_empty_batch_gives_empty_result(shape):
     rec = small_reconstruction()
@@ -376,6 +389,35 @@ def test_spline_fits_go_through_the_module_name(monkeypatch):
     got = small_reconstruction()(SMALL_POINTS)
     assert np.array_equal(got, want)
     assert len(fits) == 2
+
+
+def test_zones_are_rebuilt_over_the_union_only_when_escaped(monkeypatch):
+    fits = []
+    fit = inversion.RectBivariateSpline
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[:2])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "RectBivariateSpline", counting_fit)
+    pad = inversion.FAR_PAD
+    field = inversion._CachedField2D(lambda X: np.sin(X[:, 0]) + X[:, 1])
+    X = np.array([[0.0, 0.0], [1.0, 1.0]])
+    # a query builds the far zone over its box padded by FAR_PAD ...
+    field(X)
+    assert [(ax[0], ax[-1]) for ax in fits[-1]] == [(-pad, 1.0 + pad)] * 2
+    # ... and rebuilds it only when a later query's own box escapes the zone
+    field(X + 0.9 * pad)
+    assert len(fits) == 1
+    field(X + 1.1 * pad)
+    assert len(fits) == 2
+    assert [(ax[0], ax[-1]) for ax in fits[-1]] == [(-pad, 1.0 + 2.1 * pad)] * 2
+    # reserve rebuilds each zone, unpadded, over the union with the old one
+    field.reserve(([0.0, 0.0], [1.0, 1.0]), ([-1.0, -1.0], [2.0, 2.0]))
+    assert len(fits) == 3  # the near zone; the far zone already covers its box
+    field.reserve(([0.5, -1.0], [1.5, 0.5]), ([-1.0, -1.0], [2.0, 2.0]))
+    assert len(fits) == 4
+    assert [(ax[0], ax[-1]) for ax in fits[-1]] == [(0.0, 1.5), (-1.0, 1.0)]
 
 
 def test_one_evaluation_grows_the_line_table_once(monkeypatch):
