@@ -1,7 +1,7 @@
 """Inversion of the flat transform and of the sphere slice transform.
 
 The flat transform of order k' is undone in two steps: backprojection (the
-dual transform, averaging data over all flats through a point) followed by a
+dual transform, averaging data over all flats through a point) and a
 fractional derivative of order k' that removes the smoothing the
 backprojection introduced.  The derivative is hypersingular and is realized
 with finite differences,
@@ -12,10 +12,14 @@ with finite differences,
 where ell is the difference order and d a normalizing constant depending on
 (n, ell, k).  Truncations in eps are removed by Richardson extrapolation over
 eps, eps/2, eps/4; truncation at an outer radius is compensated by a decay
-model for h (see riesz_derivative).  Slice data is inverted by carrying it to
-flat data over the plane correspondence, inverting there, and conjugating
-back to the sphere.  Backprojection is implemented for lines in the plane
-(n = 2) only; other dimensions are refused (see make_dual_field).
+model for h (see RieszParams).  For lines in the plane the derivative
+commutes with backprojection, D R* g = R*(D_p g), where D_p acts on the line
+offset p: invert_radon filters every row of the tabulated line data with the
+kernel at n = 1 and backprojects the filtered rows (filtered backprojection),
+while riesz_derivative keeps the kernel in the plane as an independent route.
+Slice data is inverted by carrying it to flat data over the plane
+correspondence, inverting there, and conjugating back to the sphere.  Only
+lines in the plane (n = 2) are inverted; other dimensions are refused.
 """
 
 from __future__ import annotations
@@ -25,12 +29,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, make_interp_spline
 
 from .geometry import Dimensions, FlatSpec, _unchecked_flat
 from .quadrature import QuadratureSpec, gauss_legendre, sphere_rule
-# flat_through and orientation_set are unused here but stay importable as
-# inversion.<name>: the traced benchmark (bench/tracer.py) replaces them.
+# flat_through, orientation_set and RectBivariateSpline are unused here but
+# stay importable as inversion.<name>: the traced benchmark (bench/tracer.py)
+# replaces them.
+from scipy.interpolate import RectBivariateSpline
 from .transforms import PlaneField, SphereField, flat_through, op_B_inverse, orientation_set, section_to_plane
 from .zonal import sigma
 
@@ -56,19 +62,10 @@ TABLE_FINE_STEP = 0.02
 TABLE_FINE_SPAN = 10.0
 TABLE_COARSE_STEP = 0.2
 
-# Cached-field zones: a fine quintic patch around the requested points and a
-# coarse cubic patch covering everything the truncated singular integral and
-# its tail correction can touch.
-NEAR_STEP = 0.04
-NEAR_SPAN = 4.0
-FAR_STEP = 0.25
-FAR_PAD = 2.0
-
-# Each zone's spline is evaluated through a SPLINE_TILES x SPLINE_TILES grid
-# of windows onto its knot spans (see _SplineZone), SPLINE_BLOCK points at a
-# time, which bounds the scratch memory of sorting points by tile.
-SPLINE_TILES = 16
-SPLINE_BLOCK = 1 << 17
+# The row filter runs at the table nodes within ROW_PAD of the farthest
+# evaluation point, so that the filtered rows are interpolated away from the
+# ends of their spline.
+ROW_PAD = 0.5
 
 # Relative gap between the two Richardson stages above which the refinement
 # is reported as not settled.
@@ -92,6 +89,8 @@ class RieszParams:
     eps is the largest inner cutoff of the Richardson ladder and outer_R the
     truncation radius; both must be finite.  Beyond outer_R the field is
     modelled as decaying like r^{-(n - k_order)}, the rate of a backprojection.
+    The rows of line data that invert_radon filters have n = 1 and k_order 1,
+    so there the rate is 0: each row is continued by its value at outer_R.
     """
 
     k_order: int
@@ -224,19 +223,8 @@ def _radial_panels(eps: float, outer_R: float, order: int):
         starts.append(len(nodes))
         nodes.extend(x)
         weights.extend(w)
-    nodes = np.asarray(nodes)
-    weights = np.asarray(weights)
-    masks = []
-    for level in range(3):  # eps, eps/2, eps/4
-        start = starts[2 - level]
-        mask = np.zeros(len(nodes), dtype=bool)
-        mask[start:] = True
-        masks.append(mask)
-    return nodes, weights, masks
-
-
-def _difference_signs(ell: int) -> np.ndarray:
-    return np.array([(-1.0) ** j * math.comb(ell, j) for j in range(1, ell + 1)])
+    masks = [np.arange(len(nodes)) >= starts[2 - level] for level in range(3)]  # eps, eps/2, eps/4
+    return np.asarray(nodes), np.asarray(weights), masks
 
 
 def _richardson(levels, p: int):
@@ -255,11 +243,13 @@ def _richardson(levels, p: int):
 def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     """Hypersingular derivative of h at a batch of points X of shape (B, n).
 
+    h returns (B,) values or, for C channels derived at once, (B, C).
     Returns (values, nonconv, scale, levels): the extrapolated derivative per
     point, the largest eps-halving difference at a point where the differences
     failed to decrease (0.0 when they decreased everywhere), the largest
     absolute result (for judging whether the failure matters), and the
-    truncated values at eps, eps/2 and eps/4 as a (3, B) array.
+    truncated values at eps, eps/2 and eps/4 as a (3, B) array.  With channels
+    the values and levels gain a trailing axis of length C.
     """
     n = X.shape[1]
     k = params.k_order
@@ -268,47 +258,43 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     d_norm = coeff_d(n, ell, k)
     omega, w_omega = sphere_rule(n - 1, spec.sphere_order)
     rho, w_rho, level_masks = _radial_panels(params.eps, params.outer_R, max(8, spec.radial_order // 8))
-    signs = _difference_signs(ell)
+    signs = np.array([(-1.0) ** j * math.comb(ell, j) for j in range(1, ell + 1)])
     p = _evenized(ell) - k
-
-    if hasattr(h, "reserve") and len(X):
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        reach = ell * params.outer_R + FAR_PAD
-        h.reserve((lo - NEAR_SPAN, hi + NEAR_SPAN), (lo - reach, hi + reach))
 
     # Difference offsets j * rho_i * omega_a, shared by every evaluation point.
     j_arange = np.arange(1, ell + 1, dtype=float)
     offsets = rho[:, None, None, None] * omega[None, :, None, :] * j_arange[None, None, :, None]
+    tail_offsets = params.outer_R * (omega[:, None, :] * j_arange[None, :, None])
     radial_factor = w_rho * rho ** (-k - 1.0)
     surface = sigma(n - 1)
 
-    out = np.empty(len(X))
-    out_levels = np.empty((3, len(X)))
+    # The arithmetic runs with the channel axis (if any) first, so that every
+    # product below contracts the trailing axes exactly as for scalar h.
+    h_all = np.asarray(h(X), dtype=float) if len(X) else np.empty(0)
+    channels = h_all.shape[1:]
+    out = np.empty(channels + (len(X),))
+    out_levels = np.empty((3,) + channels + (len(X),))
     nonconv = 0.0
-    chunk = max(1, _CHUNK_POINTS // max(1, len(rho) * len(omega) * ell))
+    chunk = max(1, _CHUNK_POINTS // max(1, len(rho) * len(omega) * ell * math.prod(channels)))
     for lo_i in range(0, len(X), chunk):
         xs = X[lo_i : lo_i + chunk]
-        h_at_x = np.asarray(h(xs), dtype=float)
+        h_at_x = np.moveaxis(h_all[lo_i : lo_i + chunk], 0, -1)
         pts = xs[:, None, None, None, :] - offsets[None, :, :, :, :]
-        vals = np.asarray(h(pts.reshape(-1, n)), dtype=float).reshape(
-            len(xs), len(rho), len(omega), ell
-        )
-        diff = vals @ signs + h_at_x[:, None, None]
+        vals = _channels_first(h(pts.reshape(-1, n)), (len(xs), len(rho), len(omega), ell))
+        diff = vals @ signs + h_at_x[..., None, None]
         angular = diff @ w_omega
         # Tail beyond outer_R: the j = 0 term integrates exactly; for j >= 1
         # the field is replaced by its angular average at radius j * outer_R
         # decaying like r^{-gamma}.
-        tail_pts = xs[:, None, None, :] - params.outer_R * _tail_offsets(omega, ell)
-        tail_vals = np.asarray(h(tail_pts.reshape(-1, n)), dtype=float).reshape(
-            len(xs), len(omega), ell
-        )
-        tail_avg = np.tensordot(tail_vals, w_omega, axes=([1], [0])) / surface
+        tail_pts = xs[:, None, None, :] - tail_offsets
+        tail_vals = _channels_first(h(tail_pts.reshape(-1, n)), (len(xs), len(omega), ell))
+        tail_avg = np.tensordot(tail_vals, w_omega, axes=([-2], [0])) / surface
         tail = surface * params.outer_R ** (-k) * (
             h_at_x / k + (tail_avg @ signs) / (k + gamma)
         )
         levels = [(angular @ (radial_factor * m) + tail) / d_norm for m in level_masks]
-        out_levels[:, lo_i : lo_i + chunk] = levels
-        out[lo_i : lo_i + chunk] = _richardson(levels, p)[2]
+        out_levels[..., lo_i : lo_i + chunk] = levels
+        out[..., lo_i : lo_i + chunk] = _richardson(levels, p)[2]
         d1 = np.abs(levels[1] - levels[0])
         d2 = np.abs(levels[2] - levels[1])
         # smooth fields shrink the halving differences by 2^p or better; a
@@ -319,13 +305,17 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
             nonconv = max(nonconv, float(np.max(d2[bad])))
     if not np.all(np.isfinite(out)):
         raise ValueError("integrand blowup in hypersingular integral")
-    return out, nonconv, float(np.max(np.abs(out))) if len(out) else 0.0, out_levels
+    scale = float(np.max(np.abs(out))) if out.size else 0.0
+    if channels:
+        out, out_levels = out.T, np.moveaxis(out_levels, 1, -1)
+    return out, nonconv, scale, out_levels
 
 
-def _tail_offsets(omega: np.ndarray, ell: int) -> np.ndarray:
-    """Offsets j * omega_a of shape (n_ang, ell, n) used by the tail model."""
-    j_arange = np.arange(1, ell + 1, dtype=float)
-    return omega[:, None, :] * j_arange[None, :, None]
+def _channels_first(values, shape: tuple) -> np.ndarray:
+    """Values of h reshaped to shape, with h's channel axis (if any) moved to the front."""
+    values = np.asarray(values, dtype=float)
+    values = values.reshape(shape + values.shape[1:])
+    return np.moveaxis(values, -1, 0) if values.ndim > len(shape) else values
 
 
 def riesz_derivative(h, x, params: RieszParams, dims: Dimensions, spec: QuadratureSpec):
@@ -338,16 +328,25 @@ def riesz_derivative(h, x, params: RieszParams, dims: Dimensions, spec: Quadratu
     refinement is reported with a "hypersingular non-convergent" warning,
     which usually means eps is too coarse or h is rough at the eps scale.
     """
-    arr = np.asarray(getattr(x, "coords", x), dtype=float)
-    if arr.shape[-1] != dims.n:
-        raise ValueError("point dimension does not match dims.n")
-    single = arr.ndim == 1
-    flat = arr.reshape(-1, arr.shape[-1])
-    values, nonconv, scale, _ = _riesz_batch(h, flat, params, spec)
+    arr = _as_points(x, dims.n)
+    values, nonconv, scale, _ = _riesz_batch(h, arr.reshape(-1, dims.n), params, spec)
     _warn_if_nonconvergent(nonconv, scale)
-    if single:
-        return float(values[0])
-    return values.reshape(arr.shape[:-1])
+    return _batch_shaped(values, arr)
+
+
+def _as_points(x, n: int) -> np.ndarray:
+    """x as a float array of finite points of dimension n."""
+    arr = np.asarray(getattr(x, "coords", x), dtype=float)
+    if arr.shape[-1] != n:
+        raise ValueError("point dimension does not match dims.n")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("evaluation points must be finite")
+    return arr
+
+
+def _batch_shaped(values: np.ndarray, arr: np.ndarray):
+    """Values at the flattened points of arr, as a float for one point or in arr's batch shape."""
+    return float(values[0]) if arr.ndim == 1 else values.reshape(arr.shape[:-1])
 
 
 def _warn_if_nonconvergent(nonconv: float, scale: float):
@@ -378,9 +377,10 @@ class _LineDualField:
     data on the line through the point, interpolated in offset.
 
     The growth cannot move to construction: how far the table must reach
-    depends on the points evaluated, through the ell*outer_R + FAR_PAD reach
-    of the far spline zone around their bounding box, which is known only
-    when the reconstruction is called.  One evaluation grows the table once.
+    depends on the points evaluated (the row filter of invert_radon samples
+    each row up to ell*outer_R beyond the farthest of them), which are known
+    only when the reconstruction is called.  One evaluation grows the table
+    once.
     """
 
     def __init__(self, data, spec: QuadratureSpec):
@@ -397,6 +397,7 @@ class _LineDualField:
         half = round(TABLE_FINE_SPAN / TABLE_FINE_STEP)
         self._p = np.arange(-half, half + 1) * TABLE_FINE_STEP
         self._table = self._fill(self._p)
+        self._filtered_radius, self._filtered_rows = -1.0, []
 
     def _fill(self, p_values: np.ndarray) -> np.ndarray:
         block = np.empty((len(self._unit_lines), len(p_values)))
@@ -418,167 +419,80 @@ class _LineDualField:
         self._table = np.concatenate([left, self._table, right], axis=1)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        radius = float(np.max(np.linalg.norm(X, axis=-1))) if X.size else 0.0
-        self._ensure(radius)
+        X = _as_points(X, 2)
+        self._ensure(float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else 0.0)
+        return self._mean(X, [lambda p, row=row: np.interp(p, self._p, row) for row in self._table])
+
+    def filtered(self, X: np.ndarray, params: RieszParams, spec: QuadratureSpec) -> np.ndarray:
+        """Mean over orientations theta of D_p applied to each row, at X . theta (see invert_radon).
+
+        The rows are filtered for one params and spec, kept, and filtered
+        again only when X reaches farther than every earlier call.
+        """
+        radius = float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else -1.0
+        if radius > self._filtered_radius:
+            reach = radius + ROW_PAD
+            self._ensure(reach + params.resolved_ell * params.outer_R)
+            rows = make_interp_spline(self._p, self._table.T, k=5)
+            nodes = self._p[np.abs(self._p) <= reach]
+            values, nonconv, scale, _ = _riesz_batch(lambda P: rows(P[:, 0]), nodes[:, None], params, spec)
+            _warn_if_nonconvergent(nonconv, scale)
+            fit = make_interp_spline(nodes, values, k=5)
+            self._filtered_rows = [BSpline(fit.t, fit.c[:, i], fit.k) for i in range(len(self._normals))]
+            self._filtered_radius = radius
+        return self._mean(X, self._filtered_rows)
+
+    def _mean(self, X: np.ndarray, rows) -> np.ndarray:
+        """Mean over orientations i of rows[i], a function of the offset, at X . normal_i."""
         acc = np.zeros(len(X))
-        for i in range(len(self._normals)):
-            p = X @ self._normals[i]
-            acc += np.interp(p, self._p, self._table[i])
+        for row, normal in zip(rows, self._normals):
+            acc += row(X @ normal)
         return acc / len(self._normals)
 
 
-def _tile_cuts(knots: np.ndarray, degree: int) -> np.ndarray:
-    """Knot indices cutting the spans of a spline axis into up to SPLINE_TILES runs."""
-    spans = len(knots) - 2 * degree - 1
-    return degree + np.unique(np.round(np.linspace(0, spans, SPLINE_TILES + 1)).astype(int))
-
-
-class _SplineZone:
-    """An interpolating spline of a field over a rectangle, evaluated by tiles.
-
-    The one fit is cut along its knot spans into a grid of tiles.  Each tile
-    is a window of the same spline: the knots of its spans plus degree knots
-    on either side, and the coefficients those spans use.  FITPACK computes a
-    point's value from the knots and coefficients of the span holding it and
-    clamps to the outer knots, which the edge tiles share with the fit, so a
-    tile returns bit for bit what the whole spline would.  What changes is
-    FITPACK's linear search for the span, which starts at the first knot for
-    every point and now runs over a tile's knots instead of the zone's.
-    """
-
-    def __init__(self, lo, hi, step: float, degree: int, base):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        counts = np.maximum(np.ceil((self.hi - self.lo) / step).astype(int) + 1, degree + 2)
-        ax0 = np.linspace(self.lo[0], self.hi[0], counts[0])
-        ax1 = np.linspace(self.lo[1], self.hi[1], counts[1])
-        grid = np.stack(np.meshgrid(ax0, ax1, indexing="ij"), axis=-1).reshape(-1, 2)
-        vals = np.asarray(base(grid), dtype=float).reshape(len(ax0), len(ax1))
-        spline = RectBivariateSpline(ax0, ax1, vals, kx=degree, ky=degree)
-        tx, ty, c = spline.tck
-        k = degree
-        cuts_x, cuts_y = _tile_cuts(tx, k), _tile_cuts(ty, k)
-        coeffs = c.reshape(len(tx) - k - 1, len(ty) - k - 1)
-        self._edges = (tx[cuts_x[1:-1]], ty[cuts_y[1:-1]])
-        # type(spline), not the module name, which a caller may have replaced
-        self._tiles = [
-            type(spline)._from_tck(
-                (tx[a0 - k : a1 + k + 1], ty[b0 - k : b1 + k + 1], coeffs[a0 - k : a1, b0 - k : b1].ravel(), k, k)
-            )
-            for a0, a1 in zip(cuts_x[:-1], cuts_x[1:])
-            for b0, b1 in zip(cuts_y[:-1], cuts_y[1:])
-        ]
-
-    def covers(self, lo, hi) -> bool:
-        return bool(np.all(lo >= self.lo - 1e-9) and np.all(hi <= self.hi + 1e-9))
-
-    def contains(self, X: np.ndarray) -> np.ndarray:
-        return np.all((X >= self.lo - 1e-9) & (X <= self.hi + 1e-9), axis=1)
-
-    def eval(self, X: np.ndarray) -> np.ndarray:
-        edges_x, edges_y = self._edges
-        out = np.empty(len(X))
-        for lo in range(0, len(X), SPLINE_BLOCK):
-            x, y = X[lo : lo + SPLINE_BLOCK].T
-            # side="right" is FITPACK's span rule: a point on a knot belongs to
-            # the span that starts there
-            tile = (
-                np.searchsorted(edges_x, x, side="right") * (len(edges_y) + 1)
-                + np.searchsorted(edges_y, y, side="right")
-            ).astype(np.int16)
-            order = np.argsort(tile, kind="stable")  # a radix sort on int16
-            x, y = x[order], y[order]
-            vals = np.empty(len(order))
-            start = 0
-            for spline, stop in zip(self._tiles, np.cumsum(np.bincount(tile, minlength=len(self._tiles)))):
-                if stop > start:
-                    vals[start:stop] = spline.ev(x[start:stop], y[start:stop])
-                start = stop
-            out[lo : lo + SPLINE_BLOCK][order] = vals
-        return out
-
-
-def _grown(zone: _SplineZone | None, lo, hi, step: float, degree: int, base, pad: float = 0.0) -> _SplineZone:
-    """zone if it covers the box [lo, hi]; else a zone over the padded box joined with zone's."""
-    if zone is not None and zone.covers(lo, hi):
-        return zone
-    lo, hi = lo - pad, hi + pad
-    if zone is not None:
-        lo, hi = np.minimum(lo, zone.lo), np.maximum(hi, zone.hi)
-    return _SplineZone(lo, hi, step, degree, base)
-
-
-class _CachedField2D:
-    """Two-zone spline cache over a planar field.
-
-    A fine quintic zone resolves the neighborhood of the requested points,
-    where the finite differences of the hypersingular integral need smooth
-    high-order behavior; a coarse cubic zone covers the long-range queries of
-    the truncated integral and the tail correction.  Zones are built on the
-    first reserve and rebuilt when a later reservation or query escapes them.
-    """
-
-    def __init__(self, base):
-        self._base = base
-        self._near: _SplineZone | None = None
-        self._far: _SplineZone | None = None
-
-    def reserve(self, near_bbox, far_bbox):
-        near_lo, near_hi = (np.asarray(v, dtype=float) for v in near_bbox)
-        far_lo, far_hi = (np.asarray(v, dtype=float) for v in far_bbox)
-        self._near = _grown(self._near, near_lo, near_hi, NEAR_STEP, 5, self._base)
-        self._far = _grown(self._far, far_lo, far_hi, FAR_STEP, 3, self._base)
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        near_mask = self._near.contains(X) if self._near is not None else np.zeros(len(X), dtype=bool)
-        far_part = X[~near_mask]
-        if len(far_part):
-            lo, hi = far_part.min(axis=0), far_part.max(axis=0)
-            self._far = _grown(self._far, lo, hi, FAR_STEP, 3, self._base, FAR_PAD)
-            out[~near_mask] = self._far.eval(far_part)
-        if near_mask.any():
-            out[near_mask] = self._near.eval(X[near_mask])
-        return out
+def _require_lines_in_plane(flat_dim: int, n: int):
+    if (flat_dim, n) != (1, 2):
+        raise NotImplementedError(
+            "inversion is implemented only for lines in the plane (flat dimension 1, n = 2); "
+            f"got flat dimension {flat_dim}, n = {n}"
+        )
 
 
 def make_dual_field(phi, flat_dim: int, dims: Dimensions, spec: QuadratureSpec):
     """Backprojection h = average of the line data phi over lines through x in the plane.
 
     phi is called with a FlatSpec and must return a float.  The data is
-    tabulated once and interpolated (see _LineDualField), and the field is
-    wrapped in a two-zone spline cache (see _CachedField2D); the result is a
-    batched callable on (N, 2) arrays.  Lines in the plane (flat_dim 1,
-    dims.n 2) are the only case backprojected at practical cost: any other
-    case raises NotImplementedError before phi is called.
+    tabulated once and interpolated linearly in offset (see _LineDualField);
+    the result is a batched callable on (N, 2) arrays of finite points.
+    Lines in the plane (flat_dim 1, dims.n 2) are the only case backprojected
+    at practical cost: any other case raises NotImplementedError before phi
+    is called.
     """
-    if (flat_dim, dims.n) != (1, 2):
-        raise NotImplementedError(
-            "inversion is implemented only for lines in the plane (flat dimension 1, n = 2); "
-            f"got flat dimension {flat_dim}, n = {dims.n}"
-        )
-    return _CachedField2D(_LineDualField(phi, spec))
+    _require_lines_in_plane(flat_dim, dims.n)
+    return _LineDualField(phi, spec)
 
 
 def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> PlaneField:
     """Recover a plane field from its flat-integral data phi.
 
     phi(zeta) must return the integral over the flat zeta of the unknown
-    field, for flats of dimension params.k_order in R^{dims.n}.  The result
-    evaluates the backprojection of phi and applies the matching fractional
-    derivative and constant.  Only lines in the plane (dims.n 2, k_order 1)
-    are supported; other dimensions raise NotImplementedError here, before
-    any data is computed (see make_dual_field).
+    field, for flats of dimension params.k_order in R^{dims.n}.  The data is
+    tabulated over lines (see _LineDualField), each row (one orientation, as a
+    function of the offset p) is filtered by the derivative in p, and the
+    result at x is the mean over orientations theta of the filtered rows at
+    x . theta, divided by coeff_c(1, 2).  Only lines in the plane (dims.n 2,
+    k_order 1) are supported; other dimensions raise NotImplementedError
+    here, before any data is computed.
     """
     if not 1 <= params.k_order < dims.n:
         raise ValueError("flat order must satisfy 1 <= k_order < n")
-    h = make_dual_field(phi, params.k_order, dims, spec)
+    _require_lines_in_plane(params.k_order, dims.n)
+    table = _LineDualField(phi, spec)
     constant = coeff_c(params.k_order, dims.n)
 
     def eval_field(x):
-        return riesz_derivative(h, x, params, dims, spec) / constant
+        arr = _as_points(x, dims.n)
+        return _batch_shaped(table.filtered(arr.reshape(-1, dims.n), params, spec) / constant, arr)
 
     return PlaneField(eval=eval_field, decay_exponent=None)
 
@@ -591,7 +505,7 @@ def invert_slice(F, dims: Dimensions, params: RieszParams | None, spec: Quadratu
     correspondence, inverted there, and conjugated back; the reconstruction
     degrades towards the pole, where the conjugation weight blows up.  Only
     S^2 sliced by 2-planes (Dimensions(2, 2)) is supported; other dimensions
-    raise NotImplementedError before F is called (see make_dual_field).
+    raise NotImplementedError before F is called (see invert_radon).
     """
     if params is None:
         params = RieszParams(k_order=dims.k - 1)

@@ -3,7 +3,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.interpolate import RectBivariateSpline
 from scipy.special import dawsn, i0e
 
 from sphslice import (
@@ -317,9 +316,96 @@ def test_inversion_beyond_the_plane_fails_before_any_data(dims):
         assert not calls, name
 
 
-def test_plane_reconstruction_rejects_a_point_of_another_dimension():
-    with pytest.raises(ValueError, match="point dimension does not match dims.n"):
-        small_reconstruction()(np.zeros(3))
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (np.zeros(3), "point dimension does not match dims.n"),
+        (np.array([np.nan, 0.0]), "evaluation points must be finite"),
+        (np.array([np.inf, 0.0]), "evaluation points must be finite"),
+    ],
+    ids=["3-coordinates", "nan", "inf"],
+)
+def test_plane_reconstruction_rejects_a_point_of_another_dimension(monkeypatch, point, message):
+    # a bad point is refused up front, before the line table grows for it
+    rec = small_reconstruction()
+    field = make_dual_field(gaussian_lines, 1, Dimensions(2, 2), SMALL_SPEC)
+    fills = []
+    monkeypatch.setattr(inversion._LineDualField, "_fill", lambda self, p_values: fills.append(p_values))
+    with pytest.raises(ValueError, match=message):
+        rec(point)
+    with pytest.raises(ValueError, match=message):
+        field(point[None, :])
+    assert not fills
+
+
+def test_filtered_backprojection_and_plane_kernel_agree():
+    # two independent routes to the inversion identity for exp(-|x|^2): the
+    # row filter followed by backprojection of closed-form line data, and the
+    # plane kernel applied to the closed-form backprojection
+    axis = np.linspace(-2.0, 2.0, 9)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    truth = np.exp(-np.sum(pts**2, axis=1))
+    filtered = small_reconstruction()(pts)
+    plane = riesz_derivative(dual_of_gaussian_2d(), pts, PARAMS, Dimensions(2, 2), SPEC) / coeff_c(1, 2)
+    assert np.max(np.abs(filtered - truth)) <= 1e-6
+    assert np.max(np.abs(plane - truth)) <= 5e-6
+
+
+ROW_OFFSETS = np.linspace(-3.0, 3.0, 61)
+
+
+def row_derivative(row, params):
+    """The kernel at n = 1 applied to a row given as a function of the offset."""
+    values, *_ = inversion._riesz_batch(
+        lambda P: row(P[:, 0]), ROW_OFFSETS[:, None], params, QuadratureSpec()
+    )
+    return values
+
+
+def test_row_filter_of_the_gaussian_row():
+    p = ROW_OFFSETS
+    want = 2.0 / math.sqrt(math.pi) * (1.0 - 2.0 * p * dawsn(p))
+    got = row_derivative(lambda q: np.exp(-q**2), PARAMS)
+    assert np.max(np.abs(got - want)) <= 1e-8
+
+
+def test_row_tail_bounds_a_slowly_decaying_row():
+    # 1/(1+p^2) decays only like p^-2, so what lies beyond outer_R matters;
+    # the row tail (each row continued by its value at outer_R, the rate
+    # n - k = 0) keeps the error small, and the error shrinks as outer_R grows
+    p = ROW_OFFSETS
+    want = (1.0 - p**2) / (1.0 + p**2) ** 2
+
+    def error(outer_R):
+        params = RieszParams(k_order=1, eps=0.1, outer_R=outer_R)
+        return np.max(np.abs(row_derivative(lambda q: 1.0 / (1.0 + q**2), params) - want))
+
+    near, far = error(10.0), error(20.0)
+    assert far <= 1e-4
+    assert far < near
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_channels_equal_scalar_calls(monkeypatch, n):
+    # a field of C channels is derived as C scalar fields would be; a small
+    # chunk budget makes the batch run in several chunks
+    monkeypatch.setattr(inversion, "_CHUNK_POINTS", 2_000)
+    widths = np.array([0.6, 1.0, 1.7])
+    X = np.random.default_rng(n).uniform(-1.5, 1.5, size=(7, n))
+    spec = QuadratureSpec(sphere_order=16, radial_order=64)
+
+    def channels(P):
+        return np.exp(-np.sum(P**2, axis=-1)[:, None] / widths**2)
+
+    values, _, _, levels = inversion._riesz_batch(channels, X, PARAMS, spec)
+    assert values.shape == (len(X), len(widths)) and levels.shape == (3, len(X), len(widths))
+    for c, width in enumerate(widths):
+        want, _, _, want_levels = inversion._riesz_batch(
+            lambda P: np.exp(-np.sum(P**2, axis=-1) / width**2), X, PARAMS, spec
+        )
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(values[:, c] - want)) <= 1e-13 * scale
+        assert np.max(np.abs(levels[..., c] - want_levels)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
@@ -330,94 +416,6 @@ def test_empty_batch_gives_empty_result(shape):
     assert field(np.zeros((0, 2))).shape == (0,)
     sphere = invert_slice(lambda tau: 1.0, Dimensions(2, 2), None, SMALL_SPEC)
     assert sphere(np.zeros(shape[:-1] + (3,))).shape == shape[:-1]
-
-
-@pytest.mark.parametrize("degree", [3, 5])
-def test_spline_zone_tiles_equal_the_global_fit(monkeypatch, degree):
-    # the tiles are windows onto one fit, so every value is bit for bit the fit's
-    fits = []
-
-    def capture(*args, **kwargs):
-        fits.append(RectBivariateSpline(*args, **kwargs))
-        return fits[-1]
-
-    monkeypatch.setattr(inversion, "RectBivariateSpline", capture)
-    lo, hi = np.array([-1.3, -0.4]), np.array([2.1, 1.9])
-
-    def field(X):
-        return np.sin(2.0 * X[:, 0]) * np.cos(3.0 * X[:, 1]) + 0.1 * X[:, 0]
-
-    zone = inversion._SplineZone(lo, hi, 0.02, degree, field)
-    (fit,) = fits
-    assert len(zone._tiles) == inversion.SPLINE_TILES**2
-    rng = np.random.default_rng(degree)
-    tx, ty = fit.tck[:2]
-    cases = {
-        "interior": rng.uniform(lo, hi, size=(1000, 2)),
-        # every knot pair, which includes every tile edge
-        "knots": np.stack(np.meshgrid(tx, ty, indexing="ij"), axis=-1).reshape(-1, 2),
-        "knot lines": np.concatenate([
-            np.stack([tx, rng.uniform(lo[1], hi[1], len(tx))], axis=1),
-            np.stack([rng.uniform(lo[0], hi[0], len(ty)), ty], axis=1),
-        ]),
-        "corners": np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]]),
-        # clamped to the outer knots
-        "outside": np.concatenate([
-            rng.uniform(lo - 1.0, lo, size=(200, 2)),
-            rng.uniform(hi, hi + 1.0, size=(200, 2)),
-            np.stack([rng.uniform(lo[0], hi[0], 200), rng.uniform(hi[1], hi[1] + 1.0, 200)], axis=1),
-        ]),
-        "several blocks": rng.uniform(lo - 0.1, hi + 0.1, size=(inversion.SPLINE_BLOCK + 999, 2)),
-    }
-    for name, X in cases.items():
-        assert np.array_equal(zone.eval(X), fit.ev(X[:, 0], X[:, 1])), name
-    assert zone.eval(np.empty((0, 2))).shape == (0,)
-
-
-def test_spline_fits_go_through_the_module_name(monkeypatch):
-    # bench/tracer.py counts fits by putting a plain function in place of
-    # inversion.RectBivariateSpline; the cache must not need the class there
-    want = small_reconstruction()(SMALL_POINTS)
-    fits = []
-    fit = inversion.RectBivariateSpline
-
-    def counting_fit(*args, **kwargs):
-        fits.append(args)
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(inversion, "RectBivariateSpline", counting_fit)
-    got = small_reconstruction()(SMALL_POINTS)
-    assert np.array_equal(got, want)
-    assert len(fits) == 2
-
-
-def test_zones_are_rebuilt_over_the_union_only_when_escaped(monkeypatch):
-    fits = []
-    fit = inversion.RectBivariateSpline
-
-    def counting_fit(*args, **kwargs):
-        fits.append(args[:2])
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(inversion, "RectBivariateSpline", counting_fit)
-    pad = inversion.FAR_PAD
-    field = inversion._CachedField2D(lambda X: np.sin(X[:, 0]) + X[:, 1])
-    X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    # a query builds the far zone over its box padded by FAR_PAD ...
-    field(X)
-    assert [(ax[0], ax[-1]) for ax in fits[-1]] == [(-pad, 1.0 + pad)] * 2
-    # ... and rebuilds it only when a later query's own box escapes the zone
-    field(X + 0.9 * pad)
-    assert len(fits) == 1
-    field(X + 1.1 * pad)
-    assert len(fits) == 2
-    assert [(ax[0], ax[-1]) for ax in fits[-1]] == [(-pad, 1.0 + 2.1 * pad)] * 2
-    # reserve rebuilds each zone, unpadded, over the union with the old one
-    field.reserve(([0.0, 0.0], [1.0, 1.0]), ([-1.0, -1.0], [2.0, 2.0]))
-    assert len(fits) == 3  # the near zone; the far zone already covers its box
-    field.reserve(([0.5, -1.0], [1.5, 0.5]), ([-1.0, -1.0], [2.0, 2.0]))
-    assert len(fits) == 4
-    assert [(ax[0], ax[-1]) for ax in fits[-1]] == [(0.0, 1.5), (-1.0, 1.0)]
 
 
 def test_one_evaluation_grows_the_line_table_once(monkeypatch):
