@@ -21,9 +21,6 @@ Modules:
 
 from .analysis import (
     CapSpec,
-    KPlaneProbeReport,
-    SupportReport,
-    VerdictReport,
     existence_check,
     kplane_support_probe,
     lp_weight_check,
@@ -36,29 +33,20 @@ from .geometry import (
     SlicePlane,
     make_flat,
     random_flat,
-    sample_sphere_cross_section,
 )
 from .inversion import (
-    InversionReport,
-    RefinementTrace,
     RieszParams,
     coeff_B_l,
-    coeff_B_l_prime,
     coeff_c,
     coeff_d,
     invert_radon,
     invert_slice,
-    make_dual_field,
-    reconstruction_report,
     riesz_derivative,
-    riesz_refinement_report,
 )
 from .quadrature import (
     QuadratureSpec,
     composite_gauss,
     flat_rule,
-    gauss_legendre,
-    panel_edges,
     sphere_rule,
 )
 from .scenes import (
@@ -71,24 +59,17 @@ from .scenes import (
     suggested_cutoff,
 )
 from .stereo import (
-    POLE_GUARD,
-    PlanePoint,
-    SpherePoint,
     nu,
     nu_inverse,
     plane_to_sphere_weight,
-    sphere_to_plane_weight,
 )
 from .transforms import (
-    FactorizationReport,
     PlaneField,
     SphereField,
     dual_transform,
     factorization_check,
-    flat_through,
     op_B,
     op_B_inverse,
-    orientation_set,
     radon_john,
     section_to_plane,
     slice_transform,
@@ -99,7 +80,6 @@ from .zonal import (
     profile_to_sphere_field,
     save_profile_csv,
     sigma,
-    sphere_field_to_profile,
     zonal_forward,
     zonal_invert,
 )
@@ -110,27 +90,17 @@ __all__ = [
     "CapSpec",
     "Dimensions",
     "FAMILIES",
-    "FactorizationReport",
     "FlatSpec",
-    "InversionReport",
-    "KPlaneProbeReport",
-    "POLE_GUARD",
     "PlaneField",
-    "PlanePoint",
     "QuadratureSpec",
-    "RefinementTrace",
     "RieszParams",
     "SceneError",
     "SceneSpec",
     "SlicePlane",
-    "SpherePoint",
     "SphereField",
-    "SupportReport",
-    "VerdictReport",
     "ZonalProfile",
     "build_field",
     "coeff_B_l",
-    "coeff_B_l_prime",
     "coeff_c",
     "coeff_d",
     "composite_gauss",
@@ -138,39 +108,29 @@ __all__ = [
     "existence_check",
     "factorization_check",
     "flat_rule",
-    "flat_through",
-    "gauss_legendre",
     "invert_radon",
     "invert_slice",
     "kplane_support_probe",
     "load_profile_csv",
     "lp_weight_check",
-    "make_dual_field",
     "make_flat",
     "nu",
     "nu_inverse",
     "op_B",
     "op_B_inverse",
-    "orientation_set",
-    "panel_edges",
     "parse_scene",
     "plane_to_sphere_weight",
     "power_growth_field",
     "profile_to_sphere_field",
     "radon_john",
     "random_flat",
-    "reconstruction_report",
     "riesz_derivative",
-    "riesz_refinement_report",
-    "sample_sphere_cross_section",
     "save_profile_csv",
     "scene_profile",
     "section_to_plane",
     "sigma",
     "slice_transform",
-    "sphere_field_to_profile",
     "sphere_rule",
-    "sphere_to_plane_weight",
     "suggested_cutoff",
     "support_experiment",
     "zonal_forward",

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import CONTROL_DIST, CapSpec, existence_check, power_growth_field, support_experiment
 from .geometry import Dimensions, FlatSpec, _complete_orthonormal, random_flat
 from .inversion import RieszParams, invert_slice
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, sphere_rule
 from .scenes import SceneError, SceneSpec, build_field, parse_scene, scene_profile, suggested_cutoff
 from .transforms import dual_transform, factorization_check, op_B, radon_john, section_to_plane, slice_transform
 from .zonal import zonal_forward, zonal_invert
@@ -426,8 +426,6 @@ def _cmd_zonal_invert(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    from .quadrature import sphere_rule
-
     scene, dims, spec, config = _load(args)
     tol = args.tol if args.tol is not None else 0.05
     field = build_field(scene)

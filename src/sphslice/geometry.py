@@ -44,10 +44,6 @@ class Dimensions:
         if not 2 <= self.k <= self.n:
             raise ValueError("need 2 <= k <= n")
 
-    @property
-    def ambient(self) -> int:
-        return self.n + 1
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
@@ -143,9 +139,7 @@ class SlicePlane:
 
     - dist: distance of the plane to the origin, t / sqrt(1 + t^2), in [0, 1)
     - radius: radius of the sphere cross-section, 1 / sqrt(1 + t^2)
-    - psi: angle with cos(psi) = dist
     - center: foot of the perpendicular from the origin, in R^{n+1}
-    - theta: unit direction of the offset, undefined (None) for t = 0
     """
 
     section: FlatSpec
@@ -166,17 +160,6 @@ class SlicePlane:
     @property
     def radius(self) -> float:
         return 1.0 / np.hypot(1.0, self.t)
-
-    @property
-    def psi(self) -> float:
-        return float(np.arccos(self.dist))
-
-    @property
-    def theta(self) -> np.ndarray | None:
-        t = self.t
-        if t == 0.0:
-            return None
-        return self.section.offset / t
 
     @property
     def center(self) -> np.ndarray:

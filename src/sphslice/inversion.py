@@ -42,18 +42,14 @@ from .zonal import sigma
 
 __all__ = [
     "RieszParams",
-    "InversionReport",
-    "RefinementTrace",
     "coeff_B_l",
     "coeff_B_l_prime",
     "coeff_d",
     "coeff_c",
     "riesz_derivative",
-    "riesz_refinement_report",
     "make_dual_field",
     "invert_radon",
     "invert_slice",
-    "reconstruction_report",
 ]
 
 # Fine sampling of the line-data table, and its half-width; beyond it the
@@ -66,10 +62,6 @@ TABLE_COARSE_STEP = 0.2
 # evaluation point, so that the filtered rows are interpolated away from the
 # ends of their spline.
 ROW_PAD = 0.5
-
-# Relative gap between the two Richardson stages above which the refinement
-# is reported as not settled.
-REFINEMENT_GAP_TOL = 0.05
 
 # Non-decreasing eps-halving differences are reported only above this
 # fraction of the largest value, so sign changes at noise level stay silent.
@@ -118,52 +110,6 @@ class RieszParams:
         if self.ell is not None:
             return self.ell
         return self.k_order if self.k_order % 2 == 1 else self.k_order + 1
-
-
-@dataclass(frozen=True)
-class RefinementTrace:
-    """Refinement diagnostics of one hypersingular evaluation."""
-
-    levels: tuple[float, float, float]   # truncated values at eps, eps/2, eps/4
-    stage_one: tuple[float, float]       # first Richardson stage
-    value: float                         # second-stage extrapolation
-    gap: float                           # |difference of the first-stage pair|
-
-    @property
-    def settled(self) -> bool:
-        return self.gap <= REFINEMENT_GAP_TOL * (abs(self.value) + 1e-300)
-
-
-@dataclass(frozen=True)
-class InversionReport:
-    """Reconstruction together with its residuals against a reference."""
-
-    reconstruction: object               # SphereField or PlaneField
-    residual_linf: float
-    residual_l2: float
-    settings: dict
-
-    def __post_init__(self):
-        if self.residual_linf < 0.0 or self.residual_l2 < 0.0:
-            raise ValueError("residuals must be nonnegative")
-
-
-def reconstruction_report(reconstruction, reference, points, settings: dict | None = None) -> InversionReport:
-    """Evaluate a reconstruction against a reference field on sample points.
-
-    Both fields are called on the (N, d) point array; the sup and root mean
-    square differences become the report residuals.
-    """
-    pts = np.asarray(points, dtype=float)
-    got = np.asarray(reconstruction(pts), dtype=float)
-    want = np.asarray(reference(pts), dtype=float)
-    diff = got - want
-    return InversionReport(
-        reconstruction=reconstruction,
-        residual_linf=float(np.max(np.abs(diff))) if diff.size else 0.0,
-        residual_l2=float(np.sqrt(np.mean(diff**2))) if diff.size else 0.0,
-        settings=dict(settings or {}),
-    )
 
 
 def coeff_B_l(ell: int, alpha: float) -> float:
@@ -244,12 +190,11 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     """Hypersingular derivative of h at a batch of points X of shape (B, n).
 
     h returns (B,) values or, for C channels derived at once, (B, C).
-    Returns (values, nonconv, scale, levels): the extrapolated derivative per
-    point, the largest eps-halving difference at a point where the differences
-    failed to decrease (0.0 when they decreased everywhere), the largest
-    absolute result (for judging whether the failure matters), and the
-    truncated values at eps, eps/2 and eps/4 as a (3, B) array.  With channels
-    the values and levels gain a trailing axis of length C.
+    Returns (values, nonconv, scale): the extrapolated derivative per point,
+    the largest eps-halving difference at a point where the differences
+    failed to decrease (0.0 when they decreased everywhere), and the largest
+    absolute result (for judging whether the failure matters).  With channels
+    the values gain a trailing axis of length C.
     """
     n = X.shape[1]
     k = params.k_order
@@ -273,7 +218,6 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     h_all = np.asarray(h(X), dtype=float) if len(X) else np.empty(0)
     channels = h_all.shape[1:]
     out = np.empty(channels + (len(X),))
-    out_levels = np.empty((3,) + channels + (len(X),))
     nonconv = 0.0
     chunk = max(1, _CHUNK_POINTS // max(1, len(rho) * len(omega) * ell * math.prod(channels)))
     for lo_i in range(0, len(X), chunk):
@@ -293,7 +237,6 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
             h_at_x / k + (tail_avg @ signs) / (k + gamma)
         )
         levels = [(angular @ (radial_factor * m) + tail) / d_norm for m in level_masks]
-        out_levels[..., lo_i : lo_i + chunk] = levels
         out[..., lo_i : lo_i + chunk] = _richardson(levels, p)[2]
         d1 = np.abs(levels[1] - levels[0])
         d2 = np.abs(levels[2] - levels[1])
@@ -307,8 +250,8 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
         raise ValueError("integrand blowup in hypersingular integral")
     scale = float(np.max(np.abs(out))) if out.size else 0.0
     if channels:
-        out, out_levels = out.T, np.moveaxis(out_levels, 1, -1)
-    return out, nonconv, scale, out_levels
+        out = out.T
+    return out, nonconv, scale
 
 
 def _channels_first(values, shape: tuple) -> np.ndarray:
@@ -329,14 +272,14 @@ def riesz_derivative(h, x, params: RieszParams, dims: Dimensions, spec: Quadratu
     which usually means eps is too coarse or h is rough at the eps scale.
     """
     arr = _as_points(x, dims.n)
-    values, nonconv, scale, _ = _riesz_batch(h, arr.reshape(-1, dims.n), params, spec)
+    values, nonconv, scale = _riesz_batch(h, arr.reshape(-1, dims.n), params, spec)
     _warn_if_nonconvergent(nonconv, scale)
     return _batch_shaped(values, arr)
 
 
 def _as_points(x, n: int) -> np.ndarray:
     """x as a float array of finite points of dimension n."""
-    arr = np.asarray(getattr(x, "coords", x), dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.shape[-1] != n:
         raise ValueError("point dimension does not match dims.n")
     if not np.all(np.isfinite(arr)):
@@ -356,15 +299,6 @@ def _warn_if_nonconvergent(nonconv: float, scale: float):
             f"did not decrease (scale {scale:.3e}); decrease eps or smooth the field",
             stacklevel=3,
         )
-
-
-def riesz_refinement_report(h, x, params: RieszParams, spec: QuadratureSpec) -> RefinementTrace:
-    """Single-point variant of riesz_derivative keeping the refinement trace."""
-    X = np.asarray(getattr(x, "coords", x), dtype=float).reshape(1, -1)
-    *_, levels = _riesz_batch(h, X, params, spec)
-    levels = tuple(float(v) for v in levels[:, 0])
-    a1, a2, value = _richardson(levels, _evenized(params.resolved_ell) - params.k_order)
-    return RefinementTrace(levels=levels, stage_one=(a1, a2), value=value, gap=abs(a2 - a1))
 
 
 class _LineDualField:
@@ -435,7 +369,7 @@ class _LineDualField:
             self._ensure(reach + params.resolved_ell * params.outer_R)
             rows = make_interp_spline(self._p, self._table.T, k=5)
             nodes = self._p[np.abs(self._p) <= reach]
-            values, nonconv, scale, _ = _riesz_batch(lambda P: rows(P[:, 0]), nodes[:, None], params, spec)
+            values, nonconv, scale = _riesz_batch(lambda P: rows(P[:, 0]), nodes[:, None], params, spec)
             _warn_if_nonconvergent(nonconv, scale)
             fit = make_interp_spline(nodes, values, k=5)
             self._filtered_rows = [BSpline(fit.t, fit.c[:, i], fit.k) for i in range(len(self._normals))]

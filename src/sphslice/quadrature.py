@@ -33,7 +33,10 @@ class QuadratureSpec:
     sphere_order        nodes per angular dimension in product sphere rules
     radial_order        Gauss-Legendre order per radial panel
     radial_cutoff       truncation radius for integrals over flats
-    orientation_samples flats per point in dual-transform averages
+    orientation_samples flats per point in dual-transform averages, and the
+                        number of line orientations in the line-data table
+                        that invert_radon and invert_slice filter and
+                        backproject
     seed                seeds orientation sampling and random plane draws
     """
 

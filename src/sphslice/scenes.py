@@ -158,7 +158,7 @@ def build_field(scene: SceneSpec) -> SphereField:
             eta = np.asarray(eta, dtype=float)
             return np.full(eta.shape[:-1], amplitude)
 
-        return SphereField(eval=eval_constant, zonal=True)
+        return SphereField(eval=eval_constant)
     if scene.family == "zonal_gaussian":
         return profile_to_sphere_field(scene_profile(scene), scene.dims)
     if scene.family == "cap_bump":
@@ -174,7 +174,7 @@ def build_field(scene: SceneSpec) -> SphereField:
             out[inside] = amplitude * np.exp(-q / gap[inside])
             return out
 
-        return SphereField(eval=eval_bump, zonal=True)
+        return SphereField(eval=eval_bump)
     if scene.family == "first_harmonic_weighted":
 
         def eval_harmonic(eta):
@@ -185,7 +185,7 @@ def build_field(scene: SceneSpec) -> SphereField:
                 vals = amplitude * eta[..., 0] * np.exp(-s_sq)
             return np.where(np.isfinite(vals), vals, 0.0)
 
-        return SphereField(eval=eval_harmonic, zonal=False)
+        return SphereField(eval=eval_harmonic)
     # custom_profile_csv
     return profile_to_sphere_field(scene_profile(scene), scene.dims)
 

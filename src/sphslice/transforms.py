@@ -56,7 +56,6 @@ class SphereField:
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    zonal: bool = False
     pole_exponent: float = 0.0
 
     def __call__(self, coords) -> np.ndarray:
@@ -138,7 +137,7 @@ def op_B_inverse(g: PlaneField, dims: Dimensions) -> SphereField:
 
     lam = g.decay_exponent
     mu = k - 1.0 if lam is None else (k - 1.0) - 0.5 * lam
-    return SphereField(eval=feval, zonal=False, pole_exponent=mu)
+    return SphereField(eval=feval, pole_exponent=mu)
 
 
 def section_to_plane(zeta: FlatSpec) -> SlicePlane:

@@ -24,6 +24,8 @@ from scipy.interpolate import CubicSpline
 
 from .geometry import Dimensions
 from .quadrature import QuadratureSpec, gauss_legendre, panel_edges
+# nu is unused here but stays importable as zonal.nu: the traced benchmark
+# (bench/tracer.py) replaces it.
 from .stereo import nu
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "zonal_forward",
     "zonal_invert",
     "profile_to_sphere_field",
-    "sphere_field_to_profile",
     "save_profile_csv",
     "load_profile_csv",
 ]
@@ -199,19 +200,7 @@ def profile_to_sphere_field(profile: ZonalProfile, dims: Dimensions):
         vals = np.asarray(profile(sq), dtype=float)
         return np.where(np.isfinite(sq), vals, 0.0)
 
-    return SphereField(eval=feval, zonal=True)
-
-
-def sphere_field_to_profile(f, dims: Dimensions) -> ZonalProfile:
-    """Radial profile of a zonal sphere field, read off along the first axis."""
-
-    def f0(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        x = np.zeros(s.shape + (dims.n,))
-        x[..., 0] = s
-        return f(nu(x))
-
-    return ZonalProfile(f0=f0)
+    return SphereField(eval=feval)
 
 
 def save_profile_csv(path, s: np.ndarray, values: np.ndarray, comments: list[str] | None = None):

@@ -9,14 +9,13 @@ from sphslice import (
     PlaneField,
     QuadratureSpec,
     SphereField,
-    SupportReport,
     existence_check,
     kplane_support_probe,
     lp_weight_check,
     power_growth_field,
     support_experiment,
 )
-from sphslice.analysis import CONTROL_FLOOR, NOISE_FLOOR
+from sphslice.analysis import CONTROL_FLOOR, NOISE_FLOOR, SupportReport
 
 SPEC = QuadratureSpec()
 
@@ -35,7 +34,6 @@ def test_power_growth_field_values():
     pts = np.array([[1.0, 0.0, 0.0], [0.6, 0.0, 0.8]])
     want = (1.0 - pts[:, -1]) ** -0.5
     assert np.allclose(f(pts), want, rtol=1e-14)
-    assert f.zonal
     pole = np.array([[0.0, 0.0, 1.0]])
     assert np.isinf(power_growth_field(0.5)(pole))[0]
     assert power_growth_field(-1.0)(pole)[0] == 0.0
@@ -59,7 +57,7 @@ def test_existence_boundary_growth_diverges():
 
 
 def test_existence_constant_converges():
-    f = SphereField(lambda eta: np.ones(len(np.atleast_2d(eta))), zonal=True)
+    f = SphereField(lambda eta: np.ones(len(np.atleast_2d(eta))))
     report = existence_check(f, Dimensions(2, 2), spec=SPEC)
     assert report.verdict == "converges"
     assert len(report.trace) >= 3
@@ -67,7 +65,7 @@ def test_existence_constant_converges():
 
 
 def test_lp_weight_range_validation():
-    f = SphereField(lambda eta: np.ones(len(np.atleast_2d(eta))), zonal=True)
+    f = SphereField(lambda eta: np.ones(len(np.atleast_2d(eta))))
     with pytest.raises(ValueError, match="admissible"):
         lp_weight_check(f, 3.5, Dimensions(3, 2), SPEC)
     with pytest.raises(ValueError, match="admissible"):
@@ -76,14 +74,13 @@ def test_lp_weight_range_validation():
 
 def test_lp_weight_constant_is_infinite():
     # the weight concentrates non-integrable mass at the pole for a constant
-    f = SphereField(lambda eta: np.ones(len(np.atleast_2d(eta))), zonal=True)
+    f = SphereField(lambda eta: np.ones(len(np.atleast_2d(eta))))
     assert lp_weight_check(f, 1.0, Dimensions(3, 2), SPEC) == math.inf
 
 
 def test_lp_weight_decaying_field_is_finite():
     f = SphereField(
         lambda eta: (1.0 - np.atleast_2d(eta)[:, -1]) ** 2,
-        zonal=True,
         pole_exponent=-2.0,
     )
     value = lp_weight_check(f, 1.0, Dimensions(3, 2), SPEC)
@@ -92,7 +89,7 @@ def test_lp_weight_decaying_field_is_finite():
 
 
 def test_lp_weight_zero_field():
-    f = SphereField(lambda eta: np.zeros(len(np.atleast_2d(eta))), zonal=True)
+    f = SphereField(lambda eta: np.zeros(len(np.atleast_2d(eta))))
     assert lp_weight_check(f, 1.0, Dimensions(3, 2), SPEC) == 0.0
 
 
@@ -104,7 +101,7 @@ def cap_bump_field(b=0.0, sharpness=0.1):
             vals = np.where(gap > 0.0, np.exp(-sharpness / np.where(gap > 0.0, gap, 1.0)), 0.0)
         return vals
 
-    return SphereField(evaluate, zonal=True)
+    return SphereField(evaluate)
 
 
 def test_support_vanishes_beyond_threshold():
@@ -120,7 +117,6 @@ def test_support_detects_unsupported_field():
     dims = Dimensions(2, 2)
     wide = SphereField(
         lambda eta: np.exp(-(1.0 + np.atleast_2d(eta)[:, -1]) / (1.0 - np.atleast_2d(eta)[:, -1])),
-        zonal=True,
     )
     report = support_experiment(wide, CapSpec(0.0), dims, SPEC, trials=20)
     assert not report.vanishing_ok

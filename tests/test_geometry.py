@@ -9,8 +9,8 @@ from sphslice import (
     SlicePlane,
     make_flat,
     random_flat,
-    sample_sphere_cross_section,
 )
+from sphslice.geometry import sample_sphere_cross_section
 
 # cotangent offset 3 puts the section at distance 3/sqrt(10) from the origin
 DIST_AT_T3 = 0.9486832980505138
@@ -23,7 +23,6 @@ def test_dimensions_validation():
         Dimensions(3, 1)
     with pytest.raises(ValueError):
         Dimensions(2, 3)
-    assert Dimensions(3, 2).ambient == 4
 
 
 def test_make_flat_orthonormalizes():

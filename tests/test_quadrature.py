@@ -10,12 +10,11 @@ from sphslice import (
     QuadratureSpec,
     composite_gauss,
     flat_rule,
-    gauss_legendre,
     make_flat,
-    panel_edges,
     sigma,
     sphere_rule,
 )
+from sphslice.quadrature import gauss_legendre, panel_edges
 
 SURFACE_AREAS = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2}
 

@@ -90,7 +90,6 @@ def test_build_field_evaluates(family):
     field = build_field(scene)
     values = field(sphere_sample())
     assert np.all(np.isfinite(values))
-    assert field.zonal == (family != "first_harmonic_weighted")
 
 
 def test_cap_bump_vanishes_above_height():

@@ -10,16 +10,15 @@ from sphslice import (
     SphereField,
     dual_transform,
     factorization_check,
-    flat_through,
     make_flat,
     op_B,
     op_B_inverse,
-    orientation_set,
     radon_john,
     section_to_plane,
     sigma,
     slice_transform,
 )
+from sphslice.transforms import flat_through, orientation_set
 
 SPEC = QuadratureSpec(radial_order=64, radial_cutoff=12.0)
 
@@ -30,7 +29,7 @@ LINE_GAUSS_D1 = 0.6520493321732922
 
 
 def constant_field():
-    return SphereField(lambda eta: np.ones(len(np.atleast_2d(eta))), zonal=True)
+    return SphereField(lambda eta: np.ones(len(np.atleast_2d(eta))))
 
 
 def gaussian_plane_field():
@@ -89,7 +88,6 @@ def test_op_B_inverse_roundtrip():
     dims = Dimensions(3, 2)
     f = SphereField(
         lambda eta: np.exp(-(1.0 + np.atleast_2d(eta)[:, -1]) / (1.0 - np.atleast_2d(eta)[:, -1])),
-        zonal=True,
     )
     back = op_B_inverse(op_B(f, dims), dims)
     from sphslice import sphere_rule
@@ -123,7 +121,6 @@ def test_factorization_random_planes(n, k):
     rng = np.random.default_rng(17)
     f = SphereField(
         lambda eta: np.exp(-2.0 * (1.0 + np.atleast_2d(eta)[:, -1]) / (1.0 - np.atleast_2d(eta)[:, -1])),
-        zonal=True,
     )
     from sphslice import random_flat
 

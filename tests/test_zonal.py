@@ -11,8 +11,8 @@ from sphslice import (
     profile_to_sphere_field,
     save_profile_csv,
     sigma,
+    nu,
     slice_transform,
-    sphere_field_to_profile,
     sphere_rule,
     random_flat,
     section_to_plane,
@@ -108,15 +108,16 @@ def test_profile_field_conversions():
     dims = Dimensions(2, 2)
     profile = gauss_profile(width=0.7)
     field = profile_to_sphere_field(profile, dims)
-    assert field.zonal
     pts, _ = sphere_rule(2, 8)
     pts = pts[pts[:, -1] < 0.99]
     s = np.sqrt((1.0 + pts[:, -1]) / (1.0 - pts[:, -1]))
     assert np.allclose(field(pts), profile(s), rtol=1e-12)
 
-    back = sphere_field_to_profile(field, dims)
+    # along the first axis of the plane the stereographic radius is |x|
     sample = np.array([0.2, 1.0, 4.0])
-    assert np.allclose(back(sample), profile(sample), rtol=1e-12)
+    x = np.zeros((len(sample), dims.n))
+    x[:, 0] = sample
+    assert np.allclose(field(nu(x)), profile(sample), rtol=1e-12)
 
 
 def test_profile_csv_roundtrip(tmp_path):
