@@ -67,6 +67,11 @@ ROW_PAD = 0.5
 # fraction of the largest value, so sign changes at noise level stay silent.
 NONCONV_TOL = 1e-3
 
+# ... and only above this many rounding units of the sampled |h|, carried
+# through the kernel at the finest cutoff (see _riesz_batch), so that a
+# result that is zero up to rounding (constant data) stays silent too.
+ROUNDING_ULPS = 16
+
 _CHUNK_POINTS = 2_000_000
 
 
@@ -192,9 +197,10 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     h returns (B,) values or, for C channels derived at once, (B, C).
     Returns (values, nonconv, scale): the extrapolated derivative per point,
     the largest eps-halving difference at a point where the differences
-    failed to decrease (0.0 when they decreased everywhere), and the largest
-    absolute result (for judging whether the failure matters).  With channels
-    the values gain a trailing axis of length C.
+    failed to decrease and exceed the rounding floor (0.0 when there is no
+    such point), and the largest absolute result (for judging whether the
+    failure matters).  With channels the values gain a trailing axis of
+    length C.
     """
     n = X.shape[1]
     k = params.k_order
@@ -212,6 +218,11 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     tail_offsets = params.outer_R * (omega[:, None, :] * j_arange[None, :, None])
     radial_factor = w_rho * rho ** (-k - 1.0)
     surface = sigma(n - 1)
+    # Rounding noise of one level per unit of sampled |h|: the differences
+    # add 2^ell terms with one rounding unit each, and the kernel weighs them
+    # by at most surface * int_{eps/4}^inf r^{-k-1} dr = surface (4/eps)^k / k.
+    kernel_bound = surface * (4.0 / params.eps) ** k / (k * abs(d_norm))
+    noise_per_h = ROUNDING_ULPS * np.finfo(float).eps * 2.0**ell * kernel_bound
 
     # The arithmetic runs with the channel axis (if any) first, so that every
     # product below contracts the trailing axes exactly as for scalar h.
@@ -242,8 +253,12 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
         d2 = np.abs(levels[2] - levels[1])
         # smooth fields shrink the halving differences by 2^p or better; a
         # ratio near one (log divergence gives exactly one, minus rounding)
-        # or above means the refinement is not converging
+        # or above means the refinement is not converging, unless the
+        # differences are rounding noise
         bad = d2 >= 0.9 * d1
+        if bad.any():
+            h_max = float(max(vals.max(), -vals.min(), np.abs(h_at_x).max()))
+            bad &= d2 > noise_per_h * h_max
         if bad.any():
             nonconv = max(nonconv, float(np.max(d2[bad])))
     if not np.all(np.isfinite(out)):

@@ -26,6 +26,26 @@ __all__ = [
 # Refuse to invert the projection closer to the pole than this in 1 - eta_last.
 POLE_GUARD = 1e-15
 
+# Widest last axis that numpy's sum adds strictly left to right; from 8
+# columns on it switches to pairwise summation.
+_COLUMNWISE_MAX = 7
+
+
+def _sq_norm(arr: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, bit-identical to np.sum(arr * arr, axis=-1).
+
+    Up to _COLUMNWISE_MAX columns the squares are added column by column,
+    left to right, which is numpy's own order and avoids its slow reduction
+    over a short axis; wider points use np.sum itself.
+    """
+    width = arr.shape[-1]
+    if width == 0 or width > _COLUMNWISE_MAX:
+        return np.sum(arr * arr, axis=-1)
+    s2 = arr[..., 0] * arr[..., 0]
+    for i in range(1, width):
+        s2 += arr[..., i] * arr[..., i]
+    return s2
+
 
 def nu(x):
     """Project plane points onto the punctured sphere.
@@ -33,8 +53,14 @@ def nu(x):
     Maps an array of shape (..., n) to an array of shape (..., n+1).
     """
     arr = np.asarray(x, dtype=float)
-    s2 = np.sum(arr * arr, axis=-1, keepdims=True)
-    return np.concatenate([2.0 * arr, s2 - 1.0], axis=-1) / (s2 + 1.0)
+    n = arr.shape[-1]
+    s2 = _sq_norm(arr)
+    denom = s2 + 1.0
+    out = np.empty(arr.shape[:-1] + (n + 1,))
+    for i in range(n):
+        np.divide(2.0 * arr[..., i], denom, out=out[..., i])
+    np.divide(s2 - 1.0, denom, out=out[..., n])
+    return out
 
 
 def nu_inverse(eta):
@@ -51,7 +77,7 @@ def nu_inverse(eta):
     if np.any(last >= 1.0 - POLE_GUARD):
         raise ValueError("pole singularity: nu_inverse undefined at the projection center")
     perp = arr[..., :-1]
-    denom = np.sum(perp * perp, axis=-1, keepdims=True)
+    denom = _sq_norm(perp)[..., None]
     upper = np.where(denom > 0.0, (1.0 + last[..., None]) / np.where(denom > 0.0, denom, 1.0), 0.0)
     lower = 1.0 / (1.0 - last[..., None])
     return perp * np.where(last[..., None] >= 0.0, upper, lower)

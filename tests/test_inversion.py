@@ -208,6 +208,24 @@ def test_nonconvergence_warning():
         riesz_derivative(cone, np.zeros(2), PARAMS, Dimensions(2, 2), SPEC)
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 1e6])
+def test_constant_data_does_not_warn(amplitude):
+    # the derivative of a constant is zero up to rounding; eps-halving
+    # differences at that level are below the rounding floor, which scales
+    # with the data, and must not be reported as non-convergence
+    F = invert_slice(
+        lambda tau: amplitude,
+        Dimensions(2, 2),
+        RieszParams(1, eps=0.1, outer_R=20.0),
+        QuadratureSpec(orientation_samples=4),
+    )
+    pts = np.array([[0.0, 0.0, -1.0], [math.sqrt(0.75), 0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = F(pts)
+    assert np.all(np.abs(values) < 1e-12 * amplitude)
+
+
 def test_invert_radon_rejects_bad_order():
     with pytest.raises(ValueError):
         invert_radon(lambda z: 0.0, Dimensions(2, 2), RieszParams(k_order=2, ell=3), SPEC)

@@ -64,3 +64,38 @@ def test_weights_are_inverse(x, m):
     product = 2.0**m / (np.sum(x**2) + 1.0) ** m * plane_to_sphere_weight(eta, m)
     assert product == pytest.approx(1.0, rel=3e-15 * m * (1.0 + np.sum(x**2)))
 
+
+
+def nu_by_numpy_sums(x):
+    # the projection as numpy's own reduction and concatenation compute it
+    arr = np.asarray(x, dtype=float)
+    s2 = np.sum(arr * arr, axis=-1, keepdims=True)
+    return np.concatenate([2.0 * arr, s2 - 1.0], axis=-1) / (s2 + 1.0)
+
+
+def nu_inverse_by_numpy_sums(eta):
+    arr = np.asarray(eta, dtype=float)
+    last = arr[..., -1]
+    perp = arr[..., :-1]
+    denom = np.sum(perp * perp, axis=-1, keepdims=True)
+    upper = np.where(denom > 0.0, (1.0 + last[..., None]) / np.where(denom > 0.0, denom, 1.0), 0.0)
+    lower = 1.0 / (1.0 - last[..., None])
+    return perp * np.where(last[..., None] >= 0.0, upper, lower)
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_projection_is_bit_identical_to_numpy_sums(width):
+    # nu and nu_inverse add the squares column by column; numpy's sum adds
+    # them in that order up to 7 columns and pairwise from 8 on, where the
+    # projection must fall back to it.  Magnitudes spread over 8 decades make
+    # any other order show in the last bits.
+    rng = np.random.default_rng(width)
+    for batch in [(300,), (4, 6), (0,), ()]:
+        x = rng.standard_normal(batch + (width,)) * 10.0 ** rng.uniform(-4, 4, batch + (width,))
+        for points in (x, np.asfortranarray(x)):
+            eta = nu(points)
+            assert eta.shape == batch + (width + 1,)
+            assert np.array_equal(eta, nu_by_numpy_sums(points))
+            back = nu_inverse(eta)
+            assert back.shape == batch + (width,)
+            assert np.array_equal(back, nu_inverse_by_numpy_sums(eta))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sphslice.transforms as transforms
 from sphslice import (
     Dimensions,
     PlaneField,
@@ -14,11 +17,12 @@ from sphslice import (
     op_B,
     op_B_inverse,
     radon_john,
+    random_flat,
     section_to_plane,
     sigma,
     slice_transform,
 )
-from sphslice.transforms import flat_through, orientation_set
+from sphslice.transforms import _BLOCK_POINTS, flat_through, orientation_set
 
 SPEC = QuadratureSpec(radial_order=64, radial_cutoff=12.0)
 
@@ -180,3 +184,100 @@ def test_dual_transform_center_value():
 
     value = dual_transform(data, np.zeros(2), 1, Dimensions(2, 2), spec)
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+def zonal_decaying_field():
+    # exp(eta_last): op_B of it depends on every bit of nu(x) and of |x|^2
+    return SphereField(lambda eta: np.exp(np.asarray(eta)[..., -1]))
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_op_B_is_bit_identical_to_numpy_sums(width):
+    # the conjugated field as numpy's own reductions compute it
+    k = min(max(width, 2), 3)
+    f = zonal_decaying_field()
+    g = op_B(f, Dimensions(max(width, 2), k))
+    rng = np.random.default_rng(width)
+    for batch in [(300,), (4, 6), (0,), ()]:
+        x = rng.standard_normal(batch + (width,)) * 10.0 ** rng.uniform(-3, 3, batch + (width,))
+        s2 = np.sum(x * x, axis=-1, keepdims=True)
+        eta = np.concatenate([2.0 * x, s2 - 1.0], axis=-1) / (s2 + 1.0)
+        want = 2.0 ** (k - 1) * f(eta) / (np.sum(x * x, axis=-1) + 1.0) ** (k - 1)
+        got = g(x)
+        assert np.shape(got) == batch
+        assert np.array_equal(got, want)
+
+
+def test_op_B_sends_each_point_through_transforms_nu_once(monkeypatch):
+    # the traced benchmark counts stereo.points by replacing transforms.nu
+    seen = []
+    real_nu = transforms.nu
+
+    def counting_nu(x):
+        seen.append(len(np.asarray(x).reshape(-1, np.shape(x)[-1])))
+        return real_nu(x)
+
+    monkeypatch.setattr(transforms, "nu", counting_nu)
+    g = op_B(zonal_decaying_field(), Dimensions(3, 2))
+    g(np.ones((37, 3)))
+    assert sum(seen) == 37
+    seen.clear()
+    zeta = line_at(0.4)
+    nodes, _ = transforms.flat_rule(zeta, SPEC)
+    radon_john(op_B(zonal_decaying_field(), Dimensions(2, 2)), zeta, SPEC)
+    assert sum(seen) == len(nodes)
+
+
+class CountingField:
+    """A pointwise field that records every batch it is called with."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __call__(self, x):
+        x = np.asarray(x)
+        self.batches.append(x.copy())
+        return np.exp(-0.5 * np.sum(x * x, axis=-1)) * np.cos(3.0 * x[..., 0])
+
+
+@pytest.mark.parametrize(
+    "count", [_BLOCK_POINTS - 1, _BLOCK_POINTS, _BLOCK_POINTS + 1, 2 * _BLOCK_POINTS + 3]
+)
+@pytest.mark.parametrize("which", ["radon_john", "slice_transform"])
+def test_block_evaluation_is_bit_identical(monkeypatch, count, which):
+    # fields are evaluated in blocks of at most _BLOCK_POINTS nodes; every
+    # node is seen once, in order, and the sum is the unblocked one bit for bit
+    rng = np.random.default_rng(count)
+    width = 3 if which == "radon_john" else 4
+    nodes = rng.standard_normal((count, width))
+    weights = rng.uniform(0.1, 1.0, count)
+    counting = CountingField()
+    if which == "radon_john":
+        monkeypatch.setattr(transforms, "flat_rule", lambda zeta, spec: (nodes, weights))
+        got = radon_john(PlaneField(counting), make_flat(np.eye(3)[:1], np.zeros(3)), SPEC)
+    else:
+        monkeypatch.setattr(transforms, "sample_sphere_cross_section", lambda tau, order: (nodes, weights))
+        zeta = make_flat(np.eye(3)[:2], np.zeros(3))
+        got = slice_transform(SphereField(counting), section_to_plane(zeta), SPEC)
+    assert max(len(b) for b in counting.batches) <= _BLOCK_POINTS
+    assert np.array_equal(np.concatenate(counting.batches), nodes)
+    assert got == float(np.sum(CountingField()(nodes) * weights))
+
+
+@given(
+    dims=st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 5.0),
+)
+@settings(max_examples=15, deadline=None)
+def test_factorization_holds_for_random_dimensions(dims, seed, t):
+    # (1 - eta_last)^4 is a polynomial on the sphere, so modest sphere orders
+    # integrate it exactly, and B f decays like |x|^{-2(k+3)}, so the radial
+    # tail beyond 60 is below 1e-15; over 400 random draws rel_diff stayed
+    # below 1.7e-15
+    n, k = dims
+    f = SphereField(lambda eta: (1.0 - np.asarray(eta)[..., -1]) ** 4)
+    spec = QuadratureSpec(sphere_order=6, radial_order=16, radial_cutoff=60.0)
+    zeta = random_flat(np.random.default_rng(seed), n, k - 1, t)
+    report = factorization_check(f, section_to_plane(zeta), spec)
+    assert report.rel_diff < 1e-12
