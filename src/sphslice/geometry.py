@@ -222,7 +222,8 @@ def sample_sphere_cross_section(tau: SlicePlane, order: int):
     order per angular dimension, mapped through an orthonormal frame of the
     plane's direction space; weights carry the radius^{k-1} scale so they sum
     to the cross-section's surface measure.  Every node lies on the unit
-    sphere and on the plane; the pole is approached only as dist -> 1.
+    sphere and on the plane; the pole is approached only as dist -> 1.  The
+    nodes are coordinate-major (Fortran order), as in flat_rule.
     """
     k = tau.section.dim + 1
     if order < k:
@@ -233,5 +234,8 @@ def sample_sphere_cross_section(tau: SlicePlane, order: int):
     dirs[k - 1] = tau.span_direction
     sigma_nodes, sigma_w = sphere_rule(k - 1, order)
     r = tau.radius
-    nodes = tau.center[None, :] + r * (sigma_nodes @ dirs)
-    return nodes, sigma_w * r ** (k - 1)
+    # center + r * (sigma_nodes @ dirs), built coordinate-major as in flat_rule.
+    nodes = dirs.T @ sigma_nodes.T
+    nodes *= r
+    nodes += tau.center[:, None]
+    return nodes.T, sigma_w * r ** (k - 1)

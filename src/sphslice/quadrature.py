@@ -171,6 +171,9 @@ def flat_rule(zeta, spec: QuadratureSpec):
 
     Tail error is the caller's responsibility: for an integrand decaying like
     r^{-lam} the neglected mass scales like radial_cutoff^{d - lam}.
+
+    The nodes have shape (m, n) and are coordinate-major (Fortran order):
+    each coordinate is one contiguous column.
     """
     basis = np.asarray(zeta.basis, dtype=float)
     offset = np.asarray(zeta.offset, dtype=float)
@@ -178,14 +181,19 @@ def flat_rule(zeta, spec: QuadratureSpec):
     if d < 1:
         raise ValueError("flat must have dimension >= 1")
     intrinsic, weights = _flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)
-    return offset[None, :] + intrinsic @ basis, weights
+    # offset + intrinsic @ basis, built transposed: the same matmul's values
+    # with one contiguous row per coordinate, so the offset is added in one
+    # contiguous pass per coordinate.
+    nodes = basis.T @ intrinsic.T
+    nodes += offset[:, None]
+    return nodes.T, weights
 
 
 @lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
 def _flat_template(d: int, radial_cutoff: float, radial_order: int, sphere_order: int):
-    """Intrinsic nodes rho * omega, shape (m, d), and weights of every d-flat's rule."""
+    """Intrinsic nodes rho * omega, (m, d) coordinate-major, and weights of every d-flat's rule."""
     rho, w_rho = composite_gauss(0.0, radial_cutoff, radial_order)
     dirs, w_dir = sphere_rule(d - 1, sphere_order)
-    intrinsic = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    intrinsic = np.asfortranarray((rho[:, None, None] * dirs[None, :, :]).reshape(-1, d))
     weights = (w_rho * rho ** (d - 1))[:, None] * w_dir[None, :]
     return _read_only(intrinsic, weights.ravel())

@@ -50,13 +50,14 @@ def _sq_norm(arr: np.ndarray) -> np.ndarray:
 def nu(x):
     """Project plane points onto the punctured sphere.
 
-    Maps an array of shape (..., n) to an array of shape (..., n+1).
+    Maps an array of shape (..., n) to an array of shape (..., n+1), which is
+    coordinate-major (Fortran order): each coordinate is one contiguous block.
     """
     arr = np.asarray(x, dtype=float)
     n = arr.shape[-1]
     s2 = _sq_norm(arr)
     denom = s2 + 1.0
-    out = np.empty(arr.shape[:-1] + (n + 1,))
+    out = np.empty(arr.shape[:-1] + (n + 1,), order="F")
     for i in range(n):
         np.divide(2.0 * arr[..., i], denom, out=out[..., i])
     np.divide(s2 - 1.0, denom, out=out[..., n])
@@ -70,17 +71,22 @@ def nu_inverse(eta):
     which is algebraically the usual eta_perp / (1 - eta_last) but stays
     accurate near the pole, where 1 - eta_last has already lost most of its
     digits to rounding; on the lower hemisphere the usual form is the stable
-    one.  Points with eta_last >= 1 - POLE_GUARD are refused.
+    one.  Points with eta_last >= 1 - POLE_GUARD are refused.  The output is
+    coordinate-major, as in nu.
     """
     arr = np.asarray(eta, dtype=float)
     last = arr[..., -1]
     if np.any(last >= 1.0 - POLE_GUARD):
         raise ValueError("pole singularity: nu_inverse undefined at the projection center")
-    perp = arr[..., :-1]
-    denom = _sq_norm(perp)[..., None]
-    upper = np.where(denom > 0.0, (1.0 + last[..., None]) / np.where(denom > 0.0, denom, 1.0), 0.0)
-    lower = 1.0 / (1.0 - last[..., None])
-    return perp * np.where(last[..., None] >= 0.0, upper, lower)
+    n = arr.shape[-1] - 1
+    s2 = _sq_norm(arr[..., :-1])
+    off_axis = s2 > 0.0
+    upper = np.where(off_axis, (1.0 + last) / np.where(off_axis, s2, 1.0), 0.0)
+    factor = np.where(last >= 0.0, upper, 1.0 / (1.0 - last))
+    out = np.empty(arr.shape[:-1] + (n,), order="F")
+    for i in range(n):
+        np.multiply(arr[..., i], factor, out=out[..., i])
+    return out
 
 
 def plane_to_sphere_weight(eta, exponent: int, dims=None) -> np.ndarray:

@@ -132,9 +132,9 @@ def _quadrature_sum(field, nodes: np.ndarray, weights: np.ndarray, where: str) -
         vals = np.empty(len(nodes))
         for lo in range(0, len(nodes), _BLOCK_POINTS):
             vals[lo : lo + _BLOCK_POINTS] = field(nodes[lo : lo + _BLOCK_POINTS])
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError(f"integrand blowup: field is not finite on {where}")
-    return float(np.sum(vals * weights))
+    return float((vals * weights).sum())
 
 
 def op_B(f: SphereField, dims: Dimensions) -> PlaneField:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +209,47 @@ def test_console_script_smoke(gauss_scene):
     )
     assert proc.returncode == 0
     assert "converges" in proc.stdout
+
+
+GOLDEN_FACTOR_CHECK = Path(__file__).parent / "data" / "factor_check_zonal_gaussian_n3k3.csv"
+
+
+def _tokens(line):
+    # the words of a CSV or comment line, with every number parsed
+    out = []
+    for token in line.replace(",", " ").replace("=", " ").replace(":", " ").split():
+        try:
+            out.append(float(token))
+        except ValueError:
+            out.append(token)
+    return out
+
+
+def test_factor_check_matches_the_golden_csv(tmp_path):
+    # Determinism beyond one environment: the run reproduces the committed
+    # CSV to 1e-12 relative.  abs_diff and max_rel_diff are rounding noise,
+    # so they are compared to 1e-12 of the integrals they are differences of.
+    scene = tmp_path / "gauss.scene"
+    scene.write_text("family = zonal_gaussian\nn = 3\nk = 3\n")
+    out = tmp_path / "factor.csv"
+    assert run(["factor-check", str(scene), "5", "--seed", "9", "--sphere-order", "48",
+                "--radial-order", "64", "--out", str(out)]) == 0
+    got = [_tokens(line) for line in out.read_text().splitlines()]
+    want = [_tokens(line) for line in GOLDEN_FACTOR_CHECK.read_text().splitlines()]
+    assert len(got) == len(want)
+    columns = next(row for row in want if row[0] != "#")
+    for got_row, want_row in zip(got, want):
+        assert len(got_row) == len(want_row)
+        if want_row[0] == "#":
+            # a number in a comment is named by the word before it
+            names, floors = [None] + want_row[:-1], {"max_rel_diff": 1.0}
+        elif want_row is columns:
+            names, floors = columns, {}
+        else:
+            row = dict(zip(columns, want_row))
+            names, floors = columns, {"abs_diff": max(abs(row["lhs"]), abs(row["rhs"]))}
+        for name, g, w in zip(names, got_row, want_row):
+            if isinstance(w, str):
+                assert g == w
+            else:
+                assert abs(g - w) <= 1e-12 * max(abs(w), floors.get(name, 0.0)), (name, g, w)

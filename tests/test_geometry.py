@@ -11,6 +11,7 @@ from sphslice import (
     random_flat,
 )
 from sphslice.geometry import sample_sphere_cross_section
+from sphslice.quadrature import sphere_rule
 
 # cotangent offset 3 puts the section at distance 3/sqrt(10) from the origin
 DIST_AT_T3 = 0.9486832980505138
@@ -92,3 +93,22 @@ def test_cross_section_lowest_point():
     floor = 2.0 * tau.dist**2 - 1.0
     assert np.min(pts[:, -1]) >= floor - 1e-12
     assert np.min(pts[:, -1]) == pytest.approx(floor, abs=1e-3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cross_section_is_bit_identical_to_the_broadcast_formula(k):
+    # the nodes hold the values of center + r * (sigma_nodes @ dirs) computed
+    # row-major, bit for bit, but each coordinate is one contiguous column
+    sigma_nodes, sigma_w = sphere_rule(k - 1, 12)
+    rng = np.random.default_rng(k)
+    for n in range(k, 6):
+        for t in (0.0, 1e-3, 0.6, 25.0, 1e3):
+            tau = SlicePlane(random_flat(rng, n, k - 1, t))
+            nodes, weights = sample_sphere_cross_section(tau, 12)
+            dirs = np.zeros((k, n + 1))
+            dirs[: k - 1, :n] = tau.section.basis
+            dirs[k - 1] = tau.span_direction
+            assert nodes.shape == (len(sigma_nodes), n + 1)
+            assert nodes.flags.f_contiguous
+            assert np.array_equal(nodes, tau.center[None, :] + tau.radius * (sigma_nodes @ dirs))
+            assert np.array_equal(weights, sigma_w * tau.radius ** (k - 1))

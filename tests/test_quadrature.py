@@ -11,6 +11,7 @@ from sphslice import (
     composite_gauss,
     flat_rule,
     make_flat,
+    random_flat,
     sigma,
     sphere_rule,
 )
@@ -178,3 +179,24 @@ def test_flat_rule_matches_uncached_build(flat_dim, ambient):
     assert np.array_equal(other_nodes, _uncached_flat_rule(other, spec)[0])
     # Every flat of one dimension shares the template's weights.
     _assert_cached((weights,), (other_weights,), (fresh_weights,))
+
+
+# -- coordinate-major nodes --------------------------------------------------
+
+
+@pytest.mark.parametrize("flat_dim", [1, 2, 3])
+def test_flat_rule_is_bit_identical_to_the_broadcast_formula(flat_dim):
+    # the nodes hold the values of offset + intrinsic @ basis computed
+    # row-major, bit for bit, but each coordinate is one contiguous column
+    spec = QuadratureSpec(sphere_order=8, radial_order=8, radial_cutoff=12.0)
+    rho, _ = composite_gauss(0.0, spec.radial_cutoff, spec.radial_order)
+    dirs, _ = sphere_rule(flat_dim - 1, spec.sphere_order)
+    intrinsic = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, flat_dim)
+    rng = np.random.default_rng(flat_dim)
+    for n in range(flat_dim + 1, 7):
+        for distance in (0.0, 1e-3, 0.7, 31.0, 1e4):
+            zeta = random_flat(rng, n, flat_dim, distance)
+            nodes, _ = flat_rule(zeta, spec)
+            assert nodes.shape == (len(intrinsic), n)
+            assert nodes.flags.f_contiguous
+            assert np.array_equal(nodes, zeta.offset[None, :] + intrinsic @ zeta.basis)

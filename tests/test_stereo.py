@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sphslice import nu, nu_inverse, plane_to_sphere_weight
+from sphslice import (
+    QuadratureSpec,
+    SlicePlane,
+    flat_rule,
+    nu,
+    nu_inverse,
+    plane_to_sphere_weight,
+    random_flat,
+)
+from sphslice.geometry import sample_sphere_cross_section
 
 
 def test_known_image():
@@ -99,3 +108,47 @@ def test_projection_is_bit_identical_to_numpy_sums(width):
             back = nu_inverse(eta)
             assert back.shape == batch + (width,)
             assert np.array_equal(back, nu_inverse_by_numpy_sums(eta))
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_nu_inverse_is_bit_identical_to_the_broadcast_formula(width):
+    # points on both hemispheres, on the axis (eta_perp = 0) and off it, with
+    # magnitudes over 8 decades; width 1 has no perpendicular coordinates
+    rng = np.random.default_rng(100 + width)
+    for batch in [(300,), (4, 6), (0,), ()]:
+        eta = rng.standard_normal(batch + (width,)) * 10.0 ** rng.uniform(-4, 4, batch + (width,))
+        eta[..., -1] = rng.uniform(-1.0, 0.999, batch)
+        if batch:
+            eta.reshape(-1, width)[::3, :-1] = 0.0
+        for points in (eta, np.asfortranarray(eta)):
+            back = nu_inverse(points)
+            assert back.shape == batch + (width - 1,)
+            assert back.flags.f_contiguous
+            assert np.array_equal(back, nu_inverse_by_numpy_sums(points))
+            assert nu(back).flags.f_contiguous
+
+
+def _library_points(width, rng):
+    """Coordinate-major arrays of the given width that the library builds."""
+    x = rng.standard_normal((300, width)) * 10.0 ** rng.uniform(-4, 4, (300, width))
+    eta = nu(x)
+    arrays = [nu_inverse(eta)]
+    if width >= 2:
+        spec = QuadratureSpec(sphere_order=8, radial_order=8, radial_cutoff=12.0)
+        arrays += [nu(x[:, 1:]), flat_rule(random_flat(rng, width, min(width - 1, 2), 3.7), spec)[0]]
+    if width >= 3:
+        tau = SlicePlane(random_flat(rng, width - 1, min(width - 2, 2), 0.4))
+        arrays.append(sample_sphere_cross_section(tau, 8)[0])
+    return arrays
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_coordinate_major_points_reduce_like_row_major_ones(width):
+    # fields may sum squares or take norms over the coordinate axis; up to 7
+    # coordinates numpy adds them left to right in either memory order
+    rng = np.random.default_rng(width)
+    for arr in _library_points(width, rng):
+        assert arr.flags.f_contiguous
+        row_major = np.ascontiguousarray(arr)
+        assert np.array_equal(np.sum(arr * arr, axis=-1), np.sum(row_major * row_major, axis=-1))
+        assert np.array_equal(np.linalg.norm(arr, axis=-1), np.linalg.norm(row_major, axis=-1))
