@@ -180,6 +180,18 @@ def _refinement_verdict(values: list[float]) -> str:
     return "inconclusive"
 
 
+def _refine_to_pole(f: SphereField, dims: Dimensions, exponent: float, power: float,
+                    spec: QuadratureSpec, total: float) -> VerdictReport:
+    """Add the weighted annulus integrals closing in on the pole to total and judge the trace."""
+    trace = []
+    u_hi = U_BASE
+    for level, u_lo in enumerate(_default_levels()):
+        total += _annulus_integral(f, dims, u_lo, u_hi, exponent, power, spec)
+        trace.append((level, total))
+        u_hi = u_lo
+    return VerdictReport(verdict=_refinement_verdict([v for _, v in trace]), trace=tuple(trace))
+
+
 def existence_check(f: SphereField, dims: Dimensions, spec: QuadratureSpec | None = None) -> VerdictReport:
     """Refinement study of the existence integral of f near the pole.
 
@@ -191,15 +203,7 @@ def existence_check(f: SphereField, dims: Dimensions, spec: QuadratureSpec | Non
     """
     if spec is None:
         spec = QuadratureSpec()
-    exponent = -0.5 * (dims.n + 1 - dims.k)
-    trace = []
-    total = 0.0
-    u_hi = U_BASE
-    for level, u_lo in enumerate(_default_levels()):
-        total += _annulus_integral(f, dims, u_lo, u_hi, exponent, 1.0, spec)
-        trace.append((level, total))
-        u_hi = u_lo
-    return VerdictReport(verdict=_refinement_verdict([v for _, v in trace]), trace=tuple(trace))
+    return _refine_to_pole(f, dims, -0.5 * (dims.n + 1 - dims.k), 1.0, spec, 0.0)
 
 
 def lp_weight_check(f: SphereField, p: float, dims: Dimensions, spec: QuadratureSpec) -> float:
@@ -213,16 +217,10 @@ def lp_weight_check(f: SphereField, p: float, dims: Dimensions, spec: Quadrature
         raise ValueError("p out of admissible range [1, n/(k-1))")
     exponent = p * (k - 1.0) - n
     bulk = _annulus_integral(f, dims, U_BASE, 2.0, exponent, p, spec)
-    trace = []
-    total = bulk
-    u_hi = U_BASE
-    for level, u_lo in enumerate(_default_levels()):
-        total += _annulus_integral(f, dims, u_lo, u_hi, exponent, p, spec)
-        trace.append((level, total))
-        u_hi = u_lo
-    if _refinement_verdict([v for _, v in trace]) == "diverges":
+    report = _refine_to_pole(f, dims, exponent, p, spec, bulk)
+    if report.verdict == "diverges":
         return math.inf
-    return float(total ** (1.0 / p))
+    return float(report.value ** (1.0 / p))
 
 
 @dataclass(frozen=True)

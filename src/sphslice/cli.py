@@ -5,8 +5,9 @@ computes with fixed seeds, and writes comma-separated output with a
 #-prefixed provenance header, so identical configurations give byte-identical
 files within one environment (the same Python, numpy and scipy); across
 environments the last printed digits may differ.  Exit codes: 0 success,
-1 tolerance failure, 2 usage, malformed input or an unsupported case (invert
-needs n = 2), 3 numerical error.
+1 tolerance failure, 2 usage (a count below 1 included), malformed input, a
+file that cannot be read or written, or an unsupported case (invert needs
+n = 2), 3 numerical error.
 
 Random planes are drawn with offset magnitude t = tan(uniform(0, pi/2 - 0.01))
 and orientation from the QR factorization of a seeded Gaussian matrix, so all
@@ -16,9 +17,9 @@ offsets are finite but reach far out into the tail.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +31,7 @@ from .scenes import SceneError, SceneSpec, build_field, parse_scene, scene_profi
 from .transforms import dual_transform, factorization_check, op_B, radon_john, section_to_plane, slice_transform
 from .zonal import zonal_forward, zonal_invert
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved execution settings of one CLI run."""
-
-    quadrature: QuadratureSpec
-    riesz: RieszParams
-    output_path: str | None
+__all__ = ["main"]
 
 
 def main(argv=None) -> int:
@@ -47,7 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SceneError, NotImplementedError) as exc:
+    except (SceneError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
@@ -55,12 +47,22 @@ def main(argv=None) -> int:
         return 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=None, help="sphere dimension (overrides scene)")
     common.add_argument("--k", type=int, default=None, help="slice-plane dimension (overrides scene)")
-    common.add_argument("--sphere-order", type=int, default=64, help="order of sphere rules")
-    common.add_argument("--radial-order", type=int, default=128, help="nodes per radial panel")
+    common.add_argument("--sphere-order", type=_positive_int, default=64, help="order of sphere rules")
+    common.add_argument("--radial-order", type=_positive_int, default=128, help="nodes per radial panel")
     common.add_argument("--cutoff", type=float, default=None,
                         help="radial cutoff of plane integrals (default: per scene family)")
     common.add_argument("--eps", type=float, default=0.05, help="inner cutoff of the hypersingular integral")
@@ -97,14 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor-check", parents=[common],
                        help="slice transform vs the conjugated flat route, plane by plane")
     p.add_argument("scene", help="scene file")
-    p.add_argument("count", type=int, help="number of random planes")
+    p.add_argument("count", type=_positive_int, help="number of random planes")
     p.set_defaults(handler=_cmd_factor_check)
 
     p = sub.add_parser("zonal-forward", parents=[common],
                        help="profile of the transform of a zonal scene over plane offsets")
     p.add_argument("scene", help="scene file")
     p.add_argument("--t-max", type=float, default=3.0, help="largest offset magnitude")
-    p.add_argument("--t-count", type=int, default=31, help="number of offsets")
+    p.add_argument("--t-count", type=_positive_int, default=31, help="number of offsets")
     p.set_defaults(handler=_cmd_zonal_forward)
 
     p = sub.add_parser("zonal-invert", parents=[common],
@@ -115,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", parents=[common],
                        help="full reconstruction of a scene from its slice data (n = 2 only)")
     p.add_argument("scene", help="scene file")
-    p.add_argument("--grid-order", type=int, default=8, help="order of the evaluation grid on the sphere")
+    p.add_argument("--grid-order", type=_positive_int, default=8, help="order of the evaluation grid on the sphere")
     p.add_argument("--cap-limit", type=float, default=0.9,
                    help="exclude evaluation points with last coordinate above this")
     p.set_defaults(handler=_cmd_invert)
@@ -124,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="vanishing of the transform beyond the cap threshold")
     p.add_argument("scene", help="scene file")
     p.add_argument("--b", type=float, default=0.0, help="cap height")
-    p.add_argument("--trials", type=int, default=50, help="number of sampled planes")
+    p.add_argument("--trials", type=_positive_int, default=50, help="number of sampled planes")
     p.set_defaults(handler=_cmd_support)
 
     p = sub.add_parser("existence", parents=[common],
@@ -139,15 +141,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", parents=[common],
                        help="backprojection of the scene's flat data on a plane grid")
     p.add_argument("scene", help="scene file")
-    p.add_argument("--grid-size", type=int, default=5, help="points per axis")
+    p.add_argument("--grid-size", type=_positive_int, default=5, help="points per axis")
     p.add_argument("--extent", type=float, default=2.0, help="grid half-width")
     p.set_defaults(handler=_cmd_dual)
 
     return parser
 
 
-def _load(args, *, zonal=False):
-    """Scene, dims, quadrature spec and riesz params resolved from flags."""
+def _load(args):
+    """Scene (with --n and --k applied), quadrature spec and riesz params from flags."""
     scene = parse_scene(args.scene)
     n = args.n if args.n is not None else scene.dims.n
     k = args.k if args.k is not None else scene.dims.k
@@ -156,8 +158,6 @@ def _load(args, *, zonal=False):
     except ValueError as exc:
         raise SceneError(str(exc)) from exc
     scene = SceneSpec(family=scene.family, parameters=dict(scene.parameters), dims=dims)
-    if zonal:
-        scene_profile(scene)  # raises SceneError for non-zonal families
     cutoff = args.cutoff if args.cutoff is not None else suggested_cutoff(scene)
     spec = QuadratureSpec(
         sphere_order=args.sphere_order,
@@ -167,8 +167,7 @@ def _load(args, *, zonal=False):
         seed=args.seed,
     )
     riesz = RieszParams(k_order=dims.k - 1, ell=args.ell, eps=args.eps, outer_R=args.outer)
-    config = RunConfig(quadrature=spec, riesz=riesz, output_path=args.out)
-    return scene, dims, spec, config
+    return scene, spec, riesz
 
 
 def _fmt(value) -> str:
@@ -177,40 +176,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _provenance(command: str, scene: SceneSpec, config: RunConfig, tol=None, extra=None) -> list[str]:
+def _emit(args, scene, spec, riesz, columns, rows, *, header=None, footer=None,
+          passed=None, criterion=None, summary=None) -> int:
+    """Write one run's CSV to stdout or --out and return its exit code.
+
+    The CSV is the provenance header followed by `header`'s `name: value`
+    lines, the columns and rows, then `footer`'s lines and, given a
+    `criterion`, a PASS/FAIL line naming it.  After a file write `summary` is
+    printed as `name=value` words, led by the verdict if there is one.  The
+    run exits 1 if `passed` is False and 0 otherwise (None: no verdict).
+    """
     params = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(scene.parameters.items()) if v is not None)
-    spec, r = config.quadrature, config.riesz
-    lines = [
-        f"command: {command}",
+    verdict = "PASS" if passed else "FAIL"
+    head = [
+        f"command: {args.command}",
         f"scene: family={scene.family} {params} n={scene.dims.n} k={scene.dims.k}".rstrip(),
         "quadrature: "
         f"sphere_order={spec.sphere_order} radial_order={spec.radial_order} "
         f"cutoff={_fmt(spec.radial_cutoff)} orientation_samples={spec.orientation_samples}",
-        f"riesz: k_order={r.k_order} ell={r.resolved_ell} eps={_fmt(r.eps)} outer={_fmt(r.outer_R)}",
+        f"riesz: k_order={riesz.k_order} ell={riesz.resolved_ell} eps={_fmt(riesz.eps)} "
+        f"outer={_fmt(riesz.outer_R)}",
         f"seed: {spec.seed}",
-    ]
-    if tol is not None:
-        lines.append(f"tol: {_fmt(tol)}")
-    if extra:
-        lines.extend(extra)
-    return lines
-
-
-def _write_csv(config: RunConfig, header: list[str], columns: list[str], rows, footer=None) -> None:
-    def emit(stream):
-        for line in header:
-            stream.write(f"# {line}\n")
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-        for line in footer or []:
-            stream.write(f"# {line}\n")
-
-    if config.output_path is None:
-        emit(sys.stdout)
+    ] + [f"{name}: {_fmt(v)}" for name, v in (header or {}).items()]
+    tail = [f"{name}: {_fmt(v)}" for name, v in (footer or {}).items()]
+    if criterion is not None:
+        tail.append(f"{verdict} ({criterion})")
+    if args.out is None:
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
+        target = open(args.out, "w", encoding="utf-8", newline="")
+    with target as stream:
+        stream.writelines(f"# {line}\n" for line in head)
+        stream.write(",".join(columns) + "\n")
+        stream.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        stream.writelines(f"# {line}\n" for line in tail)
+    if args.out is not None and summary is not None:
+        words = " ".join(f"{name}={_fmt(v)}" for name, v in summary.items())
+        print(words if criterion is None else f"{verdict} {words}")
+    return 1 if passed is False else 0
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +299,6 @@ def _random_planes(dims: Dimensions, count: int, seed: int) -> list[FlatSpec]:
     return planes
 
 
-def _resolve_planes(args, dims: Dimensions) -> list[FlatSpec]:
-    text = args.planes
-    try:
-        count = int(text)
-    except ValueError:
-        return _read_planes(text, dims)
-    return _random_planes(dims, count, args.seed)
-
-
 def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
     width = len(_plane_columns(dims))
     planes = []
@@ -339,102 +333,84 @@ def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
 # Subcommands.
 
 def _cmd_forward(args) -> int:
-    scene, dims, spec, config = _load(args)
+    scene, spec, riesz = _load(args)
     field = build_field(scene)
-    planes = _resolve_planes(args, dims)
-    rows = []
-    for zeta in planes:
-        tau = section_to_plane(zeta)
-        value = slice_transform(field, tau, spec)
-        rows.append(_plane_to_row(zeta, dims) + [tau.dist, value])
-    header = _provenance("forward", scene, config, extra=[f"planes: {args.planes}"])
-    _write_csv(config, header, _plane_columns(dims) + ["dist", "value"], rows)
-    return 0
+    return _per_plane(args, scene, spec, riesz, lambda zeta, tau: slice_transform(field, tau, spec))
 
 
 def _cmd_radon(args) -> int:
-    scene, dims, spec, config = _load(args)
-    g = op_B(build_field(scene), dims)
-    planes = _resolve_planes(args, dims)
+    scene, spec, riesz = _load(args)
+    g = op_B(build_field(scene), scene.dims)
+    return _per_plane(args, scene, spec, riesz, lambda zeta, tau: radon_john(g, zeta, spec))
+
+
+def _per_plane(args, scene, spec, riesz, value) -> int:
+    """One row per random or listed plane: its parameters, dist and value(zeta, tau)."""
+    try:
+        count = int(args.planes)
+    except ValueError:
+        planes = _read_planes(args.planes, scene.dims)
+    else:
+        planes = _random_planes(scene.dims, count, args.seed)
     rows = []
     for zeta in planes:
         tau = section_to_plane(zeta)
-        rows.append(_plane_to_row(zeta, dims) + [tau.dist, radon_john(g, zeta, spec)])
-    header = _provenance("radon", scene, config, extra=[f"planes: {args.planes}"])
-    _write_csv(config, header, _plane_columns(dims) + ["dist", "value"], rows)
-    return 0
+        rows.append(_plane_to_row(zeta, scene.dims) + [tau.dist, value(zeta, tau)])
+    columns = _plane_columns(scene.dims) + ["dist", "value"]
+    return _emit(args, scene, spec, riesz, columns, rows, header={"planes": args.planes})
 
 
 def _cmd_factor_check(args) -> int:
-    scene, dims, spec, config = _load(args)
+    scene, spec, riesz = _load(args)
     tol = args.tol if args.tol is not None else 1e-6
     field = build_field(scene)
-    planes = _random_planes(dims, args.count, args.seed)
     rows = []
     worst = 0.0
-    for zeta in planes:
-        tau = section_to_plane(zeta)
-        report = factorization_check(field, tau, spec)
+    for zeta in _random_planes(scene.dims, args.count, args.seed):
+        report = factorization_check(field, section_to_plane(zeta), spec)
         worst = max(worst, report.rel_diff)
-        rows.append(_plane_to_row(zeta, dims) + [report.lhs, report.rhs, report.abs_diff])
-    verdict = "PASS" if worst <= tol else "FAIL"
-    footer = [f"max_rel_diff: {_fmt(worst)}", f"{verdict} (tol {_fmt(tol)})"]
-    header = _provenance("factor-check", scene, config, tol=tol, extra=[f"count: {args.count}"])
-    _write_csv(config, header, _plane_columns(dims) + ["lhs", "rhs", "abs_diff"], rows, footer)
-    if config.output_path is not None:
-        print(f"{verdict} max_rel_diff={_fmt(worst)} tol={_fmt(tol)}")
-    return 0 if verdict == "PASS" else 1
+        rows.append(_plane_to_row(zeta, scene.dims) + [report.lhs, report.rhs, report.abs_diff])
+    columns = _plane_columns(scene.dims) + ["lhs", "rhs", "abs_diff"]
+    return _emit(args, scene, spec, riesz, columns, rows, header={"tol": tol, "count": args.count},
+                 footer={"max_rel_diff": worst}, passed=worst <= tol, criterion=f"tol {_fmt(tol)}",
+                 summary={"max_rel_diff": worst, "tol": tol})
 
 
 def _cmd_zonal_forward(args) -> int:
-    scene, dims, spec, config = _load(args, zonal=True)
+    scene, spec, riesz = _load(args)
     profile = scene_profile(scene)
-    if args.t_count < 1 or args.t_max < 0:
-        raise SceneError("offset grid needs t-count >= 1 and t-max >= 0")
+    if args.t_max < 0:
+        raise SceneError("offset grid needs t-max >= 0")
     rows = []
     for t in np.linspace(0.0, args.t_max, args.t_count):
-        value = zonal_forward(profile, float(t), dims, spec)
+        value = zonal_forward(profile, float(t), scene.dims, spec)
         rows.append([float(t), t / math.hypot(1.0, t), value])
-    header = _provenance("zonal-forward", scene, config,
-                         extra=[f"t_max: {_fmt(args.t_max)}", f"t_count: {args.t_count}"])
-    _write_csv(config, header, ["t", "dist", "value"], rows)
-    return 0
+    return _emit(args, scene, spec, riesz, ["t", "dist", "value"], rows,
+                 header={"t_max": args.t_max, "t_count": args.t_count})
 
 
 def _cmd_zonal_invert(args) -> int:
-    scene, dims, spec, config = _load(args, zonal=True)
+    scene, spec, riesz = _load(args)
     tol = args.tol if args.tol is not None else 1e-3
     profile = scene_profile(scene)
-
-    def forward(t: float) -> float:
-        return zonal_forward(profile, t, dims, spec)
-
-    recovered = zonal_invert(forward, dims, spec)
+    recovered = zonal_invert(lambda t: zonal_forward(profile, t, scene.dims, spec), scene.dims, spec)
     s_grid = np.geomspace(0.1, 10.0, 65)
     truth = np.asarray(profile(s_grid), dtype=float)
     rec = np.asarray(recovered(s_grid), dtype=float)
     weighted = np.abs(rec - truth) / (1.0 + np.abs(truth))
     worst = float(np.max(weighted))
-    rows = [[s, tv, rv, w] for s, tv, rv, w in zip(s_grid, truth, rec, weighted)]
-    verdict = "PASS" if worst <= tol else "FAIL"
-    footer = [f"max_weighted_err: {_fmt(worst)}", f"{verdict} (tol {_fmt(tol)})"]
-    header = _provenance("zonal-invert", scene, config, tol=tol)
-    _write_csv(config, header, ["s", "reference", "recovered", "weighted_err"], rows, footer)
-    if config.output_path is not None:
-        print(f"{verdict} max_weighted_err={_fmt(worst)} tol={_fmt(tol)}")
-    return 0 if verdict == "PASS" else 1
+    rows = zip(s_grid, truth, rec, weighted)
+    return _emit(args, scene, spec, riesz, ["s", "reference", "recovered", "weighted_err"], rows,
+                 header={"tol": tol}, footer={"max_weighted_err": worst}, passed=worst <= tol,
+                 criterion=f"tol {_fmt(tol)}", summary={"max_weighted_err": worst, "tol": tol})
 
 
 def _cmd_invert(args) -> int:
-    scene, dims, spec, config = _load(args)
+    scene, spec, riesz = _load(args)
     tol = args.tol if args.tol is not None else 0.05
     field = build_field(scene)
-
-    def measured(tau) -> float:
-        return slice_transform(field, tau, spec)
-
-    reconstruction = invert_slice(measured, dims, config.riesz, spec)
-    pts, _ = sphere_rule(dims.n, args.grid_order)
+    reconstruction = invert_slice(lambda tau: slice_transform(field, tau, spec), scene.dims, riesz, spec)
+    pts, _ = sphere_rule(scene.dims.n, args.grid_order)
     pts = pts[pts[:, -1] <= args.cap_limit]
     if not len(pts):
         raise SceneError("cap-limit excludes every evaluation point")
@@ -444,83 +420,58 @@ def _cmd_invert(args) -> int:
     scale = float(np.max(np.abs(reference)))
     worst = float(np.max(errors))
     rows = [list(p) + [v, r, e] for p, v, r, e in zip(pts, values, reference, errors)]
-    verdict = "PASS" if worst <= tol * max(scale, 1e-300) else "FAIL"
-    footer = [
-        f"sup_abs_err: {_fmt(worst)}",
-        f"reference_scale: {_fmt(scale)}",
-        f"{verdict} (tol {_fmt(tol)} relative)",
-    ]
-    header = _provenance("invert", scene, config, tol=tol,
-                         extra=[f"grid_order: {args.grid_order}", f"cap_limit: {_fmt(args.cap_limit)}"])
-    columns = [f"eta{j + 1}" for j in range(dims.n + 1)] + ["value", "reference", "abs_error"]
-    _write_csv(config, header, columns, rows, footer)
-    if config.output_path is not None:
-        print(f"{verdict} sup_abs_err={_fmt(worst)} scale={_fmt(scale)} tol={_fmt(tol)}")
-    return 0 if verdict == "PASS" else 1
+    columns = [f"eta{j + 1}" for j in range(scene.dims.n + 1)] + ["value", "reference", "abs_error"]
+    return _emit(args, scene, spec, riesz, columns, rows,
+                 header={"tol": tol, "grid_order": args.grid_order, "cap_limit": args.cap_limit},
+                 footer={"sup_abs_err": worst, "reference_scale": scale},
+                 passed=worst <= tol * max(scale, 1e-300), criterion=f"tol {_fmt(tol)} relative",
+                 summary={"sup_abs_err": worst, "scale": scale, "tol": tol})
 
 
 def _cmd_support(args) -> int:
-    scene, dims, spec, config = _load(args)
-    field = build_field(scene)
-    cap = CapSpec(args.b)
-    report = support_experiment(field, cap, dims, spec, args.trials)
+    scene, spec, riesz = _load(args)
+    report = support_experiment(build_field(scene), CapSpec(args.b), scene.dims, spec, args.trials)
     rows = [
         ["beyond_threshold", f"b_star={_fmt(report.threshold)}",
          "pass" if report.vanishing_ok else "fail", report.max_beyond],
         ["control_nonzero", f"dist={_fmt(CONTROL_DIST)}", "pass" if report.control_ok else "fail",
          report.max_control],
     ]
-    verdict = "PASS" if (report.vanishing_ok and report.control_ok) else "FAIL"
-    footer = [f"scale: {_fmt(report.scale)}", f"{verdict} (noise floor {_fmt(report.noise_floor)})"]
-    header = _provenance("support", scene, config,
-                         extra=[f"b: {_fmt(args.b)}", f"trials: {args.trials}"])
-    _write_csv(config, header, ["check", "parameter", "verdict", "max_violation"], rows, footer)
-    if config.output_path is not None:
-        print(f"{verdict} max_beyond={_fmt(report.max_beyond)} control={_fmt(report.max_control)}")
-    return 0 if verdict == "PASS" else 1
+    return _emit(args, scene, spec, riesz, ["check", "parameter", "verdict", "max_violation"], rows,
+                 header={"b": args.b, "trials": args.trials}, footer={"scale": report.scale},
+                 passed=report.vanishing_ok and report.control_ok,
+                 criterion=f"noise floor {_fmt(report.noise_floor)}",
+                 summary={"max_beyond": report.max_beyond, "control": report.max_control})
 
 
 def _cmd_existence(args) -> int:
-    scene, dims, spec, config = _load(args)
+    scene, spec, riesz = _load(args)
     if args.mu is not None:
         field = power_growth_field(args.mu)
         subject = f"pole_power mu={_fmt(args.mu)}"
     else:
         field = build_field(scene)
         subject = f"scene {scene.family}"
-    report = existence_check(field, dims, spec=spec)
-    rows = [[level, value] for level, value in report.trace]
-    footer = [f"subject: {subject}", f"verdict: {report.verdict}"]
-    header = _provenance("existence", scene, config)
-    _write_csv(config, header, ["level", "value"], rows, footer)
-    if config.output_path is not None:
-        print(f"verdict={report.verdict}")
-    if args.expect is not None:
-        return 0 if report.verdict == args.expect else 1
-    return 0
+    report = existence_check(field, scene.dims, spec=spec)
+    return _emit(args, scene, spec, riesz, ["level", "value"], report.trace,
+                 footer={"subject": subject, "verdict": report.verdict},
+                 passed=None if args.expect is None else report.verdict == args.expect,
+                 summary={"verdict": report.verdict})
 
 
 def _cmd_dual(args) -> int:
-    scene, dims, spec, config = _load(args)
-    if args.grid_size < 1 or args.extent <= 0:
-        raise SceneError("dual grid needs grid-size >= 1 and extent > 0")
+    scene, spec, riesz = _load(args)
+    if args.extent <= 0:
+        raise SceneError("dual grid needs extent > 0")
+    dims = scene.dims
     g = op_B(build_field(scene), dims)
-
-    def flat_data(zeta: FlatSpec) -> float:
-        return radon_john(g, zeta, spec)
-
     axis = np.linspace(-args.extent, args.extent, args.grid_size)
     grids = np.meshgrid(*([axis] * dims.n), indexing="ij")
     points = np.stack([g_.ravel() for g_ in grids], axis=-1)
-    rows = []
-    for x in points:
-        value = dual_transform(flat_data, x, dims.k - 1, dims, spec)
-        rows.append(list(x) + [value])
-    header = _provenance("dual", scene, config,
-                         extra=[f"grid_size: {args.grid_size}", f"extent: {_fmt(args.extent)}"])
-    columns = [f"x{j + 1}" for j in range(dims.n)] + ["value"]
-    _write_csv(config, header, columns, rows)
-    return 0
+    rows = [list(x) + [dual_transform(lambda zeta: radon_john(g, zeta, spec), x, dims.k - 1, dims, spec)]
+            for x in points]
+    return _emit(args, scene, spec, riesz, [f"x{j + 1}" for j in range(dims.n)] + ["value"], rows,
+                 header={"grid_size": args.grid_size, "extent": args.extent})
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ cross-section, are what the transforms consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,7 +149,7 @@ class SlicePlane:
     def dims(self) -> Dimensions:
         return Dimensions(self.section.ambient_dim, self.section.dim + 1)
 
-    @property
+    @cached_property
     def t(self) -> float:
         return self.section.distance
 

@@ -88,6 +88,14 @@ def test_lp_weight_decaying_field_is_finite():
     assert value > 0.0
 
 
+def test_lp_weight_matches_the_area_of_the_sphere():
+    # against the weight (1 - eta_last)^(k-1-n/p) = (1 - eta_last)^-2 the
+    # field (1 - eta_last)^2 integrates 1 over S^3, of area 2 pi^2; the cap
+    # refinement adds to the bulk integral
+    f = SphereField(lambda eta: (1.0 - np.atleast_2d(eta)[:, -1]) ** 2, pole_exponent=-2.0)
+    assert lp_weight_check(f, 1.0, Dimensions(3, 2), SPEC) == pytest.approx(2.0 * math.pi**2, rel=1e-5)
+
+
 def test_lp_weight_zero_field():
     f = SphereField(lambda eta: np.zeros(len(np.atleast_2d(eta))))
     assert lp_weight_check(f, 1.0, Dimensions(3, 2), SPEC) == 0.0

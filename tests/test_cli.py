@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from sphslice import save_profile_csv
+from sphslice import cli
 from sphslice.cli import main
 
 
 GAUSS = "family = zonal_gaussian\namplitude = 1.0\nwidth = 1.0\nn = 3\nk = 2\n"
 BUMP = "family = cap_bump\nb = 0.0\nsharpness = 0.1\nn = 3\nk = 2\n"
+GAUSS33 = "family = zonal_gaussian\nn = 3\nk = 3\n"
+LOW = ["--sphere-order", "16", "--radial-order", "16"]
 
 
 @pytest.fixture
@@ -108,6 +111,10 @@ def test_existence_verdicts(gauss_scene):
                 "--expect", "converges"]) == 1
     assert run(["existence", gauss_scene, "--mu", "0.4", "--n", "3", "--k", "2",
                 "--expect", "converges"]) == 0
+
+
+def test_cli_exports_only_main():
+    assert cli.__all__ == ["main"]
 
 
 def test_missing_scene_exits_2(tmp_path):
@@ -211,7 +218,7 @@ def test_console_script_smoke(gauss_scene):
     assert "converges" in proc.stdout
 
 
-GOLDEN_FACTOR_CHECK = Path(__file__).parent / "data" / "factor_check_zonal_gaussian_n3k3.csv"
+DATA = Path(__file__).parent / "data"
 
 
 def _tokens(line):
@@ -225,31 +232,96 @@ def _tokens(line):
     return out
 
 
-def test_factor_check_matches_the_golden_csv(tmp_path):
-    # Determinism beyond one environment: the run reproduces the committed
-    # CSV to 1e-12 relative.  abs_diff and max_rel_diff are rounding noise,
-    # so they are compared to 1e-12 of the integrals they are differences of.
-    scene = tmp_path / "gauss.scene"
-    scene.write_text("family = zonal_gaussian\nn = 3\nk = 3\n")
-    out = tmp_path / "factor.csv"
-    assert run(["factor-check", str(scene), "5", "--seed", "9", "--sphere-order", "48",
-                "--radial-order", "64", "--out", str(out)]) == 0
-    got = [_tokens(line) for line in out.read_text().splitlines()]
-    want = [_tokens(line) for line in GOLDEN_FACTOR_CHECK.read_text().splitlines()]
+# Differences are rounding noise, so each is compared to 1e-12 of the size of
+# what it is a difference of: lhs and rhs for abs_diff, and 1 for the zonal
+# round trip's errors (weighted by 1 + |reference|; far out, `recovered` is a
+# cancellation residue too) and for the support violations (fields of peak
+# O(1), see the `scale:` footer).
+_FLOORS = {"max_rel_diff": 1.0, "max_weighted_err": 1.0, "weighted_err": 1.0, "recovered": 1.0,
+           "max_violation": 1.0, "max_beyond": 1.0}
+
+
+def _assert_matches_golden(got_lines, want_lines, *, csv=True):
+    # Determinism beyond one environment: a run reproduces the committed
+    # output to 1e-12 relative, differences to 1e-12 of their floor.
+    got = [_tokens(line) for line in got_lines]
+    want = [_tokens(line) for line in want_lines]
     assert len(got) == len(want)
-    columns = next(row for row in want if row[0] != "#")
+    columns = next(row for row in want if row[0] != "#") if csv else None
     for got_row, want_row in zip(got, want):
         assert len(got_row) == len(want_row)
-        if want_row[0] == "#":
-            # a number in a comment is named by the word before it
-            names, floors = [None] + want_row[:-1], {"max_rel_diff": 1.0}
-        elif want_row is columns:
+        if want_row is columns:
             names, floors = columns, {}
+        elif want_row[0] == "#" or not csv:
+            # a number in a comment or summary line is named by the word before it
+            names, floors = [None] + want_row[:-1], _FLOORS
         else:
             row = dict(zip(columns, want_row))
-            names, floors = columns, {"abs_diff": max(abs(row["lhs"]), abs(row["rhs"]))}
+            names, floors = columns, dict(_FLOORS)
+            if "abs_diff" in row:
+                floors["abs_diff"] = max(abs(row["lhs"]), abs(row["rhs"]))
         for name, g, w in zip(names, got_row, want_row):
             if isinstance(w, str):
                 assert g == w
             else:
                 assert abs(g - w) <= 1e-12 * max(abs(w), floors.get(name, 0.0)), (name, g, w)
+
+
+GOLDEN_RUNS = [
+    ("factor_check_zonal_gaussian_n3k3", GAUSS33,
+     ["factor-check", "5", "--seed", "9", "--sphere-order", "48", "--radial-order", "64"],
+     "PASS max_rel_diff=2.2499503817550981e-15 tol=9.9999999999999995e-07"),
+    ("forward_zonal_gaussian_n3k2", GAUSS, ["forward", "4", "--seed", "9"] + LOW, ""),
+    ("radon_zonal_gaussian_n3k2", GAUSS, ["radon", "3", "--seed", "9"] + LOW, ""),
+    ("zonal_forward_zonal_gaussian_n3k2", GAUSS,
+     ["zonal-forward", "--t-max", "2", "--t-count", "5"] + LOW, ""),
+    ("zonal_invert_zonal_gaussian_n3k3", GAUSS33, ["zonal-invert"] + LOW,
+     "PASS max_weighted_err=1.0135526176360101e-07 tol=0.001"),
+    ("support_cap_bump_n3k2", BUMP, ["support", "--trials", "10", "--seed", "5"] + LOW,
+     "PASS max_beyond=0 control=1.4473326613403827"),
+    ("existence_pole_power_n3k2", GAUSS, ["existence", "--mu", "0.4", "--expect", "converges"] + LOW,
+     "verdict=converges"),
+    ("dual_zonal_gaussian_n3k2", GAUSS, ["dual", "--grid-size", "2", "--extent", "1.5"] + LOW, ""),
+]
+
+
+@pytest.mark.parametrize("golden,scene,argv,summary", GOLDEN_RUNS, ids=[run[0] for run in GOLDEN_RUNS])
+def test_output_matches_the_golden_csv(tmp_path, capsys, golden, scene, argv, summary):
+    # The CSV, the summary printed after a file write and the exit code of
+    # each subcommand, as committed under tests/data.
+    path = tmp_path / "s.scene"
+    path.write_text(scene)
+    out = tmp_path / "out.csv"
+    assert run([argv[0], str(path)] + argv[1:] + ["--out", str(out)]) == 0
+    _assert_matches_golden(out.read_text().splitlines(), (DATA / f"{golden}.csv").read_text().splitlines())
+    _assert_matches_golden(capsys.readouterr().out.splitlines(), summary.splitlines(), csv=False)
+
+
+def test_unwritable_out_exits_2(capsys, gauss_scene):
+    missing = Path(gauss_scene).parent / "no_such_dir" / "out.csv"
+    assert run(["forward", gauss_scene, "1", "--sphere-order", "16", "--radial-order", "16",
+                "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no_such_dir" in err
+
+
+def test_missing_profile_file_exits_2(tmp_path, capsys):
+    scene = tmp_path / "custom.scene"
+    scene.write_text(f"family = custom_profile_csv\npath = {tmp_path / 'missing.csv'}\n")
+    assert run(["zonal-forward", str(scene), "--t-count", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "1", "--sphere-order", "0"],
+    ["forward", "1", "--radial-order", "0"],
+    ["factor-check", "0"],
+    ["zonal-forward", "--t-count", "0"],
+    ["invert", "--grid-order", "0"],
+    ["support", "--trials", "0"],
+    ["dual", "--grid-size", "-1"],
+], ids=["sphere-order", "radial-order", "count", "t-count", "grid-order", "trials", "grid-size"])
+def test_count_below_one_is_a_usage_error(capsys, gauss_scene, argv):
+    assert run([argv[0], gauss_scene] + argv[1:]) == 2
+    assert "invalid positive int value" in capsys.readouterr().err

@@ -112,3 +112,14 @@ def test_cross_section_is_bit_identical_to_the_broadcast_formula(k):
             assert nodes.flags.f_contiguous
             assert np.array_equal(nodes, tau.center[None, :] + tau.radius * (sigma_nodes @ dirs))
             assert np.array_equal(weights, sigma_w * tau.radius ** (k - 1))
+
+
+def test_cross_section_reads_the_offset_norm_once(monkeypatch):
+    # radius, center and span_direction all share the cached t = |offset|
+    calls = []
+    distance = FlatSpec.distance
+    monkeypatch.setattr(FlatSpec, "distance", property(lambda self: calls.append(1) or distance.fget(self)))
+    tau = SlicePlane(random_flat(np.random.default_rng(3), 3, 1, 0.7))
+    sample_sphere_cross_section(tau, 8)
+    assert len(calls) == 1
+    assert tau.t == float(np.linalg.norm(tau.section.offset))
