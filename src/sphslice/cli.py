@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,9 +37,10 @@ __all__ = ["main"]
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_writable(args.out)
         return args.handler(args)
     except (SceneError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -57,6 +60,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _check_writable(path: str):
+    """Raise OSError if path cannot be opened for writing, before any computation.
+
+    An existing file is opened for appending, so it is not truncated, and a
+    file the check creates is removed again.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+# Built once per process: parse_args leaves the parser unchanged and returns
+# a fresh namespace on every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=None, help="sphere dimension (overrides scene)")
@@ -381,10 +400,9 @@ def _cmd_zonal_forward(args) -> int:
     profile = scene_profile(scene)
     if args.t_max < 0:
         raise SceneError("offset grid needs t-max >= 0")
-    rows = []
-    for t in np.linspace(0.0, args.t_max, args.t_count):
-        value = zonal_forward(profile, float(t), scene.dims, spec)
-        rows.append([float(t), t / math.hypot(1.0, t), value])
+    offsets = np.linspace(0.0, args.t_max, args.t_count)
+    values = zonal_forward(profile, offsets, scene.dims, spec)
+    rows = [[float(t), t / math.hypot(1.0, t), value] for t, value in zip(offsets, values)]
     return _emit(args, scene, spec, riesz, ["t", "dist", "value"], rows,
                  header={"t_max": args.t_max, "t_count": args.t_count})
 

@@ -93,12 +93,15 @@ def _unchecked_flat(basis: np.ndarray, offset: np.ndarray) -> FlatSpec:
     """A FlatSpec whose basis is orthonormal and offset orthogonal by construction.
 
     Skips the checks of FlatSpec.__post_init__ (tens of microseconds per
-    flat) but stores read-only copies as it does.  Only for arrays the library
-    has built so that the checks hold.
+    flat) and the copies: basis and offset must already be read-only float
+    arrays, which the flat then shares.  Only for arrays the library has
+    built so that the checks hold.
     """
+    if basis.flags.writeable or offset.flags.writeable:
+        raise ValueError("unchecked flats share read-only arrays only")
     flat = object.__new__(FlatSpec)
-    object.__setattr__(flat, "basis", _freeze(basis))
-    object.__setattr__(flat, "offset", _freeze(offset))
+    object.__setattr__(flat, "basis", basis)
+    object.__setattr__(flat, "offset", offset)
     return flat
 
 

@@ -351,8 +351,12 @@ class _LineDualField:
     def _fill(self, p_values: np.ndarray) -> np.ndarray:
         block = np.empty((len(self._unit_lines), len(p_values)))
         for i, line in enumerate(self._unit_lines):
-            for j, p in enumerate(p_values):
-                block[i, j] = self._data(_unchecked_flat(line.basis, p * line.offset))
+            # One read-only array of the offsets p * normal per orientation;
+            # every line shares it and the line's frozen basis.
+            offsets = np.multiply.outer(p_values, line.offset)
+            offsets.setflags(write=False)
+            for j, offset in enumerate(offsets):
+                block[i, j] = self._data(_unchecked_flat(line.basis, offset))
         return block
 
     def _ensure(self, p_needed: float):

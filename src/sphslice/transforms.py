@@ -13,6 +13,7 @@ checked numerically rather than assumed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -132,9 +133,13 @@ def _quadrature_sum(field, nodes: np.ndarray, weights: np.ndarray, where: str) -
         vals = np.empty(len(nodes))
         for lo in range(0, len(nodes), _BLOCK_POINTS):
             vals[lo : lo + _BLOCK_POINTS] = field(nodes[lo : lo + _BLOCK_POINTS])
-    if not np.isfinite(vals).all():
+    total = float((vals * weights).sum())
+    # The weights are finite, so a non-finite value makes the sum non-finite:
+    # the values are scanned only then.  A sum that overflows from finite
+    # values stays inf.
+    if not math.isfinite(total) and not np.isfinite(vals).all():
         raise ValueError(f"integrand blowup: field is not finite on {where}")
-    return float((vals * weights).sum())
+    return total
 
 
 def op_B(f: SphereField, dims: Dimensions) -> PlaneField:

@@ -27,6 +27,7 @@ from .quadrature import QuadratureSpec, gauss_legendre, panel_edges
 # nu is unused here but stays importable as zonal.nu: the traced benchmark
 # (bench/tracer.py) replaces it.
 from .stereo import nu
+from .transforms import _BLOCK_POINTS, SphereField
 
 __all__ = [
     "ZonalProfile",
@@ -58,7 +59,9 @@ def sigma(d: int) -> float:
 class ZonalProfile:
     """Radial profile of a zonal field, as a function of the stereographic radius.
 
-    f0 must accept arrays of s >= 0.  Profiles are expected to decay at
+    f0 must accept arrays of s >= 0 of any shape and be pointwise: the value
+    at a point may not depend on the other points, because zonal_forward
+    evaluates (offset, node) blocks.  Profiles are expected to decay at
     infinity (that is, towards the pole); grid optionally records the samples
     the profile was built from, as a (s, values) pair.
     """
@@ -70,34 +73,65 @@ class ZonalProfile:
         return np.asarray(self.f0(np.asarray(s, dtype=float)), dtype=float)
 
 
-def zonal_forward(profile: ZonalProfile, t: float, dims: Dimensions, spec: QuadratureSpec) -> float:
+def zonal_forward(profile: ZonalProfile, t: float | np.ndarray, dims: Dimensions, spec: QuadratureSpec):
     """Slice transform of a zonal field over any plane with offset length t.
 
-    The radial integral is truncated at spec.radial_cutoff in the substituted
-    variable q; for a profile decaying like s^{-a} the neglected tail scales
-    like cutoff^{1-k-a}.  A tail whose dyadic panel masses stop decaying
-    raises, since then the defining integral cannot converge.
+    t may be a scalar, which gives a float, or an array of offsets, which
+    gives an array of the same shape; each value equals the scalar call's bit
+    for bit.  The radial integral is truncated at spec.radial_cutoff in the
+    substituted variable q; for a profile decaying like s^{-a} the neglected
+    tail scales like cutoff^{1-k-a}.  A tail whose dyadic panel masses stop
+    decaying at any offset raises, since then the defining integral cannot
+    converge there.
     """
-    if t < 0.0:
+    offsets = np.asarray(t, dtype=float)
+    if np.any(offsets < 0.0):
         raise ValueError("offset length t must be >= 0")
     k = dims.k
     front = 2.0 ** (k - 1) * sigma(k - 2)
     edges = panel_edges(0.0, spec.radial_cutoff)
-    total = 0.0
-    masses = []
+    panels = []
     for a, b in zip(edges[:-1], edges[1:]):
         q, w = gauss_legendre(spec.radial_order, a, b)
-        s = np.hypot(t, q)
-        vals = profile(s) * (1.0 + s * s) ** (1 - k) * q ** (k - 2)
-        if not np.all(np.isfinite(vals)):
+        panels.append((q, w, q ** (k - 2)))
+    flat = offsets.ravel()
+    total = np.empty(flat.shape)
+    # Offsets are taken in chunks of at most _BLOCK_POINTS (t, q) nodes per
+    # panel, so the temporaries stay small however many offsets there are.
+    chunk = max(1, _BLOCK_POINTS // spec.radial_order)
+    for lo in range(0, len(flat), chunk):
+        total[lo : lo + chunk] = _panel_totals(profile, flat[lo : lo + chunk], panels, k)
+    values = front * total
+    return float(values[0]) if offsets.ndim == 0 else values.reshape(offsets.shape)
+
+
+def _panel_totals(profile, t: np.ndarray, panels, k: int) -> np.ndarray:
+    """Sum over the dyadic panels of each offset's integral, with the tail check per offset.
+
+    Row i of every (len(t), m) panel block is the scalar route's integrand
+    at t[i]; its row sum and the panel order are the scalar route's too.
+    """
+    total = np.zeros(len(t))
+    masses = []
+    for q, w, q_power in panels:
+        s = np.hypot(t[:, None], q)
+        vals = profile(s) * (1.0 + s * s) ** (1 - k) * q_power
+        contrib = np.sum(vals * w, axis=-1)
+        # The weights are finite, so a non-finite value makes its row's sum
+        # non-finite: the values are scanned only then.
+        if not np.isfinite(contrib).all() and not np.isfinite(vals).all():
             raise ValueError("integrand blowup in zonal forward integral")
-        contrib = float(np.sum(vals * w))
-        masses.append(abs(contrib))
+        masses.append(np.abs(contrib))
         total += contrib
-    if len(masses) >= 3 and masses[-1] > 1e-12 * (sum(masses) + 1e-300):
-        if masses[-1] >= _TAIL_RATIO * masses[-2] and masses[-2] >= _TAIL_RATIO * masses[-3]:
+    if len(masses) >= 3:
+        diverging = (
+            (masses[-1] > 1e-12 * (sum(masses) + 1e-300))
+            & (masses[-1] >= _TAIL_RATIO * masses[-2])
+            & (masses[-2] >= _TAIL_RATIO * masses[-3])
+        )
+        if diverging.any():
             raise ValueError("existence condition failed: zonal integrand tail does not decay")
-    return front * total
+    return total
 
 
 def _deriv5(vals: np.ndarray, h: float) -> np.ndarray:
@@ -147,6 +181,8 @@ def zonal_invert(F0: Callable[[float], float], dims: Dimensions, spec: Quadratur
     differences) composed, for even k, with a complementary half-order
     integration (product-trapezoidal rule).  Accuracy degrades within a few
     nodes of the grid ends; evaluate the result well inside [S_MIN, S_MAX].
+    F0 is called once with the whole grid array; a callback that refuses
+    arrays (TypeError or ValueError) is called once per grid point instead.
     """
     k = dims.k
     s = np.geomspace(S_MIN, S_MAX, GRID_POINTS)
@@ -190,8 +226,6 @@ def profile_to_sphere_field(profile: ZonalProfile, dims: Dimensions):
     The stereographic radius at a sphere point is s = sqrt((1+eta_last)/(1-eta_last));
     the profile must decay at infinity for the field to extend to the pole.
     """
-    from .transforms import SphereField
-
     def feval(eta: np.ndarray) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
         last = np.clip(eta[..., -1], -1.0, 1.0)

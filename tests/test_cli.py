@@ -297,12 +297,19 @@ def test_output_matches_the_golden_csv(tmp_path, capsys, golden, scene, argv, su
     _assert_matches_golden(capsys.readouterr().out.splitlines(), summary.splitlines(), csv=False)
 
 
-def test_unwritable_out_exits_2(capsys, gauss_scene):
-    missing = Path(gauss_scene).parent / "no_such_dir" / "out.csv"
-    assert run(["forward", gauss_scene, "1", "--sphere-order", "16", "--radial-order", "16",
-                "--out", str(missing)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "no_such_dir" in err
+def test_unwritable_out_exits_2(monkeypatch, capsys, gauss_scene):
+    # --out is checked before the computation starts: an invert run would
+    # otherwise take tens of seconds before failing to open it.
+    def refuse_to_compute(path):
+        raise AssertionError("the computation started")
+
+    monkeypatch.setattr(cli, "parse_scene", refuse_to_compute)
+    folder = Path(gauss_scene).parent
+    for command in (["forward", gauss_scene, "1"], ["invert", gauss_scene]):
+        for target in (folder / "no_such_dir" / "out.csv", folder):
+            assert run(command + ["--out", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(target) in err
 
 
 def test_missing_profile_file_exits_2(tmp_path, capsys):
@@ -325,3 +332,45 @@ def test_missing_profile_file_exits_2(tmp_path, capsys):
 def test_count_below_one_is_a_usage_error(capsys, gauss_scene, argv):
     assert run([argv[0], gauss_scene] + argv[1:]) == 2
     assert "invalid positive int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags,shape", [
+    ("zonal-forward", ["--t-count", "7"], (7,)),
+    ("zonal-invert", [], (800,)),
+])
+def test_zonal_subcommands_call_the_forward_integral_once(monkeypatch, tmp_path, gauss_scene,
+                                                          command, flags, shape):
+    # zonal-invert hands its whole 800-point grid to one batched call instead
+    # of an array attempt followed by 800 scalar calls.
+    seen = []
+    forward = cli.zonal_forward
+
+    def counting_forward(profile, t, dims, spec):
+        seen.append(np.shape(t))
+        return forward(profile, t, dims, spec)
+
+    monkeypatch.setattr(cli, "zonal_forward", counting_forward)
+    assert run([command, gauss_scene, "--out", str(tmp_path / "out.csv")] + flags + LOW) == 0
+    assert seen == [shape]
+
+
+def test_consecutive_runs_share_no_output_target(tmp_path, capsys, gauss_scene):
+    out = tmp_path / "out.csv"
+    argv = ["zonal-forward", gauss_scene, "--t-count", "3"] + LOW
+    assert run(argv + ["--out", str(out)]) == 0
+    written = out.read_text()
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == written
+    assert out.read_text() == written
+
+
+def test_out_check_neither_truncates_nor_leaves_a_file(tmp_path, capsys):
+    missing_scene = str(tmp_path / "missing.scene")
+    existing = tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    assert run(["forward", missing_scene, "1", "--out", str(existing)]) == 2
+    assert existing.read_text() == "kept\n"
+    fresh = tmp_path / "fresh.csv"
+    assert run(["forward", missing_scene, "1", "--out", str(fresh)]) == 2
+    assert not fresh.exists()

@@ -10,7 +10,7 @@ from sphslice import (
     make_flat,
     random_flat,
 )
-from sphslice.geometry import sample_sphere_cross_section
+from sphslice.geometry import _unchecked_flat, sample_sphere_cross_section
 from sphslice.quadrature import sphere_rule
 
 # cotangent offset 3 puts the section at distance 3/sqrt(10) from the origin
@@ -123,3 +123,11 @@ def test_cross_section_reads_the_offset_norm_once(monkeypatch):
     sample_sphere_cross_section(tau, 8)
     assert len(calls) == 1
     assert tau.t == float(np.linalg.norm(tau.section.offset))
+
+
+def test_unchecked_flats_share_read_only_arrays_only():
+    line = FlatSpec(np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="read-only"):
+        _unchecked_flat(line.basis, np.array([0.0, 2.0]))
+    flat = _unchecked_flat(line.basis, line.offset)
+    assert flat.basis is line.basis and flat.offset is line.offset

@@ -479,3 +479,22 @@ def test_line_table_flats_are_valid_and_read_only():
     assert len(seen) > 4 * 1001
     for zeta in seen:
         assert not zeta.basis.flags.writeable and not zeta.offset.flags.writeable
+
+
+def test_line_table_flats_share_their_orientation_basis():
+    seen = []
+
+    def data(zeta):
+        seen.append(zeta)
+        return 0.0
+
+    field = inversion._LineDualField(data, QuadratureSpec(orientation_samples=3))
+    per_line = len(field._p)
+    assert len(seen) == 3 * per_line
+    for i, line in enumerate(field._unit_lines):
+        flats = seen[i * per_line : (i + 1) * per_line]
+        assert all(zeta.basis is line.basis for zeta in flats)
+        # the offsets are the products p * normal of one flat per offset
+        offsets = np.array([zeta.offset for zeta in flats])
+        assert np.array_equal(offsets, np.array([p * line.offset for p in field._p]))
+

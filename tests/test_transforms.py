@@ -308,3 +308,29 @@ def test_slice_transform_is_linear(dims, families, coefficients, seed, t):
     separate = a * slice_transform(f, tau, spec) + b * slice_transform(g, tau, spec)
     scale = slice_transform(SphereField(lambda eta: np.abs(a * f(eta)) + np.abs(b * g(eta))), tau, spec)
     assert abs(combined - separate) <= 1e-12 * scale
+
+
+def _one_node(value):
+    """A plane field that is 1 everywhere except value at the first node of a batch."""
+    def evaluate(x):
+        out = np.ones(len(x))
+        out[0] = value
+        return out
+    return PlaneField(evaluate)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_one_non_finite_node_raises(value):
+    zeta = make_flat([[1.0, 0.0]], [0.0, 0.5])
+    with pytest.raises(ValueError, match="integrand blowup: field is not finite on the flat"):
+        radon_john(_one_node(value), zeta, SPEC)
+    tau = section_to_plane(zeta)
+    with pytest.raises(ValueError, match="integrand blowup: field is not finite on the cross-section"):
+        slice_transform(SphereField(_one_node(value).eval), tau, SPEC)
+
+
+def test_finite_values_whose_sum_overflows_give_inf():
+    # Every value is finite, so nothing is refused; the sum itself overflows.
+    huge = PlaneField(lambda x: np.full(len(x), 1e308))
+    with np.errstate(over="ignore"):
+        assert radon_john(huge, make_flat([[1.0, 0.0]], [0.0, 0.5]), SPEC) == math.inf

@@ -19,6 +19,9 @@ from sphslice import (
     zonal_forward,
     zonal_invert,
 )
+from sphslice.quadrature import composite_gauss, gauss_legendre, panel_edges
+from sphslice.scenes import SceneSpec, scene_profile
+from sphslice.transforms import _BLOCK_POINTS
 
 
 def gauss_profile(width=1.0):
@@ -133,3 +136,102 @@ def test_profile_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded(grid), profile(grid))
     # beyond the stored grid the profile is extended by zero
     assert loaded(np.array([80.0]))[0] == 0.0
+
+
+# A radial order of 2048 makes a chunk of _BLOCK_POINTS // 2048 = 8 offsets,
+# so short offset arrays reach across chunk boundaries.
+BATCH_SPEC = QuadratureSpec(radial_order=2048, radial_cutoff=12.0)
+BATCH_CHUNK = _BLOCK_POINTS // BATCH_SPEC.radial_order
+
+
+def _batch_profile(name, dims, tmp_path):
+    """A scene profile, a load_profile_csv profile or a plain function."""
+    if name == "plain_function":
+        return lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float) ** 2) ** 2
+    if name == "profile_csv":
+        path = tmp_path / "profile.csv"
+        grid = np.geomspace(0.05, 50.0, 120)
+        save_profile_csv(path, grid, np.exp(-grid) / (1.0 + grid))
+        return load_profile_csv(path)
+    return scene_profile(SceneSpec(family=name, parameters={}, dims=dims))
+
+
+def _reference_forward(profile, t, dims, spec):
+    """The one-offset loop zonal_forward replaced, as the bit-for-bit reference."""
+    k = dims.k
+    edges = panel_edges(0.0, spec.radial_cutoff)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        q, w = gauss_legendre(spec.radial_order, a, b)
+        s = np.hypot(t, q)
+        vals = profile(s) * (1.0 + s * s) ** (1 - k) * q ** (k - 2)
+        total += float(np.sum(vals * w))
+    return 2.0 ** (k - 1) * sigma(k - 2) * total
+
+
+@pytest.mark.parametrize("length", [1, BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1, 2 * BATCH_CHUNK + 1])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["zonal_gaussian", "cap_bump", "profile_csv", "plain_function"])
+def test_batched_offsets_equal_scalar_calls(tmp_path, name, k, length):
+    dims = Dimensions(max(3, k), k)
+    profile = _batch_profile(name, dims, tmp_path)
+    t = np.linspace(0.0, 4.0, length)
+    batched = zonal_forward(profile, t, dims, BATCH_SPEC)
+    scalar = np.array([zonal_forward(profile, float(ti), dims, BATCH_SPEC) for ti in t])
+    reference = np.array([_reference_forward(profile, float(ti), dims, BATCH_SPEC) for ti in t])
+    assert batched.shape == t.shape
+    assert np.array_equal(batched, scalar)
+    assert np.array_equal(batched, reference)
+
+
+def test_batched_offsets_keep_their_shape():
+    profile = gauss_profile()
+    dims = Dimensions(3, 2)
+    spec = QuadratureSpec(radial_order=16, radial_cutoff=10.0)
+    t = np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 2.5]])
+    values = zonal_forward(profile, t, dims, spec)
+    assert values.shape == t.shape
+    assert np.array_equal(values.ravel(), zonal_forward(profile, t.ravel(), dims, spec))
+    assert zonal_forward(profile, np.empty(0), dims, spec).shape == (0,)
+
+
+@pytest.mark.parametrize("t", [0.5, np.float64(0.5), np.array(0.5)])
+def test_scalar_offset_returns_a_float(t):
+    spec = QuadratureSpec(radial_order=16, radial_cutoff=10.0)
+    value = zonal_forward(gauss_profile(), t, Dimensions(3, 2), spec)
+    assert type(value) is float
+
+
+def test_batched_offsets_bound_the_profile_blocks():
+    sizes = []
+
+    def f0(s):
+        sizes.append(np.size(s))
+        return np.exp(-np.asarray(s, dtype=float) ** 2)
+
+    spec = QuadratureSpec(radial_order=64, radial_cutoff=10.0)
+    zonal_forward(ZonalProfile(f0), np.linspace(0.0, 3.0, 1000), Dimensions(3, 2), spec)
+    assert max(sizes) <= _BLOCK_POINTS
+    assert sum(sizes) == 1000 * len(composite_gauss(0.0, spec.radial_cutoff, spec.radial_order)[0])
+
+
+def test_batched_offsets_check_the_tail_per_offset():
+    # Far beyond the cutoff s = hypot(t, q) hardly moves along q, so the
+    # panel masses grow with the panel widths: t = 100 diverges on its own.
+    spec = QuadratureSpec(radial_order=32, radial_cutoff=12.0)
+    dims = Dimensions(3, 2)
+    rational = ZonalProfile(lambda s: (1.0 + np.asarray(s, dtype=float) ** 2) ** -2)
+    zonal_forward(rational, np.array([0.0, 0.5, 2.0]), dims, spec)
+    with pytest.raises(ValueError, match="existence"):
+        zonal_forward(rational, 100.0, dims, spec)
+    with pytest.raises(ValueError, match="existence"):
+        zonal_forward(rational, np.array([0.0, 0.5, 100.0, 2.0]), dims, spec)
+
+
+def test_batched_offsets_reject_a_negative_or_nan_offset():
+    spec = QuadratureSpec(radial_order=16, radial_cutoff=10.0)
+    dims = Dimensions(3, 2)
+    with pytest.raises(ValueError, match=">= 0"):
+        zonal_forward(gauss_profile(), np.array([0.0, 0.5, -0.1]), dims, spec)
+    with pytest.raises(ValueError, match="blowup"):
+        zonal_forward(gauss_profile(), np.array([0.0, np.nan, 1.0]), dims, spec)
