@@ -21,7 +21,6 @@ import numpy as np
 from .geometry import Dimensions, SlicePlane, random_flat
 from .quadrature import QuadratureSpec, composite_gauss, sphere_rule
 from .transforms import PlaneField, SphereField, radon_john, slice_transform
-from .zonal import sigma
 
 __all__ = [
     "CapSpec",
@@ -318,6 +317,8 @@ def kplane_support_probe(
     """
     if r <= 0.0:
         raise ValueError("support radius must be positive")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     d = dims.k - 1
     rng = np.random.default_rng(spec.seed)
     max_outside = 0.0

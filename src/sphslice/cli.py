@@ -86,10 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="radial cutoff of plane integrals (default: per scene family)")
     common.add_argument("--eps", type=float, default=0.05, help="inner cutoff of the hypersingular integral")
     common.add_argument("--outer", type=float, default=30.0, help="outer truncation of the hypersingular integral")
-    common.add_argument("--ell", type=int, default=None, help="finite-difference order (default per parity rule)")
     common.add_argument("--seed", type=int, default=0, help="random seed; fixed seed gives identical output")
     common.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    common.add_argument("--tol", type=float, default=None, help="pass/fail tolerance where applicable")
 
     parser = argparse.ArgumentParser(
         prog="sphslice",
@@ -119,6 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="slice transform vs the conjugated flat route, plane by plane")
     p.add_argument("scene", help="scene file")
     p.add_argument("count", type=_positive_int, help="number of random planes")
+    p.add_argument("--tol", type=float, default=1e-6, help="largest relative difference that passes")
     p.set_defaults(handler=_cmd_factor_check)
 
     p = sub.add_parser("zonal-forward", parents=[common],
@@ -131,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zonal-invert", parents=[common],
                        help="round-trip a zonal scene through the offset-profile inversion")
     p.add_argument("scene", help="scene file")
+    p.add_argument("--tol", type=float, default=1e-3, help="largest weighted profile error that passes")
     p.set_defaults(handler=_cmd_zonal_invert)
 
     p = sub.add_parser("invert", parents=[common],
@@ -139,6 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-order", type=_positive_int, default=8, help="order of the evaluation grid on the sphere")
     p.add_argument("--cap-limit", type=float, default=0.9,
                    help="exclude evaluation points with last coordinate above this")
+    p.add_argument("--tol", type=float, default=0.05,
+                   help="largest error, relative to the reference's peak, that passes")
     p.set_defaults(handler=_cmd_invert)
 
     p = sub.add_parser("support", parents=[common],
@@ -185,7 +187,7 @@ def _load(args):
         orientation_samples=256,
         seed=args.seed,
     )
-    riesz = RieszParams(k_order=dims.k - 1, ell=args.ell, eps=args.eps, outer_R=args.outer)
+    riesz = RieszParams(k_order=dims.k - 1, eps=args.eps, outer_R=args.outer)
     return scene, spec, riesz
 
 
@@ -381,7 +383,6 @@ def _per_plane(args, scene, spec, riesz, value) -> int:
 
 def _cmd_factor_check(args) -> int:
     scene, spec, riesz = _load(args)
-    tol = args.tol if args.tol is not None else 1e-6
     field = build_field(scene)
     rows = []
     worst = 0.0
@@ -390,9 +391,9 @@ def _cmd_factor_check(args) -> int:
         worst = max(worst, report.rel_diff)
         rows.append(_plane_to_row(zeta, scene.dims) + [report.lhs, report.rhs, report.abs_diff])
     columns = _plane_columns(scene.dims) + ["lhs", "rhs", "abs_diff"]
-    return _emit(args, scene, spec, riesz, columns, rows, header={"tol": tol, "count": args.count},
-                 footer={"max_rel_diff": worst}, passed=worst <= tol, criterion=f"tol {_fmt(tol)}",
-                 summary={"max_rel_diff": worst, "tol": tol})
+    return _emit(args, scene, spec, riesz, columns, rows, header={"tol": args.tol, "count": args.count},
+                 footer={"max_rel_diff": worst}, passed=worst <= args.tol, criterion=f"tol {_fmt(args.tol)}",
+                 summary={"max_rel_diff": worst, "tol": args.tol})
 
 
 def _cmd_zonal_forward(args) -> int:
@@ -409,7 +410,6 @@ def _cmd_zonal_forward(args) -> int:
 
 def _cmd_zonal_invert(args) -> int:
     scene, spec, riesz = _load(args)
-    tol = args.tol if args.tol is not None else 1e-3
     profile = scene_profile(scene)
     recovered = zonal_invert(lambda t: zonal_forward(profile, t, scene.dims, spec), scene.dims, spec)
     s_grid = np.geomspace(0.1, 10.0, 65)
@@ -419,13 +419,12 @@ def _cmd_zonal_invert(args) -> int:
     worst = float(np.max(weighted))
     rows = zip(s_grid, truth, rec, weighted)
     return _emit(args, scene, spec, riesz, ["s", "reference", "recovered", "weighted_err"], rows,
-                 header={"tol": tol}, footer={"max_weighted_err": worst}, passed=worst <= tol,
-                 criterion=f"tol {_fmt(tol)}", summary={"max_weighted_err": worst, "tol": tol})
+                 header={"tol": args.tol}, footer={"max_weighted_err": worst}, passed=worst <= args.tol,
+                 criterion=f"tol {_fmt(args.tol)}", summary={"max_weighted_err": worst, "tol": args.tol})
 
 
 def _cmd_invert(args) -> int:
     scene, spec, riesz = _load(args)
-    tol = args.tol if args.tol is not None else 0.05
     field = build_field(scene)
     reconstruction = invert_slice(lambda tau: slice_transform(field, tau, spec), scene.dims, riesz, spec)
     pts, _ = sphere_rule(scene.dims.n, args.grid_order)
@@ -440,10 +439,10 @@ def _cmd_invert(args) -> int:
     rows = [list(p) + [v, r, e] for p, v, r, e in zip(pts, values, reference, errors)]
     columns = [f"eta{j + 1}" for j in range(scene.dims.n + 1)] + ["value", "reference", "abs_error"]
     return _emit(args, scene, spec, riesz, columns, rows,
-                 header={"tol": tol, "grid_order": args.grid_order, "cap_limit": args.cap_limit},
+                 header={"tol": args.tol, "grid_order": args.grid_order, "cap_limit": args.cap_limit},
                  footer={"sup_abs_err": worst, "reference_scale": scale},
-                 passed=worst <= tol * max(scale, 1e-300), criterion=f"tol {_fmt(tol)} relative",
-                 summary={"sup_abs_err": worst, "scale": scale, "tol": tol})
+                 passed=worst <= args.tol * max(scale, 1e-300), criterion=f"tol {_fmt(args.tol)} relative",
+                 summary={"sup_abs_err": worst, "scale": scale, "tol": args.tol})
 
 
 def _cmd_support(args) -> int:

@@ -32,10 +32,10 @@ import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
 
 from .geometry import Dimensions, FlatSpec, _unchecked_flat
-from .quadrature import QuadratureSpec, gauss_legendre, sphere_rule
-# flat_through, orientation_set and RectBivariateSpline are unused here but
-# stay importable as inversion.<name>: the traced benchmark (bench/tracer.py)
-# replaces them.
+from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, sphere_rule
+# gauss_legendre, flat_through, orientation_set and RectBivariateSpline are
+# unused here but stay importable as inversion.<name>: the traced benchmark
+# (bench/tracer.py) replaces them.
 from scipy.interpolate import RectBivariateSpline
 from .transforms import PlaneField, SphereField, flat_through, op_B_inverse, orientation_set, section_to_plane
 from .zonal import sigma
@@ -159,25 +159,6 @@ def _evenized(ell: int) -> int:
     return ell if ell % 2 == 0 else ell + 1
 
 
-def _radial_panels(eps: float, outer_R: float, order: int):
-    """Shared node ladder on [eps/4, outer_R] with panel breaks at eps/2 and eps.
-
-    Returns nodes, weights and, for each refinement level (eps, eps/2, eps/4),
-    a boolean mask selecting the nodes above that level.
-    """
-    edges = [eps / 4.0, eps / 2.0, eps]
-    while edges[-1] < outer_R * (1.0 - 1e-12):
-        edges.append(min(2.0 * edges[-1], outer_R))
-    nodes, weights, starts = [], [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(order, a, b)
-        starts.append(len(nodes))
-        nodes.extend(x)
-        weights.extend(w)
-    masks = [np.arange(len(nodes)) >= starts[2 - level] for level in range(3)]  # eps, eps/2, eps/4
-    return np.asarray(nodes), np.asarray(weights), masks
-
-
 def _richardson(levels, p: int):
     """Two Richardson stages over the truncated values at eps, eps/2, eps/4.
 
@@ -208,7 +189,10 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     gamma = max(n - k, 0)
     d_norm = coeff_d(n, ell, k)
     omega, w_omega = sphere_rule(n - 1, spec.sphere_order)
-    rho, w_rho, level_masks = _radial_panels(params.eps, params.outer_R, max(8, spec.radial_order // 8))
+    # Dyadic panels from eps/4 break at eps/2 and eps, and no Gauss node sits
+    # on a break, so each refinement level keeps the nodes above its cutoff.
+    rho, w_rho = composite_gauss(params.eps / 4.0, params.outer_R, max(8, spec.radial_order // 8))
+    level_masks = [rho > params.eps, rho > params.eps / 2.0, rho > params.eps / 4.0]
     signs = np.array([(-1.0) ** j * math.comb(ell, j) for j in range(1, ell + 1)])
     p = _evenized(ell) - k
 

@@ -113,13 +113,7 @@ def composite_gauss(lo: float, hi: float, order: int):
     return _read_only(np.concatenate(nodes), np.concatenate(weights))
 
 
-def _resolve_order(spec_or_order, attr: str) -> int:
-    if isinstance(spec_or_order, QuadratureSpec):
-        return getattr(spec_or_order, attr)
-    return int(spec_or_order)
-
-
-def sphere_rule(d: int, spec_or_order):
+def sphere_rule(d: int, order: int):
     """Quadrature on the unit sphere of dimension d (surface in R^{d+1}).
 
     Returns (nodes, weights) with nodes of shape (m, d+1) and positive weights
@@ -131,7 +125,6 @@ def sphere_rule(d: int, spec_or_order):
     """
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
-    order = _resolve_order(spec_or_order, "sphere_order")
     if order < 1:
         raise ValueError("order must be >= 1")
     return _sphere_rule(d, order)

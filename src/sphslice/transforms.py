@@ -28,6 +28,8 @@ from .geometry import (
     make_flat,
     sample_sphere_cross_section,
 )
+# sphere_rule is unused here but stays importable as transforms.sphere_rule:
+# the traced benchmark (bench/tracer.py) replaces it.
 from .quadrature import QuadratureSpec, flat_rule, sphere_rule
 from .stereo import _sq_norm, nu, nu_inverse, plane_to_sphere_weight
 

@@ -23,9 +23,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .geometry import Dimensions
-from .quadrature import QuadratureSpec, gauss_legendre, panel_edges
-# nu is unused here but stays importable as zonal.nu: the traced benchmark
-# (bench/tracer.py) replaces it.
+from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, panel_edges
+# gauss_legendre, panel_edges and nu are unused here but stay importable as
+# zonal.<name>: the traced benchmark (bench/tracer.py) replaces them.
 from .stereo import nu
 from .transforms import _BLOCK_POINTS, SphereField
 
@@ -89,11 +89,9 @@ def zonal_forward(profile: ZonalProfile, t: float | np.ndarray, dims: Dimensions
         raise ValueError("offset length t must be >= 0")
     k = dims.k
     front = 2.0 ** (k - 1) * sigma(k - 2)
-    edges = panel_edges(0.0, spec.radial_cutoff)
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        q, w = gauss_legendre(spec.radial_order, a, b)
-        panels.append((q, w, q ** (k - 2)))
+    rule = composite_gauss(0.0, spec.radial_cutoff, spec.radial_order)
+    q, w = (a.reshape(-1, spec.radial_order) for a in rule)  # one row per dyadic panel
+    panels = list(zip(q, w, q ** (k - 2)))
     flat = offsets.ravel()
     total = np.empty(flat.shape)
     # Offsets are taken in chunks of at most _BLOCK_POINTS (t, q) nodes per
@@ -181,8 +179,10 @@ def zonal_invert(F0: Callable[[float], float], dims: Dimensions, spec: Quadratur
     differences) composed, for even k, with a complementary half-order
     integration (product-trapezoidal rule).  Accuracy degrades within a few
     nodes of the grid ends; evaluate the result well inside [S_MIN, S_MAX].
-    F0 is called once with the whole grid array; a callback that refuses
-    arrays (TypeError or ValueError) is called once per grid point instead.
+    F0 is called once with the whole grid array.  A callback that refuses
+    arrays with a TypeError, as float(t) and math functions do, is called
+    once per grid point instead; any other error, such as the forward
+    integral's existence error, propagates.
     """
     k = dims.k
     s = np.geomspace(S_MIN, S_MAX, GRID_POINTS)
@@ -193,7 +193,7 @@ def zonal_invert(F0: Callable[[float], float], dims: Dimensions, spec: Quadratur
         G = np.asarray(F0(s), dtype=float)
         if G.shape != s.shape:
             raise TypeError
-    except (TypeError, ValueError):
+    except TypeError:
         G = np.asarray([float(F0(float(si))) for si in s])
     if not np.all(np.isfinite(G)):
         raise ValueError("forward data is not finite on the inversion grid")

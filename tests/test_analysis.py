@@ -177,3 +177,13 @@ def test_kplane_probe_warns_on_slow_decay():
     )
     with pytest.warns(UserWarning, match="decay"):
         kplane_support_probe(g, 1.0, Dimensions(3, 2), SPEC, trials=4)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_kplane_probe_refuses_no_trials(trials):
+    # zero far flats would report max_outside 0, which reads as vanishing
+    def refuse(x):
+        raise AssertionError("the field was evaluated")
+
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        kplane_support_probe(PlaneField(refuse, decay_exponent=None), 1.0, Dimensions(3, 2), SPEC, trials)

@@ -374,3 +374,31 @@ def test_out_check_neither_truncates_nor_leaves_a_file(tmp_path, capsys):
     fresh = tmp_path / "fresh.csv"
     assert run(["forward", missing_scene, "1", "--out", str(fresh)]) == 2
     assert not fresh.exists()
+
+
+PLANE_COUNT = {"forward": ["1"], "radon": ["1"], "factor-check": ["1"]}
+
+
+@pytest.mark.parametrize("command", ["forward", "radon", "factor-check", "zonal-forward", "zonal-invert",
+                                     "invert", "support", "existence", "dual"])
+def test_ell_is_not_a_flag(capsys, gauss_scene, command):
+    # invert needs n = 2, where the only legal difference order is the default
+    assert run([command, gauss_scene] + PLANE_COUNT.get(command, []) + ["--ell", "1"]) == 2
+    assert "unrecognized arguments: --ell" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["forward", "radon", "zonal-forward", "support", "existence", "dual"])
+def test_tol_is_refused_where_nothing_is_judged(capsys, gauss_scene, command):
+    assert run([command, gauss_scene] + PLANE_COUNT.get(command, []) + ["--tol", "1e-3"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,default", [
+    (["factor-check", "s.scene", "1"], 1e-6),
+    (["zonal-invert", "s.scene"], 1e-3),
+    (["invert", "s.scene"], 0.05),
+])
+def test_tol_defaults_per_subcommand(argv, default):
+    parser = cli._build_parser()
+    assert parser.parse_args(argv).tol == default
+    assert parser.parse_args(argv + ["--tol", "0.25"]).tol == 0.25

@@ -24,6 +24,7 @@ from sphslice import (
 )
 import sphslice.inversion as inversion
 from sphslice.inversion import coeff_B_l_prime, make_dual_field
+from sphslice.quadrature import composite_gauss, gauss_legendre
 
 
 def mp_B(ell, alpha):
@@ -498,3 +499,64 @@ def test_line_table_flats_share_their_orientation_basis():
         offsets = np.array([zeta.offset for zeta in flats])
         assert np.array_equal(offsets, np.array([p * line.offset for p in field._p]))
 
+
+
+def _reference_ladder(eps, outer_R, order):
+    """The kernel's radial ladder built by hand, with index masks per level, as the bit-for-bit reference."""
+    edges = [eps / 4.0, eps / 2.0, eps]
+    while edges[-1] < outer_R * (1.0 - 1e-12):
+        edges.append(min(2.0 * edges[-1], outer_R))
+    nodes, weights, starts = [], [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = gauss_legendre(order, a, b)
+        starts.append(len(nodes))
+        nodes.extend(x)
+        weights.extend(w)
+    masks = [np.arange(len(nodes)) >= starts[2 - level] for level in range(3)]  # eps, eps/2, eps/4
+    return np.asarray(nodes), np.asarray(weights), masks
+
+
+@pytest.mark.parametrize("eps,outer_R,n", [
+    (0.05, 30.0, 1), (0.1, 20.0, 1), (0.2, 0.8, 2), (0.03, 7.3, 2), (0.25, 1.0, 3), (0.05, 3.2, 3),
+    (0.1, 5.0, 4), (0.07, 2.0, 5),
+])
+def test_kernel_ladder_equals_the_hand_built_one(monkeypatch, eps, outer_R, n):
+    params = RieszParams(k_order=max(1, n - 1), eps=eps, outer_R=outer_R)
+    spec = QuadratureSpec(sphere_order=12, radial_order=64)
+    order = max(8, spec.radial_order // 8)
+    rho, w = composite_gauss(eps / 4.0, outer_R, order)
+    ref_rho, ref_w, ref_masks = _reference_ladder(eps, outer_R, order)
+    assert np.array_equal(rho, ref_rho) and np.array_equal(w, ref_w)
+    for level, mask in zip((eps, eps / 2.0, eps / 4.0), ref_masks):
+        assert np.array_equal(rho > level, mask)
+
+    def h(P):
+        r2 = np.sum(P**2, axis=-1)
+        return np.exp(-r2) / (1.0 + r2)
+
+    X = np.random.default_rng(n).uniform(-1.0, 1.0, size=(6, n))
+    values, _, _ = inversion._riesz_batch(h, X, params, spec)
+    monkeypatch.setattr(inversion, "composite_gauss", lambda lo, hi, m: _reference_ladder(4.0 * lo, hi, m)[:2])
+    reference, _, _ = inversion._riesz_batch(h, X, params, spec)
+    assert np.array_equal(values, reference)
+
+
+def test_kernel_ladder_closes_at_outer_R():
+    # outer_R a hair above eps * 2^4: the ladder still ends at outer_R, where
+    # the tail term takes over, and its weights cover [eps/4, outer_R]
+    eps = 0.05
+    outer_R = 16.0 * eps * (1.0 + 5e-13)
+    params = RieszParams(k_order=1, eps=eps, outer_R=outer_R)
+    spec = QuadratureSpec(sphere_order=4, radial_order=64)
+    rho, w = composite_gauss(eps / 4.0, outer_R, 8)
+    seen = []
+
+    def h(P):
+        seen.append(P[:, 0].copy())
+        return np.exp(-P[:, 0] ** 2)
+
+    inversion._riesz_batch(h, np.zeros((1, 1)), params, spec)
+    # at x = 0 the points are -rho * omega for omega = +1, -1, node by node
+    kernel_points = next(p for p in seen if len(p) == 2 * len(rho))
+    assert np.array_equal(-kernel_points[0::2], rho)
+    assert math.fsum(w) == pytest.approx(outer_R - eps / 4.0, rel=1e-14, abs=0.0)

@@ -149,14 +149,9 @@ def test_sphere_rule_is_cached_read_only(d):
     _assert_cached(first, second, quadrature._sphere_rule.__wrapped__(d, 13))
 
 
-def test_sphere_rule_spec_and_order_share_an_entry():
-    spec = QuadratureSpec(sphere_order=15)
-    info = quadrature._sphere_rule.cache_info
-    first = sphere_rule(2, spec)
-    hits, misses = info().hits, info().misses
-    second = sphere_rule(2, spec.sphere_order)
-    assert (info().hits, info().misses) == (hits + 1, misses)
-    assert second[0] is first[0] and second[1] is first[1]
+def test_sphere_rule_takes_an_order_only():
+    with pytest.raises(TypeError):
+        sphere_rule(2, QuadratureSpec())
 
 
 def test_composite_gauss_is_cached_read_only():

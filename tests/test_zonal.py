@@ -235,3 +235,22 @@ def test_batched_offsets_reject_a_negative_or_nan_offset():
         zonal_forward(gauss_profile(), np.array([0.0, 0.5, -0.1]), dims, spec)
     with pytest.raises(ValueError, match="blowup"):
         zonal_forward(gauss_profile(), np.array([0.0, np.nan, 1.0]), dims, spec)
+
+
+def test_invert_propagates_an_error_of_the_batched_call():
+    # The rational profile's tail does not decay for the largest grid offsets
+    # at this cutoff, so the batched forward call raises the existence error.
+    # That is a failure, not a refusal of arrays: no scalar calls follow.
+    spec = QuadratureSpec(radial_cutoff=12.0)
+    dims = Dimensions(3, 2)
+    rational = ZonalProfile(lambda s: (1.0 + np.asarray(s, dtype=float) ** 2) ** -2)
+    shapes = []
+
+    def forward(t):
+        shapes.append(np.shape(t))
+        return zonal_forward(rational, t, dims, spec)
+
+    with pytest.raises(ValueError, match="existence"):
+        zonal_invert(forward, dims, spec)
+    assert shapes == [(800,)]
+
