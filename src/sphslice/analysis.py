@@ -24,9 +24,6 @@ from .transforms import PlaneField, SphereField, radon_john, slice_transform
 
 __all__ = [
     "CapSpec",
-    "VerdictReport",
-    "SupportReport",
-    "KPlaneProbeReport",
     "existence_check",
     "lp_weight_check",
     "power_growth_field",
@@ -191,7 +188,7 @@ def _refine_to_pole(f: SphereField, dims: Dimensions, exponent: float, power: fl
     return VerdictReport(verdict=_refinement_verdict([v for _, v in trace]), trace=tuple(trace))
 
 
-def existence_check(f: SphereField, dims: Dimensions, spec: QuadratureSpec | None = None) -> VerdictReport:
+def existence_check(f: SphereField, dims: Dimensions, spec: QuadratureSpec) -> VerdictReport:
     """Refinement study of the existence integral of f near the pole.
 
     Integrates |f| against the pole weight (1 - eta_last)^{-(n+1-k)/2} over
@@ -200,8 +197,6 @@ def existence_check(f: SphereField, dims: Dimensions, spec: QuadratureSpec | Non
     mean convergence; masses that stop decaying, growth by >= 1.5x over four
     levels, or magnitudes beyond 1e6 mean divergence.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     return _refine_to_pole(f, dims, -0.5 * (dims.n + 1 - dims.k), 1.0, spec, 0.0)
 
 

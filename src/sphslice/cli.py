@@ -4,10 +4,15 @@ Every subcommand reads a scene file (key = value lines, see scenes.py),
 computes with fixed seeds, and writes comma-separated output with a
 #-prefixed provenance header, so identical configurations give byte-identical
 files within one environment (the same Python, numpy and scipy); across
-environments the last printed digits may differ.  Exit codes: 0 success,
-1 tolerance failure, 2 usage (a count below 1 included), malformed input, a
-file that cannot be read or written, or an unsupported case (invert needs
-n = 2), 3 numerical error.
+environments the last printed digits may differ.  Exit codes:
+
+    0  success
+    1  tolerance or expectation failure
+    2  usage: a count below 1, a setting out of range (--eps, --outer,
+       --cutoff, support's --b), a malformed scene, plane file or profile
+       CSV, a file that cannot be read or written, or an unsupported case
+       (invert needs n = 2)
+    3  numerical error: a non-finite integrand or a divergent integral
 
 Random planes are drawn with offset magnitude t = tan(uniform(0, pi/2 - 0.01))
 and orientation from the QR factorization of a seeded Gaussian matrix, so all
@@ -169,25 +174,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Report the ValueError of a setting out of range as a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SceneError(str(exc)) from exc
+
+
 def _load(args):
     """Scene (with --n and --k applied), quadrature spec and riesz params from flags."""
     scene = parse_scene(args.scene)
     n = args.n if args.n is not None else scene.dims.n
     k = args.k if args.k is not None else scene.dims.k
-    try:
+    with _usage_errors():
         dims = Dimensions(n, k)
-    except ValueError as exc:
-        raise SceneError(str(exc)) from exc
-    scene = SceneSpec(family=scene.family, parameters=dict(scene.parameters), dims=dims)
-    cutoff = args.cutoff if args.cutoff is not None else suggested_cutoff(scene)
-    spec = QuadratureSpec(
-        sphere_order=args.sphere_order,
-        radial_order=args.radial_order,
-        radial_cutoff=cutoff,
-        orientation_samples=256,
-        seed=args.seed,
-    )
-    riesz = RieszParams(k_order=dims.k - 1, eps=args.eps, outer_R=args.outer)
+        scene = SceneSpec(family=scene.family, parameters=dict(scene.parameters), dims=dims)
+        cutoff = args.cutoff if args.cutoff is not None else suggested_cutoff(scene)
+        spec = QuadratureSpec(
+            sphere_order=args.sphere_order,
+            radial_order=args.radial_order,
+            radial_cutoff=cutoff,
+            orientation_samples=256,
+            seed=args.seed,
+        )
+        riesz = RieszParams(k_order=dims.k - 1, eps=args.eps, outer_R=args.outer)
     return scene, spec, riesz
 
 
@@ -215,7 +227,7 @@ def _emit(args, scene, spec, riesz, columns, rows, *, header=None, footer=None,
         "quadrature: "
         f"sphere_order={spec.sphere_order} radial_order={spec.radial_order} "
         f"cutoff={_fmt(spec.radial_cutoff)} orientation_samples={spec.orientation_samples}",
-        f"riesz: k_order={riesz.k_order} ell={riesz.resolved_ell} eps={_fmt(riesz.eps)} "
+        f"riesz: k_order={riesz.k_order} ell={riesz.ell} eps={_fmt(riesz.eps)} "
         f"outer={_fmt(riesz.outer_R)}",
         f"seed: {spec.seed}",
     ] + [f"{name}: {_fmt(v)}" for name, v in (header or {}).items()]
@@ -447,7 +459,9 @@ def _cmd_invert(args) -> int:
 
 def _cmd_support(args) -> int:
     scene, spec, riesz = _load(args)
-    report = support_experiment(build_field(scene), CapSpec(args.b), scene.dims, spec, args.trials)
+    with _usage_errors():
+        cap = CapSpec(args.b)
+    report = support_experiment(build_field(scene), cap, scene.dims, spec, args.trials)
     rows = [
         ["beyond_threshold", f"b_star={_fmt(report.threshold)}",
          "pass" if report.vanishing_ok else "fail", report.max_beyond],

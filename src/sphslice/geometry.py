@@ -19,12 +19,10 @@ import numpy as np
 from .quadrature import sphere_rule
 
 __all__ = [
-    "ORTHO_TOL",
     "Dimensions",
     "FlatSpec",
     "SlicePlane",
     "make_flat",
-    "sample_sphere_cross_section",
     "random_flat",
 ]
 
@@ -213,9 +211,19 @@ def random_flat(rng: np.random.Generator, n: int, dim: int, distance: float) -> 
         raise ValueError("flat dimension must lie in [1, n-1]")
     if distance < 0.0:
         raise ValueError("distance must be >= 0")
-    q, r = np.linalg.qr(rng.standard_normal((n, dim + 1)))
-    q = q * np.sign(np.diag(r))
+    q = _haar_columns(rng, n, dim + 1)
     return FlatSpec(q[:, :dim].T, distance * q[:, dim])
+
+
+def _haar_columns(rng: np.random.Generator, n: int, cols: int) -> np.ndarray:
+    """cols Haar-distributed orthonormal columns in R^n, drawn from rng.
+
+    The Q factor of an n x cols standard Gaussian matrix, with each column's
+    sign chosen so that R has a positive diagonal.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((n, cols)))
+    q *= np.sign(np.diag(r))
+    return q
 
 
 def sample_sphere_cross_section(tau: SlicePlane, order: int):

@@ -43,11 +43,9 @@ from .zonal import sigma
 __all__ = [
     "RieszParams",
     "coeff_B_l",
-    "coeff_B_l_prime",
     "coeff_d",
     "coeff_c",
     "riesz_derivative",
-    "make_dual_field",
     "invert_radon",
     "invert_slice",
 ]
@@ -79,41 +77,35 @@ _CHUNK_POINTS = 2_000_000
 class RieszParams:
     """Settings of the hypersingular derivative.
 
-    k_order is the derivative order (the flat dimension when inverting).
-    ell is the finite-difference order: for odd k_order it must equal
-    k_order (higher differences annihilate the needed moment), for even
-    k_order it must exceed it; None picks the smallest valid choice.
-    eps is the largest inner cutoff of the Richardson ladder and outer_R the
-    truncation radius; both must be finite.  Beyond outer_R the field is
+    k_order is the derivative order (the flat dimension when inverting); it
+    fixes the finite-difference order ell (see the ell property).  eps is the
+    largest inner cutoff of the Richardson ladder and outer_R the truncation
+    radius; both must be finite.  Beyond outer_R the field is
     modelled as decaying like r^{-(n - k_order)}, the rate of a backprojection.
     The rows of line data that invert_radon filters have n = 1 and k_order 1,
     so there the rate is 0: each row is continued by its value at outer_R.
     """
 
     k_order: int
-    ell: int | None = None
     eps: float = 0.05
     outer_R: float = 30.0
 
     def __post_init__(self):
         if not isinstance(self.k_order, int) or self.k_order < 1:
             raise ValueError("k_order must be an integer >= 1")
-        if self.ell is not None:
-            if not isinstance(self.ell, int) or self.ell < 1:
-                raise ValueError("ell must be an integer >= 1")
-            if self.k_order % 2 == 1 and self.ell != self.k_order:
-                raise ValueError("odd k_order requires ell == k_order")
-            if self.k_order % 2 == 0 and self.ell <= self.k_order:
-                raise ValueError("even k_order requires ell > k_order")
         if not math.isfinite(self.eps) or self.eps <= 0.0:
             raise ValueError("eps must be finite and positive")
         if not math.isfinite(self.outer_R) or self.outer_R < 4.0 * self.eps:
             raise ValueError("outer_R must be finite and at least 4 * eps")
 
     @property
-    def resolved_ell(self) -> int:
-        if self.ell is not None:
-            return self.ell
+    def ell(self) -> int:
+        """Finite-difference order: k_order if it is odd, else k_order + 1.
+
+        Odd k_order needs ell == k_order (higher differences annihilate the
+        needed moment); even k_order needs ell > k_order, and k_order + 1 is
+        the smallest such order.
+        """
         return self.k_order if self.k_order % 2 == 1 else self.k_order + 1
 
 
@@ -185,7 +177,7 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     """
     n = X.shape[1]
     k = params.k_order
-    ell = params.resolved_ell
+    ell = params.ell
     gamma = max(n - k, 0)
     d_norm = coeff_d(n, ell, k)
     omega, w_omega = sphere_rule(n - 1, spec.sphere_order)
@@ -369,7 +361,7 @@ class _LineDualField:
         radius = float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else -1.0
         if radius > self._filtered_radius:
             reach = radius + ROW_PAD
-            self._ensure(reach + params.resolved_ell * params.outer_R)
+            self._ensure(reach + params.ell * params.outer_R)
             rows = make_interp_spline(self._p, self._table.T, k=5)
             nodes = self._p[np.abs(self._p) <= reach]
             values, nonconv, scale = _riesz_batch(lambda P: rows(P[:, 0]), nodes[:, None], params, spec)
@@ -434,7 +426,7 @@ def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpe
     return PlaneField(eval=eval_field, decay_exponent=None)
 
 
-def invert_slice(F, dims: Dimensions, params: RieszParams | None, spec: QuadratureSpec) -> SphereField:
+def invert_slice(F, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> SphereField:
     """Recover a sphere field from its slice data F.
 
     F(tau) must return the cross-section integral of the unknown field over
@@ -444,8 +436,6 @@ def invert_slice(F, dims: Dimensions, params: RieszParams | None, spec: Quadratu
     S^2 sliced by 2-planes (Dimensions(2, 2)) is supported; other dimensions
     raise NotImplementedError before F is called (see invert_radon).
     """
-    if params is None:
-        params = RieszParams(k_order=dims.k - 1)
     if params.k_order != dims.k - 1:
         raise ValueError("params.k_order must equal dims.k - 1 for slice inversion")
 

@@ -19,7 +19,6 @@ from scipy.special import roots_gegenbauer
 
 __all__ = [
     "QuadratureSpec",
-    "gauss_legendre",
     "composite_gauss",
     "sphere_rule",
     "flat_rule",

@@ -162,17 +162,9 @@ def build_field(scene: SceneSpec) -> SphereField:
     if scene.family == "zonal_gaussian":
         return profile_to_sphere_field(scene_profile(scene), scene.dims)
     if scene.family == "cap_bump":
-        b = scene["b"]
-        q = scene["sharpness"]
 
         def eval_bump(eta):
-            eta = np.asarray(eta, dtype=float)
-            last = eta[..., -1]
-            gap = b - last
-            out = np.zeros(eta.shape[:-1])
-            inside = gap > 0.0
-            out[inside] = amplitude * np.exp(-q / gap[inside])
-            return out
+            return _cap_bump(scene, np.asarray(eta, dtype=float)[..., -1])
 
         return SphereField(eval=eval_bump)
     if scene.family == "first_harmonic_weighted":
@@ -199,22 +191,31 @@ def scene_profile(scene: SceneSpec) -> ZonalProfile:
         width = scene["width"]
         return ZonalProfile(f0=lambda s: amplitude * np.exp(-((np.asarray(s, dtype=float) / width) ** 2)))
     if scene.family == "cap_bump":
-        b = scene["b"]
-        q = scene["sharpness"]
 
         def f0(s):
             s = np.asarray(s, dtype=float)
-            last = (s**2 - 1.0) / (s**2 + 1.0)
-            gap = b - last
-            out = np.zeros_like(s)
-            inside = gap > 0.0
-            out[inside] = amplitude * np.exp(-q / gap[inside])
-            return out
+            return _cap_bump(scene, (s**2 - 1.0) / (s**2 + 1.0))
 
         return ZonalProfile(f0=f0)
     if scene.family == "custom_profile_csv":
-        return load_profile_csv(scene["path"])
+        try:
+            return load_profile_csv(scene["path"])
+        except ValueError as exc:
+            raise SceneError(f"{scene['path']}: {exc}") from exc
     raise SceneError(f"family {scene.family} is not zonal")
+
+
+def _cap_bump(scene: SceneSpec, last: np.ndarray) -> np.ndarray:
+    """The cap_bump field at points of last coordinate `last`.
+
+    amplitude * exp(-sharpness / (b - last)) below the cap height b, and zero
+    on the cap.
+    """
+    gap = scene["b"] - last
+    out = np.zeros(last.shape)
+    inside = gap > 0.0
+    out[inside] = scene["amplitude"] * np.exp(-scene["sharpness"] / gap[inside])
+    return out
 
 
 def suggested_cutoff(scene: SceneSpec) -> float:
@@ -238,8 +239,4 @@ def suggested_cutoff(scene: SceneSpec) -> float:
     if scene.family == "first_harmonic_weighted":
         return float(math.sqrt(math.log(1.0 / CUTOFF_TOL)) + 3.0)
     # custom_profile_csv: the loaded profile vanishes beyond its grid.
-    profile = scene_profile(scene)
-    s_grid = profile.grid[0] if profile.grid is not None else None
-    if s_grid is None or not len(s_grid):
-        return 40.0
-    return float(s_grid[-1] + 1.0)
+    return float(scene_profile(scene).grid[0][-1] + 1.0)

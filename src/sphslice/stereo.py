@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "POLE_GUARD",
     "nu",
     "nu_inverse",
     "plane_to_sphere_weight",

@@ -25,6 +25,7 @@ from .geometry import (
     FlatSpec,
     SlicePlane,
     _complete_orthonormal,
+    _haar_columns,
     make_flat,
     sample_sphere_cross_section,
 )
@@ -36,7 +37,6 @@ from .stereo import _sq_norm, nu, nu_inverse, plane_to_sphere_weight
 __all__ = [
     "SphereField",
     "PlaneField",
-    "FactorizationReport",
     "slice_transform",
     "radon_john",
     "op_B",
@@ -44,7 +44,6 @@ __all__ = [
     "section_to_plane",
     "factorization_check",
     "dual_transform",
-    "orientation_set",
 ]
 
 # Fields are evaluated on consecutive blocks of at most this many quadrature
@@ -202,9 +201,7 @@ def _fibonacci_hemisphere(count: int) -> np.ndarray:
 
 
 def _seeded_rotation(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q *= np.sign(np.diag(r))
+    q = _haar_columns(np.random.default_rng(seed), n, n)
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
@@ -234,9 +231,7 @@ def orientation_set(flat_dim: int, n: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     frames = np.empty((count, flat_dim, n))
     for i in range(count):
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        q *= np.sign(np.diag(r))
-        frames[i] = q[:, :flat_dim].T
+        frames[i] = _haar_columns(rng, n, n)[:, :flat_dim].T
     return frames
 
 

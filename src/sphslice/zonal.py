@@ -237,15 +237,13 @@ def profile_to_sphere_field(profile: ZonalProfile, dims: Dimensions):
     return SphereField(eval=feval)
 
 
-def save_profile_csv(path, s: np.ndarray, values: np.ndarray, comments: list[str] | None = None):
-    """Write a two-column (s, f0) profile with a #-prefixed provenance header."""
+def save_profile_csv(path, s: np.ndarray, values: np.ndarray):
+    """Write a two-column (s, f0) profile under an `s,f0` header line."""
     s = np.asarray(s, dtype=float)
     values = np.asarray(values, dtype=float)
     if s.shape != values.shape or s.ndim != 1:
         raise ValueError("profile grid and values must be matching vectors")
     with open(path, "w", encoding="ascii") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
         fh.write("s,f0\n")
         for si, vi in zip(s, values):
             fh.write(f"{si:.17g},{vi:.17g}\n")
@@ -254,10 +252,19 @@ def save_profile_csv(path, s: np.ndarray, values: np.ndarray, comments: list[str
 def load_profile_csv(path) -> ZonalProfile:
     """Load a (s, f0) profile; interpolates linearly in log s, clamped at the ends.
 
-    Below the first grid point the profile is held constant; beyond the last it
-    is set to zero, matching the decay expected of admissible profiles.
+    The file holds one `s,f0` pair per line.  Text after a `#` and blank lines
+    are skipped wherever they appear; the first remaining line is skipped as a
+    header only when it is not numeric.  Below the first grid point the
+    profile is held constant; beyond the last it is set to zero, matching the
+    decay expected of admissible profiles.
     """
-    rows = np.loadtxt(path, delimiter=",", comments="#", skiprows=1, ndmin=2)
+    with open(path, encoding="utf-8") as fh:
+        lines = [text for text in (raw.split("#", 1)[0].strip() for raw in fh) if text]
+    if lines and not _is_numeric(lines[0]):
+        lines = lines[1:]
+    if not lines:
+        raise ValueError("profile CSV holds no data rows")
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
     if rows.shape[1] < 2:
         raise ValueError("profile CSV needs columns s,f0")
     s, vals = rows[:, 0], rows[:, 1]
@@ -273,3 +280,12 @@ def load_profile_csv(path) -> ZonalProfile:
         return out
 
     return ZonalProfile(f0=f0, grid=(s, vals))
+
+
+def _is_numeric(line: str) -> bool:
+    try:
+        for token in line.split(","):
+            float(token)
+    except ValueError:
+        return False
+    return True

@@ -152,15 +152,40 @@ def test_numeric_failure_exits_3(tmp_path):
     assert run(["zonal-forward", str(scene), "--t-count", "5"]) == 3
 
 
+def test_profile_csv_with_leading_comments_is_read(tmp_path):
+    csv_path = tmp_path / "profile.csv"
+    grid = np.geomspace(0.1, 10.0, 50)
+    save_profile_csv(csv_path, grid, np.exp(-grid))
+    csv_path.write_text("# made by hand\n" + csv_path.read_text())
+    scene = tmp_path / "custom.scene"
+    scene.write_text(f"family = custom_profile_csv\npath = {csv_path}\n")
+    assert run(["zonal-forward", str(scene), "--t-count", "5"]) == 0
+
+
+def test_malformed_profile_csv_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "profile.csv"
+    csv_path.write_text("s,f0\n1.0,0.5\n0.1,1.0\n")
+    scene = tmp_path / "custom.scene"
+    scene.write_text(f"family = custom_profile_csv\npath = {csv_path}\n")
+    assert run(["zonal-forward", str(scene), "--t-count", "5"]) == 2
+    assert run(["zonal-forward", str(scene), "--t-count", "5", "--cutoff", "20"]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags,setting", [(["--eps", "0"], "eps"),
                                            (["--eps", "10", "--outer", "30"], "outer_R"),
                                            (["--eps", "nan"], "eps"),
                                            (["--outer", "nan"], "outer_R"),
                                            (["--outer", "inf"], "outer_R"),
-                                           (["--cutoff", "nan"], "radial_cutoff")])
-def test_bad_truncation_window_exits_3(capsys, gauss_scene, flags, setting):
-    assert run(["forward", gauss_scene, "1", "--sphere-order", "16"] + flags) == 3
-    assert setting in capsys.readouterr().err
+                                           (["--cutoff", "nan"], "radial_cutoff"),
+                                           (["--eps", "-1"], "eps must be finite and positive"),
+                                           (["--cutoff", "0.5"], "radial_cutoff must be finite"),
+                                           (["--b", "1.5"], "cap height b must lie in (-1, 1)")])
+def test_out_of_range_setting_exits_2(capsys, gauss_scene, flags, setting):
+    # support takes every one of these flags; each is refused before any computation
+    assert run(["support", gauss_scene, "--trials", "1", "--sphere-order", "8"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting in err
 
 
 def test_invert_beyond_the_plane_exits_2(capsys, gauss_scene):

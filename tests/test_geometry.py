@@ -63,6 +63,17 @@ def test_random_flat_properties(seed, n, dim):
     assert np.linalg.norm(zeta.offset) == pytest.approx(1.7)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("n,dim", [(2, 1), (3, 2), (5, 3)])
+def test_random_flat_keeps_the_inline_qr_bits(seed, n, dim):
+    # the QR of a Gaussian matrix with the sign fix, as random_flat spelled it inline
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, dim + 1)))
+    q = q * np.sign(np.diag(r))
+    zeta = random_flat(np.random.default_rng(seed), n, dim, 1.3)
+    assert np.array_equal(zeta.basis, q[:, :dim].T)
+    assert np.array_equal(zeta.offset, 1.3 * q[:, dim])
+
+
 def test_random_flat_deterministic():
     a = random_flat(np.random.default_rng(5), 3, 2, 0.4)
     b = random_flat(np.random.default_rng(5), 3, 2, 0.4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -96,20 +97,23 @@ class TestCoefficients:
 
 
 class TestRieszParams:
+    # ell is derived from k_order; it is neither a field nor an argument
     def test_odd_order_requires_matching_ell(self):
-        RieszParams(k_order=1, ell=1)
-        with pytest.raises(ValueError):
-            RieszParams(k_order=1, ell=3)
+        for k_order in (1, 3, 5):
+            assert RieszParams(k_order=k_order).ell == k_order
 
     def test_even_order_requires_larger_ell(self):
-        RieszParams(k_order=2, ell=3)
-        with pytest.raises(ValueError):
-            RieszParams(k_order=2, ell=2)
+        for k_order in (2, 4, 6):
+            assert RieszParams(k_order=k_order).ell == k_order + 1
 
     def test_defaults(self):
-        assert RieszParams(k_order=1).resolved_ell == 1
-        assert RieszParams(k_order=3).resolved_ell == 3
-        assert RieszParams(k_order=2).resolved_ell == 3
+        assert [f.name for f in dataclasses.fields(RieszParams)] == ["k_order", "eps", "outer_R"]
+        params = RieszParams(k_order=1)
+        assert (params.eps, params.outer_R) == (0.05, 30.0)
+        with pytest.raises(TypeError):
+            RieszParams(k_order=1, ell=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.ell = 3
 
     def test_truncation_window(self):
         with pytest.raises(ValueError):
@@ -229,7 +233,7 @@ def test_constant_data_does_not_warn(amplitude):
 
 def test_invert_radon_rejects_bad_order():
     with pytest.raises(ValueError):
-        invert_radon(lambda z: 0.0, Dimensions(2, 2), RieszParams(k_order=2, ell=3), SPEC)
+        invert_radon(lambda z: 0.0, Dimensions(2, 2), RieszParams(k_order=2), SPEC)
 
 
 CENTER = np.array([0.55, -0.2])
@@ -341,7 +345,7 @@ def test_inversion_beyond_the_plane_fails_before_any_data(dims):
     builds = {
         "make_dual_field": lambda: make_dual_field(data, dims.k - 1, dims, SMALL_SPEC),
         "invert_radon": lambda: invert_radon(data, dims, params, SMALL_SPEC),
-        "invert_slice": lambda: invert_slice(data, dims, None, SMALL_SPEC),
+        "invert_slice": lambda: invert_slice(data, dims, params, SMALL_SPEC),
     }
     for name, build in builds.items():
         with pytest.raises(NotImplementedError, match=r"lines in the plane \(flat dimension 1, n = 2\)"):
@@ -446,7 +450,7 @@ def test_empty_batch_gives_empty_result(shape):
     assert rec(np.zeros(shape)).shape == shape[:-1]
     field = make_dual_field(gaussian_lines, 1, Dimensions(2, 2), SMALL_SPEC)
     assert field(np.zeros((0, 2))).shape == (0,)
-    sphere = invert_slice(lambda tau: 1.0, Dimensions(2, 2), None, SMALL_SPEC)
+    sphere = invert_slice(lambda tau: 1.0, Dimensions(2, 2), RieszParams(k_order=1), SMALL_SPEC)
     assert sphere(np.zeros(shape[:-1] + (3,))).shape == shape[:-1]
 
 

@@ -1,5 +1,6 @@
 """Guards on the public surface: what sphslice exports, and that the README documents it."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -30,6 +31,25 @@ def test_every_exported_name_resolves():
         missing += [f"{module_name}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing
+
+
+def test_package_exports_exactly_the_module_lists():
+    # a name is public where its module lists it in __all__; the cli module's
+    # list names its entry point, which the package does not re-export
+    listed = {}
+    for module_name in MODULES:
+        if module_name != "cli":
+            for name in importlib.import_module(f"sphslice.{module_name}").__all__:
+                listed.setdefault(name, []).append(module_name)
+    assert set(listed) == set(sphslice.__all__)
+    assert all(len(modules) == 1 for modules in listed.values()), listed
+
+
+def test_package_init_spells_no_exported_name():
+    # the package's list is built from the module lists, never kept by hand
+    tree = ast.parse(Path(sphslice.__file__).read_text(encoding="utf-8"))
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not strings & set(sphslice.__all__)
 
 
 def test_readme_api_section_names_every_export():

@@ -101,6 +101,24 @@ def test_cap_bump_vanishes_above_height():
     assert np.any(field(pts)[~above] > 0.0)
 
 
+@pytest.mark.parametrize("b,sharpness,amplitude", [(0.0, 0.1, 1.0), (0.6, 0.3, 2.5), (-0.7, 0.05, -1.0)])
+def test_cap_bump_keeps_the_inline_formula_bits(b, sharpness, amplitude):
+    # build_field and scene_profile each spelled the bump inline
+    scene = SceneSpec(family="cap_bump", parameters={"b": b, "sharpness": sharpness, "amplitude": amplitude})
+    pts, _ = sphere_rule(3, 16)
+    gap = b - pts[..., -1]
+    want = np.zeros(pts.shape[:-1])
+    inside = gap > 0.0
+    want[inside] = amplitude * np.exp(-sharpness / gap[inside])
+    assert np.array_equal(build_field(scene)(pts), want)
+    s = np.geomspace(1e-3, 1e3, 97)
+    gap = b - (s**2 - 1.0) / (s**2 + 1.0)
+    want = np.zeros_like(s)
+    inside = gap > 0.0
+    want[inside] = amplitude * np.exp(-sharpness / gap[inside])
+    assert np.array_equal(scene_profile(scene)(s), want)
+
+
 def test_zonal_gaussian_profile_consistency():
     scene = SceneSpec(family="zonal_gaussian", parameters={"amplitude": 1.5, "width": 0.8})
     field = build_field(scene)

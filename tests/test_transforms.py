@@ -167,6 +167,25 @@ def test_orientation_set_properties():
         assert np.allclose(b @ b.T, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 4, 9])
+def test_orientation_set_keeps_the_inline_qr_bits(seed):
+    # seeded Haar frames, as orientation_set spelled the QR with the sign fix inline
+    rng = np.random.default_rng(seed)
+    frames = np.empty((6, 2, 4))
+    for i in range(6):
+        q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+        q *= np.sign(np.diag(r))
+        frames[i] = q[:, :2].T
+    assert np.array_equal(orientation_set(2, 4, 6, seed), frames)
+    # a seeded rotation of the Fibonacci lattice, likewise
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    dirs = transforms._fibonacci_hemisphere(10) @ q.T
+    assert np.array_equal(orientation_set(1, 3, 10, seed), dirs[:, None, :])
+
+
 def test_flat_through_contains_point():
     basis = np.array([[1.0, 0.0, 0.0]])
     x = np.array([2.0, 1.0, -1.0])

@@ -138,6 +138,32 @@ def test_profile_csv_roundtrip(tmp_path):
     assert loaded(np.array([80.0]))[0] == 0.0
 
 
+def test_profile_csv_skips_comments_and_blank_lines_anywhere(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("# provenance\n\ns,f0\n0.1,1.0  # first sample\n\n# gap\n1.0,0.5\n10.0,0.25\n")
+    loaded = load_profile_csv(path)
+    assert np.array_equal(loaded.grid[0], [0.1, 1.0, 10.0])
+    assert np.array_equal(loaded(np.array([0.1, 1.0, 10.0])), [1.0, 0.5, 0.25])
+
+
+def test_profile_csv_without_header_keeps_its_first_row(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("0.1,1.0\n1.0,0.5\n10.0,0.25\n")
+    loaded = load_profile_csv(path)
+    assert np.array_equal(loaded.grid[1], [1.0, 0.5, 0.25])
+    assert loaded(0.1) == 1.0
+
+
+@pytest.mark.parametrize("text,message", [("s,f0\n", "no data rows"),
+                                          ("s,f0\n0.1,1.0\nf0,s\n", "could not convert"),
+                                          ("s,f0\n1.0,0.5\n0.1,1.0\n", "strictly increasing")])
+def test_profile_csv_refuses_malformed_files(tmp_path, text, message):
+    path = tmp_path / "profile.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_profile_csv(path)
+
+
 # A radial order of 2048 makes a chunk of _BLOCK_POINTS // 2048 = 8 offsets,
 # so short offset arrays reach across chunk boundaries.
 BATCH_SPEC = QuadratureSpec(radial_order=2048, radial_cutoff=12.0)
