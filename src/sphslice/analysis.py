@@ -13,6 +13,7 @@ pole-distance of a stored unit vector has no accurate digits left.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -261,28 +262,32 @@ def support_experiment(
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(spec.seed)
     scale = _peak_on_sphere(f, dims, spec)
-    d = dims.k - 1
-    max_beyond = 0.0
-    for _ in range(trials):
+
+    def transform(zeta):
+        return slice_transform(f, SlicePlane(zeta), spec)
+
+    def far_offset(rng):
         dist = cap.b_star + (0.999 - cap.b_star) * rng.uniform(1e-3, 1.0)
-        t = dist / math.sqrt(1.0 - dist * dist)
-        zeta = random_flat(rng, dims.n, d, t)
-        val = slice_transform(f, SlicePlane(zeta), spec)
-        max_beyond = max(max_beyond, abs(val))
-    max_control = 0.0
+        return dist / math.sqrt(1.0 - dist * dist)
+
     t_control = CONTROL_DIST / math.sqrt(1.0 - CONTROL_DIST**2)
-    for _ in range(max(8, trials // 8)):
-        zeta = random_flat(rng, dims.n, d, t_control)
-        val = slice_transform(f, SlicePlane(zeta), spec)
-        max_control = max(max_control, abs(val))
-    return SupportReport(
-        threshold=cap.b_star,
-        scale=scale,
-        max_beyond=max_beyond,
-        max_control=max_control,
-        trials=trials,
-        noise_floor=NOISE_FLOOR,
-    )
+    max_beyond = _probe_max(rng, dims, trials, far_offset, transform)
+    max_control = _probe_max(rng, dims, max(8, trials // 8), lambda rng: t_control, transform)
+    return SupportReport(threshold=cap.b_star, scale=scale, max_beyond=max_beyond, max_control=max_control,
+                         trials=trials, noise_floor=NOISE_FLOOR)
+
+
+def _probe_max(rng, dims: Dimensions, count: int, offset, transform) -> float:
+    """Largest |transform(zeta)| over `count` random flats zeta of dimension dims.k - 1.
+
+    Each flat draws its offset magnitude `offset(rng)` from rng first, then
+    its orientation, so the draws interleave flat by flat.
+    """
+    peak = 0.0
+    for _ in range(count):
+        zeta = random_flat(rng, dims.n, dims.k - 1, offset(rng))
+        peak = max(peak, abs(transform(zeta)))
+    return peak
 
 
 @dataclass(frozen=True)
@@ -314,14 +319,8 @@ def kplane_support_probe(
         raise ValueError("support radius must be positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d = dims.k - 1
     rng = np.random.default_rng(spec.seed)
-    max_outside = 0.0
-    for _ in range(trials):
-        zeta = random_flat(rng, dims.n, d, r * rng.uniform(1.05, 3.0))
-        max_outside = max(max_outside, abs(radon_john(g, zeta, spec)))
-    max_control = 0.0
-    for _ in range(max(8, trials // 8)):
-        zeta = random_flat(rng, dims.n, d, 0.5 * r)
-        max_control = max(max_control, abs(radon_john(g, zeta, spec)))
+    transform = functools.partial(radon_john, g, spec=spec)
+    max_outside = _probe_max(rng, dims, trials, lambda rng: r * rng.uniform(1.05, 3.0), transform)
+    max_control = _probe_max(rng, dims, max(8, trials // 8), lambda rng: 0.5 * r, transform)
     return KPlaneProbeReport(radius=r, max_outside=max_outside, max_control=max_control, trials=trials)

@@ -4,7 +4,9 @@ Every subcommand reads a scene file (key = value lines, see scenes.py),
 computes with fixed seeds, and writes comma-separated output with a
 #-prefixed provenance header, so identical configurations give byte-identical
 files within one environment (the same Python, numpy and scipy); across
-environments the last printed digits may differ.  Exit codes:
+environments the last printed digits may differ.  A subcommand accepts, and
+its header prints, only the settings its computation reads; zonal-invert
+also takes --sphere-order, which it does not read.  Exit codes:
 
     0  success
     1  tolerance or expectation failure
@@ -36,7 +38,7 @@ from .inversion import RieszParams, invert_slice
 from .quadrature import QuadratureSpec, sphere_rule
 from .scenes import SceneError, SceneSpec, build_field, parse_scene, scene_profile, suggested_cutoff
 from .transforms import dual_transform, factorization_check, op_B, radon_john, section_to_plane, slice_transform
-from .zonal import zonal_forward, zonal_invert
+from .zonal import _read_table, zonal_forward, zonal_invert
 
 __all__ = ["main"]
 
@@ -85,14 +87,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=None, help="sphere dimension (overrides scene)")
     common.add_argument("--k", type=int, default=None, help="slice-plane dimension (overrides scene)")
-    common.add_argument("--sphere-order", type=_positive_int, default=64, help="order of sphere rules")
-    common.add_argument("--radial-order", type=_positive_int, default=128, help="nodes per radial panel")
-    common.add_argument("--cutoff", type=float, default=None,
-                        help="radial cutoff of plane integrals (default: per scene family)")
-    common.add_argument("--eps", type=float, default=0.05, help="inner cutoff of the hypersingular integral")
-    common.add_argument("--outer", type=float, default=30.0, help="outer truncation of the hypersingular integral")
-    common.add_argument("--seed", type=int, default=0, help="random seed; fixed seed gives identical output")
     common.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    settings = {
+        "sphere_order": dict(type=_positive_int, default=64, help="order of sphere rules"),
+        "radial_order": dict(type=_positive_int, default=128, help="nodes per radial panel"),
+        "cutoff": dict(type=float, default=None, help="radial cutoff of plane integrals (default: per scene family)"),
+        "eps": dict(type=float, default=0.05, help="inner cutoff of the hypersingular integral"),
+        "outer": dict(type=float, default=30.0, help="outer truncation of the hypersingular integral"),
+        "seed": dict(type=int, default=0, help="random seed; fixed seed gives identical output"),
+    }
 
     parser = argparse.ArgumentParser(
         prog="sphslice",
@@ -106,77 +109,69 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forward", parents=[common],
-                       help="slice transform of a scene over random or listed planes")
-    p.add_argument("scene", help="scene file")
-    p.add_argument("planes", help="random plane count, or path to a plane parameter file")
-    p.set_defaults(handler=_cmd_forward)
+    def add(name, handler, reads, about):
+        # `reads` names the settings the computation reads: a flag each, but
+        # orientation_samples, which keeps QuadratureSpec's default.
+        p = sub.add_parser(name, parents=[common], help=about)
+        p.add_argument("scene", help="scene file")
+        for setting in reads.split():
+            if setting in settings:
+                p.add_argument("--" + setting.replace("_", "-"), **settings[setting])
+        p.set_defaults(handler=handler, reads=reads.split())
+        return p
 
-    p = sub.add_parser("radon", parents=[common],
-                       help="flat integrals of the scene's conjugated plane field")
-    p.add_argument("scene", help="scene file")
-    p.add_argument("planes", help="random plane count, or path to a plane parameter file")
-    p.set_defaults(handler=_cmd_radon)
+    planes = "random plane count, or path to a plane parameter file"
+    add("forward", _cmd_forward, "sphere_order seed",
+        "slice transform of a scene over random or listed planes").add_argument("planes", help=planes)
+    add("radon", _cmd_radon, "sphere_order radial_order cutoff seed",
+        "flat integrals of the scene's conjugated plane field").add_argument("planes", help=planes)
 
-    p = sub.add_parser("factor-check", parents=[common],
-                       help="slice transform vs the conjugated flat route, plane by plane")
-    p.add_argument("scene", help="scene file")
+    p = add("factor-check", _cmd_factor_check, "sphere_order radial_order cutoff seed",
+            "slice transform vs the conjugated flat route, plane by plane")
     p.add_argument("count", type=_positive_int, help="number of random planes")
     p.add_argument("--tol", type=float, default=1e-6, help="largest relative difference that passes")
-    p.set_defaults(handler=_cmd_factor_check)
 
-    p = sub.add_parser("zonal-forward", parents=[common],
-                       help="profile of the transform of a zonal scene over plane offsets")
-    p.add_argument("scene", help="scene file")
+    p = add("zonal-forward", _cmd_zonal_forward, "radial_order cutoff",
+            "profile of the transform of a zonal scene over plane offsets")
     p.add_argument("--t-max", type=float, default=3.0, help="largest offset magnitude")
     p.add_argument("--t-count", type=_positive_int, default=31, help="number of offsets")
-    p.set_defaults(handler=_cmd_zonal_forward)
 
-    p = sub.add_parser("zonal-invert", parents=[common],
-                       help="round-trip a zonal scene through the offset-profile inversion")
-    p.add_argument("scene", help="scene file")
+    # zonal-invert does not read --sphere-order; it accepts and prints it
+    # because existing command lines pass it.
+    p = add("zonal-invert", _cmd_zonal_invert, "sphere_order radial_order cutoff",
+            "round-trip a zonal scene through the offset-profile inversion")
     p.add_argument("--tol", type=float, default=1e-3, help="largest weighted profile error that passes")
-    p.set_defaults(handler=_cmd_zonal_invert)
 
-    p = sub.add_parser("invert", parents=[common],
-                       help="full reconstruction of a scene from its slice data (n = 2 only)")
-    p.add_argument("scene", help="scene file")
+    p = add("invert", _cmd_invert, "sphere_order radial_order orientation_samples eps outer",
+            "full reconstruction of a scene from its slice data (n = 2 only)")
     p.add_argument("--grid-order", type=_positive_int, default=8, help="order of the evaluation grid on the sphere")
     p.add_argument("--cap-limit", type=float, default=0.9,
                    help="exclude evaluation points with last coordinate above this")
     p.add_argument("--tol", type=float, default=0.05,
                    help="largest error, relative to the reference's peak, that passes")
-    p.set_defaults(handler=_cmd_invert)
 
-    p = sub.add_parser("support", parents=[common],
-                       help="vanishing of the transform beyond the cap threshold")
-    p.add_argument("scene", help="scene file")
+    p = add("support", _cmd_support, "sphere_order seed", "vanishing of the transform beyond the cap threshold")
     p.add_argument("--b", type=float, default=0.0, help="cap height")
     p.add_argument("--trials", type=_positive_int, default=50, help="number of sampled planes")
-    p.set_defaults(handler=_cmd_support)
 
-    p = sub.add_parser("existence", parents=[common],
-                       help="refinement study of the existence integral near the pole")
-    p.add_argument("scene", help="scene file")
+    p = add("existence", _cmd_existence, "sphere_order radial_order",
+            "refinement study of the existence integral near the pole")
     p.add_argument("--mu", type=float, default=None,
                    help="use the pole-growth field (1 - eta_last)^(-mu) instead of the scene")
     p.add_argument("--expect", choices=["converges", "diverges"], default=None,
                    help="exit 0 only if the verdict matches")
-    p.set_defaults(handler=_cmd_existence)
 
-    p = sub.add_parser("dual", parents=[common],
-                       help="backprojection of the scene's flat data on a plane grid")
-    p.add_argument("scene", help="scene file")
+    p = add("dual", _cmd_dual, "sphere_order radial_order cutoff orientation_samples seed",
+            "backprojection of the scene's flat data on a plane grid")
     p.add_argument("--grid-size", type=_positive_int, default=5, help="points per axis")
     p.add_argument("--extent", type=float, default=2.0, help="grid half-width")
-    p.set_defaults(handler=_cmd_dual)
 
     return parser
 
 
 @contextlib.contextmanager
 def _usage_errors():
-    """Report the ValueError of a setting out of range as a usage error (exit 2)."""
+    """Report a ValueError, of a setting out of range or a malformed plane file, as a usage error (exit 2)."""
     try:
         yield
     except ValueError as exc:
@@ -184,23 +179,18 @@ def _usage_errors():
 
 
 def _load(args):
-    """Scene (with --n and --k applied), quadrature spec and riesz params from flags."""
+    """Scene (with --n and --k applied) and quadrature spec; unread settings keep QuadratureSpec's defaults."""
     scene = parse_scene(args.scene)
     n = args.n if args.n is not None else scene.dims.n
     k = args.k if args.k is not None else scene.dims.k
     with _usage_errors():
         dims = Dimensions(n, k)
         scene = SceneSpec(family=scene.family, parameters=dict(scene.parameters), dims=dims)
-        cutoff = args.cutoff if args.cutoff is not None else suggested_cutoff(scene)
-        spec = QuadratureSpec(
-            sphere_order=args.sphere_order,
-            radial_order=args.radial_order,
-            radial_cutoff=cutoff,
-            orientation_samples=256,
-            seed=args.seed,
-        )
-        riesz = RieszParams(k_order=dims.k - 1, eps=args.eps, outer_R=args.outer)
-    return scene, spec, riesz
+        fields = {name: getattr(args, name) for name in ("sphere_order", "radial_order", "seed") if name in args.reads}
+        if "cutoff" in args.reads:
+            fields["radial_cutoff"] = args.cutoff if args.cutoff is not None else suggested_cutoff(scene)
+        spec = QuadratureSpec(**fields)
+    return scene, spec
 
 
 def _fmt(value) -> str:
@@ -209,28 +199,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, scene, spec, riesz, columns, rows, *, header=None, footer=None,
+def _emit(args, scene, spec, columns, rows, *, riesz=None, header=None, footer=None,
           passed=None, criterion=None, summary=None) -> int:
     """Write one run's CSV to stdout or --out and return its exit code.
 
-    The CSV is the provenance header followed by `header`'s `name: value`
-    lines, the columns and rows, then `footer`'s lines and, given a
-    `criterion`, a PASS/FAIL line naming it.  After a file write `summary` is
-    printed as `name=value` words, led by the verdict if there is one.  The
-    run exits 1 if `passed` is False and 0 otherwise (None: no verdict).
+    The CSV is the provenance header (the settings args.reads names, and
+    `riesz` if given) followed by `header`'s `name: value` lines, the columns
+    and rows, then `footer`'s lines and, given a `criterion`, a PASS/FAIL line
+    naming it.  After a file write `summary` is printed as `name=value` words,
+    led by the verdict if there is one.  The run exits 1 if `passed` is False
+    and 0 otherwise (None: no verdict).
     """
     params = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(scene.parameters.items()) if v is not None)
     verdict = "PASS" if passed else "FAIL"
+    quadrature = {"sphere_order": spec.sphere_order, "radial_order": spec.radial_order,
+                  "cutoff": spec.radial_cutoff, "orientation_samples": spec.orientation_samples}
     head = [
         f"command: {args.command}",
         f"scene: family={scene.family} {params} n={scene.dims.n} k={scene.dims.k}".rstrip(),
-        "quadrature: "
-        f"sphere_order={spec.sphere_order} radial_order={spec.radial_order} "
-        f"cutoff={_fmt(spec.radial_cutoff)} orientation_samples={spec.orientation_samples}",
-        f"riesz: k_order={riesz.k_order} ell={riesz.ell} eps={_fmt(riesz.eps)} "
-        f"outer={_fmt(riesz.outer_R)}",
-        f"seed: {spec.seed}",
-    ] + [f"{name}: {_fmt(v)}" for name, v in (header or {}).items()]
+        "quadrature: " + " ".join(f"{name}={_fmt(v)}" for name, v in quadrature.items() if name in args.reads),
+    ]
+    if riesz is not None:
+        head.append(f"riesz: k_order={riesz.k_order} ell={riesz.ell} eps={_fmt(riesz.eps)} "
+                    f"outer={_fmt(riesz.outer_R)}")
+    if "seed" in args.reads:
+        head.append(f"seed: {spec.seed}")
+    head += [f"{name}: {_fmt(v)}" for name, v in (header or {}).items()]
     tail = [f"{name}: {_fmt(v)}" for name, v in (footer or {}).items()]
     if criterion is not None:
         tail.append(f"{verdict} ({criterion})")
@@ -335,22 +329,9 @@ def _random_planes(dims: Dimensions, count: int, seed: int) -> list[FlatSpec]:
 def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
     width = len(_plane_columns(dims))
     planes = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise SceneError(f"cannot read plane file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        tokens = [tok for tok in text.replace(",", " ").split() if tok]
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError:
-            if not planes:
-                continue  # header line
-            raise SceneError(f"{path}:{lineno}: expected numeric plane parameters") from None
+    with _usage_errors():
+        rows = _read_table(path)
+    for lineno, values in rows:
         if len(values) < width:
             raise SceneError(f"{path}:{lineno}: expected at least {width} columns, got {len(values)}")
         try:
@@ -366,18 +347,18 @@ def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
 # Subcommands.
 
 def _cmd_forward(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
     field = build_field(scene)
-    return _per_plane(args, scene, spec, riesz, lambda zeta, tau: slice_transform(field, tau, spec))
+    return _per_plane(args, scene, spec, lambda zeta, tau: slice_transform(field, tau, spec))
 
 
 def _cmd_radon(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
     g = op_B(build_field(scene), scene.dims)
-    return _per_plane(args, scene, spec, riesz, lambda zeta, tau: radon_john(g, zeta, spec))
+    return _per_plane(args, scene, spec, lambda zeta, tau: radon_john(g, zeta, spec))
 
 
-def _per_plane(args, scene, spec, riesz, value) -> int:
+def _per_plane(args, scene, spec, value) -> int:
     """One row per random or listed plane: its parameters, dist and value(zeta, tau)."""
     try:
         count = int(args.planes)
@@ -390,11 +371,11 @@ def _per_plane(args, scene, spec, riesz, value) -> int:
         tau = section_to_plane(zeta)
         rows.append(_plane_to_row(zeta, scene.dims) + [tau.dist, value(zeta, tau)])
     columns = _plane_columns(scene.dims) + ["dist", "value"]
-    return _emit(args, scene, spec, riesz, columns, rows, header={"planes": args.planes})
+    return _emit(args, scene, spec, columns, rows, header={"planes": args.planes})
 
 
 def _cmd_factor_check(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
     field = build_field(scene)
     rows = []
     worst = 0.0
@@ -403,25 +384,25 @@ def _cmd_factor_check(args) -> int:
         worst = max(worst, report.rel_diff)
         rows.append(_plane_to_row(zeta, scene.dims) + [report.lhs, report.rhs, report.abs_diff])
     columns = _plane_columns(scene.dims) + ["lhs", "rhs", "abs_diff"]
-    return _emit(args, scene, spec, riesz, columns, rows, header={"tol": args.tol, "count": args.count},
+    return _emit(args, scene, spec, columns, rows, header={"tol": args.tol, "count": args.count},
                  footer={"max_rel_diff": worst}, passed=worst <= args.tol, criterion=f"tol {_fmt(args.tol)}",
                  summary={"max_rel_diff": worst, "tol": args.tol})
 
 
 def _cmd_zonal_forward(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
     profile = scene_profile(scene)
     if args.t_max < 0:
         raise SceneError("offset grid needs t-max >= 0")
     offsets = np.linspace(0.0, args.t_max, args.t_count)
     values = zonal_forward(profile, offsets, scene.dims, spec)
     rows = [[float(t), t / math.hypot(1.0, t), value] for t, value in zip(offsets, values)]
-    return _emit(args, scene, spec, riesz, ["t", "dist", "value"], rows,
+    return _emit(args, scene, spec, ["t", "dist", "value"], rows,
                  header={"t_max": args.t_max, "t_count": args.t_count})
 
 
 def _cmd_zonal_invert(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
     profile = scene_profile(scene)
     recovered = zonal_invert(lambda t: zonal_forward(profile, t, scene.dims, spec), scene.dims, spec)
     s_grid = np.geomspace(0.1, 10.0, 65)
@@ -430,13 +411,15 @@ def _cmd_zonal_invert(args) -> int:
     weighted = np.abs(rec - truth) / (1.0 + np.abs(truth))
     worst = float(np.max(weighted))
     rows = zip(s_grid, truth, rec, weighted)
-    return _emit(args, scene, spec, riesz, ["s", "reference", "recovered", "weighted_err"], rows,
+    return _emit(args, scene, spec, ["s", "reference", "recovered", "weighted_err"], rows,
                  header={"tol": args.tol}, footer={"max_weighted_err": worst}, passed=worst <= args.tol,
                  criterion=f"tol {_fmt(args.tol)}", summary={"max_weighted_err": worst, "tol": args.tol})
 
 
 def _cmd_invert(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
+    with _usage_errors():
+        riesz = RieszParams(k_order=scene.dims.k - 1, eps=args.eps, outer_R=args.outer)
     field = build_field(scene)
     reconstruction = invert_slice(lambda tau: slice_transform(field, tau, spec), scene.dims, riesz, spec)
     pts, _ = sphere_rule(scene.dims.n, args.grid_order)
@@ -450,7 +433,7 @@ def _cmd_invert(args) -> int:
     worst = float(np.max(errors))
     rows = [list(p) + [v, r, e] for p, v, r, e in zip(pts, values, reference, errors)]
     columns = [f"eta{j + 1}" for j in range(scene.dims.n + 1)] + ["value", "reference", "abs_error"]
-    return _emit(args, scene, spec, riesz, columns, rows,
+    return _emit(args, scene, spec, columns, rows, riesz=riesz,
                  header={"tol": args.tol, "grid_order": args.grid_order, "cap_limit": args.cap_limit},
                  footer={"sup_abs_err": worst, "reference_scale": scale},
                  passed=worst <= args.tol * max(scale, 1e-300), criterion=f"tol {_fmt(args.tol)} relative",
@@ -458,7 +441,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_support(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
     with _usage_errors():
         cap = CapSpec(args.b)
     report = support_experiment(build_field(scene), cap, scene.dims, spec, args.trials)
@@ -468,7 +451,7 @@ def _cmd_support(args) -> int:
         ["control_nonzero", f"dist={_fmt(CONTROL_DIST)}", "pass" if report.control_ok else "fail",
          report.max_control],
     ]
-    return _emit(args, scene, spec, riesz, ["check", "parameter", "verdict", "max_violation"], rows,
+    return _emit(args, scene, spec, ["check", "parameter", "verdict", "max_violation"], rows,
                  header={"b": args.b, "trials": args.trials}, footer={"scale": report.scale},
                  passed=report.vanishing_ok and report.control_ok,
                  criterion=f"noise floor {_fmt(report.noise_floor)}",
@@ -476,7 +459,7 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_existence(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
     if args.mu is not None:
         field = power_growth_field(args.mu)
         subject = f"pole_power mu={_fmt(args.mu)}"
@@ -484,14 +467,14 @@ def _cmd_existence(args) -> int:
         field = build_field(scene)
         subject = f"scene {scene.family}"
     report = existence_check(field, scene.dims, spec=spec)
-    return _emit(args, scene, spec, riesz, ["level", "value"], report.trace,
+    return _emit(args, scene, spec, ["level", "value"], report.trace,
                  footer={"subject": subject, "verdict": report.verdict},
                  passed=None if args.expect is None else report.verdict == args.expect,
                  summary={"verdict": report.verdict})
 
 
 def _cmd_dual(args) -> int:
-    scene, spec, riesz = _load(args)
+    scene, spec = _load(args)
     if args.extent <= 0:
         raise SceneError("dual grid needs extent > 0")
     dims = scene.dims
@@ -501,7 +484,7 @@ def _cmd_dual(args) -> int:
     points = np.stack([g_.ravel() for g_ in grids], axis=-1)
     rows = [list(x) + [dual_transform(lambda zeta: radon_john(g, zeta, spec), x, dims.k - 1, dims, spec)]
             for x in points]
-    return _emit(args, scene, spec, riesz, [f"x{j + 1}" for j in range(dims.n)] + ["value"], rows,
+    return _emit(args, scene, spec, [f"x{j + 1}" for j in range(dims.n)] + ["value"], rows,
                  header={"grid_size": args.grid_size, "extent": args.extent})
 
 

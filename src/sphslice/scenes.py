@@ -18,6 +18,7 @@ from a CSV file).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,6 +99,14 @@ class SceneSpec:
 
     def __getitem__(self, name: str):
         return self.parameters[name]
+
+    @functools.cached_property
+    def _profile(self) -> ZonalProfile:
+        """The custom_profile_csv profile, read from its file once per scene."""
+        try:
+            return load_profile_csv(self["path"])
+        except ValueError as exc:
+            raise SceneError(str(exc)) from exc
 
 
 def parse_scene(path: str) -> SceneSpec:
@@ -198,10 +207,7 @@ def scene_profile(scene: SceneSpec) -> ZonalProfile:
 
         return ZonalProfile(f0=f0)
     if scene.family == "custom_profile_csv":
-        try:
-            return load_profile_csv(scene["path"])
-        except ValueError as exc:
-            raise SceneError(f"{scene['path']}: {exc}") from exc
+        return scene._profile
     raise SceneError(f"family {scene.family} is not zonal")
 
 

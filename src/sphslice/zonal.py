@@ -252,40 +252,50 @@ def save_profile_csv(path, s: np.ndarray, values: np.ndarray):
 def load_profile_csv(path) -> ZonalProfile:
     """Load a (s, f0) profile; interpolates linearly in log s, clamped at the ends.
 
-    The file holds one `s,f0` pair per line.  Text after a `#` and blank lines
-    are skipped wherever they appear; the first remaining line is skipped as a
-    header only when it is not numeric.  Below the first grid point the
-    profile is held constant; beyond the last it is set to zero, matching the
-    decay expected of admissible profiles.
+    The file holds one `s,f0` pair per line, read by `_read_table`'s rule (the
+    one plane files follow too).  Below the first grid point the profile is
+    held constant; beyond the last it is set to zero, matching the decay
+    expected of admissible profiles.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [text for text in (raw.split("#", 1)[0].strip() for raw in fh) if text]
-    if lines and not _is_numeric(lines[0]):
-        lines = lines[1:]
-    if not lines:
-        raise ValueError("profile CSV holds no data rows")
-    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
-    if rows.shape[1] < 2:
-        raise ValueError("profile CSV needs columns s,f0")
-    s, vals = rows[:, 0], rows[:, 1]
+    rows = _read_table(path)
+    if not rows:
+        raise ValueError(f"{path}: profile CSV holds no data rows")
+    for lineno, values in rows:
+        if len(values) < 2:
+            raise ValueError(f"{path}:{lineno}: profile CSV needs columns s,f0")
+    s, vals = np.array([values[:2] for _, values in rows]).T
     if np.any(s <= 0) or np.any(np.diff(s) <= 0):
-        raise ValueError("profile grid must be positive and strictly increasing")
+        raise ValueError(f"{path}: profile grid must be positive and strictly increasing")
     xi = np.log(s)
 
     def f0(sq: np.ndarray) -> np.ndarray:
         sq = np.asarray(sq, dtype=float)
         with np.errstate(divide="ignore"):
             q = np.log(np.clip(sq, s[0], None))
-        out = np.interp(q, xi, vals, right=0.0)
-        return out
+        return np.interp(q, xi, vals, right=0.0)
 
     return ZonalProfile(f0=f0, grid=(s, vals))
 
 
-def _is_numeric(line: str) -> bool:
-    try:
-        for token in line.split(","):
-            float(token)
-    except ValueError:
-        return False
-    return True
+def _read_table(path) -> list[tuple[int, list[float]]]:
+    """The numeric rows of a text table, each with its line number.
+
+    Text after a `#` and blank lines are dropped wherever they appear; values
+    are separated by commas, whitespace or both.  The first remaining line is
+    a header, and skipped, only if it is not numeric; any later non-numeric
+    line is a ValueError naming `path:line`.
+    """
+    rows = []
+    first = True
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                rows.append((lineno, [float(token) for token in text.replace(",", " ").split()]))
+            except ValueError:
+                if not first:
+                    raise ValueError(f"{path}:{lineno}: could not convert {text!r} to numbers") from None
+            first = False
+    return rows

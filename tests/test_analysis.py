@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,10 @@ from sphslice import (
     power_growth_field,
     support_experiment,
 )
-from sphslice.analysis import CONTROL_FLOOR, NOISE_FLOOR, SupportReport
+from sphslice.analysis import CONTROL_DIST, CONTROL_FLOOR, NOISE_FLOOR, KPlaneProbeReport, SupportReport
+from sphslice.geometry import SlicePlane, random_flat
+from sphslice.quadrature import sphere_rule
+from sphslice.transforms import radon_john, slice_transform
 
 SPEC = QuadratureSpec()
 
@@ -187,3 +191,46 @@ def test_kplane_probe_refuses_no_trials(trials):
 
     with pytest.raises(ValueError, match="trials must be >= 1"):
         kplane_support_probe(PlaneField(refuse, decay_exponent=None), 1.0, Dimensions(3, 2), SPEC, trials)
+
+
+def _loop_max(rng, n, d, count, offset, transform):
+    # The probe loop as written out in each report before they shared one.
+    peak = 0.0
+    for _ in range(count):
+        t = offset(rng)
+        peak = max(peak, abs(transform(random_flat(rng, n, d, t))))
+    return peak
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_probe_reports_keep_their_draws_and_values(seed):
+    # Each report equals, field by field, the one its own two loops gave for
+    # the same seed: offset first, then orientation, flat after flat.  The
+    # fields are not rotation-invariant, so every draw moves the values.
+    spec = QuadratureSpec(sphere_order=12, radial_order=12, seed=seed)
+    dims, cap = Dimensions(3, 2), CapSpec(0.2)
+    f = SphereField(lambda eta: np.exp(np.asarray(eta) @ [0.3, -0.2, 0.5, 0.1]))
+    rng = np.random.default_rng(seed)
+    scale = float(np.max(np.abs(f(sphere_rule(3, 12)[0]))))
+
+    def far(rng):
+        dist = cap.b_star + (0.999 - cap.b_star) * rng.uniform(1e-3, 1.0)
+        return dist / math.sqrt(1.0 - dist * dist)
+
+    def transform(zeta):
+        return slice_transform(f, SlicePlane(zeta), spec)
+
+    t_control = CONTROL_DIST / math.sqrt(1.0 - CONTROL_DIST**2)
+    beyond = _loop_max(rng, 3, 1, 9, far, transform)
+    control = _loop_max(rng, 3, 1, 8, lambda rng: t_control, transform)
+    want = SupportReport(threshold=cap.b_star, scale=scale, max_beyond=beyond, max_control=control,
+                         trials=9, noise_floor=NOISE_FLOOR)
+    assert dataclasses.astuple(support_experiment(f, cap, dims, spec, 9)) == dataclasses.astuple(want)
+
+    g = PlaneField(lambda x: np.exp(-np.sum((np.asarray(x) - [0.3, 0.0, 0.1]) ** 2, axis=-1)),
+                   decay_exponent=None)
+    rng = np.random.default_rng(seed)
+    outside = _loop_max(rng, 3, 1, 17, lambda rng: 0.8 * rng.uniform(1.05, 3.0), lambda z: radon_john(g, z, spec))
+    control = _loop_max(rng, 3, 1, 8, lambda rng: 0.4, lambda z: radon_john(g, z, spec))
+    want = KPlaneProbeReport(radius=0.8, max_outside=outside, max_control=control, trials=17)
+    assert dataclasses.astuple(kplane_support_probe(g, 0.8, dims, spec, 17)) == dataclasses.astuple(want)

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphslice import save_profile_csv
+from sphslice import SphereField, save_profile_csv
 from sphslice import cli
 from sphslice.cli import main
 
@@ -14,6 +15,8 @@ GAUSS = "family = zonal_gaussian\namplitude = 1.0\nwidth = 1.0\nn = 3\nk = 2\n"
 BUMP = "family = cap_bump\nb = 0.0\nsharpness = 0.1\nn = 3\nk = 2\n"
 GAUSS33 = "family = zonal_gaussian\nn = 3\nk = 3\n"
 LOW = ["--sphere-order", "16", "--radial-order", "16"]
+LOW_SPHERE = ["--sphere-order", "16"]
+LOW_RADIAL = ["--radial-order", "16"]
 
 
 @pytest.fixture
@@ -172,6 +175,11 @@ def test_malformed_profile_csv_exits_2(tmp_path, capsys):
     assert "strictly increasing" in capsys.readouterr().err
 
 
+# A subcommand that reads each setting flag of test_out_of_range_setting_exits_2.
+READER = {"--eps": ["invert", "--n", "2", "--k", "2"], "--outer": ["invert", "--n", "2", "--k", "2"],
+          "--cutoff": ["radon", "1"], "--b": ["support", "--trials", "1"]}
+
+
 @pytest.mark.parametrize("flags,setting", [(["--eps", "0"], "eps"),
                                            (["--eps", "10", "--outer", "30"], "outer_R"),
                                            (["--eps", "nan"], "eps"),
@@ -182,8 +190,9 @@ def test_malformed_profile_csv_exits_2(tmp_path, capsys):
                                            (["--cutoff", "0.5"], "radial_cutoff must be finite"),
                                            (["--b", "1.5"], "cap height b must lie in (-1, 1)")])
 def test_out_of_range_setting_exits_2(capsys, gauss_scene, flags, setting):
-    # support takes every one of these flags; each is refused before any computation
-    assert run(["support", gauss_scene, "--trials", "1", "--sphere-order", "8"] + flags) == 2
+    # each is refused by a subcommand that reads it, before any computation
+    command = READER[flags[0]]
+    assert run([command[0], gauss_scene] + command[1:] + ["--sphere-order", "8"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and setting in err
 
@@ -196,13 +205,13 @@ def test_invert_beyond_the_plane_exits_2(capsys, gauss_scene):
 
 
 @pytest.mark.parametrize("command,flags,columns,rows", [
-    ("radon", ["3"], "alpha,beta,gamma,t,dist,value", 3),
+    ("radon", ["3", "--seed", "9"] + LOW, "alpha,beta,gamma,t,dist,value", 3),
     # n = 3 keeps dual_transform's orientation sample in space exercised
-    ("dual", ["--grid-size", "2", "--extent", "1.5"], "x1,x2,x3,value", 8),
-    ("zonal-forward", ["--t-max", "2", "--t-count", "5"], "t,dist,value", 5),
+    ("dual", ["--grid-size", "2", "--extent", "1.5", "--seed", "9"] + LOW, "x1,x2,x3,value", 8),
+    ("zonal-forward", ["--t-max", "2", "--t-count", "5"] + LOW_RADIAL, "t,dist,value", 5),
 ])
 def test_output_is_reproducible_with_expected_shape(tmp_path, gauss_scene, command, flags, columns, rows):
-    argv = [command, gauss_scene] + flags + ["--seed", "9", "--sphere-order", "16", "--radial-order", "16"]
+    argv = [command, gauss_scene] + flags
     outputs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
@@ -296,13 +305,13 @@ GOLDEN_RUNS = [
     ("factor_check_zonal_gaussian_n3k3", GAUSS33,
      ["factor-check", "5", "--seed", "9", "--sphere-order", "48", "--radial-order", "64"],
      "PASS max_rel_diff=2.2499503817550981e-15 tol=9.9999999999999995e-07"),
-    ("forward_zonal_gaussian_n3k2", GAUSS, ["forward", "4", "--seed", "9"] + LOW, ""),
+    ("forward_zonal_gaussian_n3k2", GAUSS, ["forward", "4", "--seed", "9"] + LOW_SPHERE, ""),
     ("radon_zonal_gaussian_n3k2", GAUSS, ["radon", "3", "--seed", "9"] + LOW, ""),
     ("zonal_forward_zonal_gaussian_n3k2", GAUSS,
-     ["zonal-forward", "--t-max", "2", "--t-count", "5"] + LOW, ""),
+     ["zonal-forward", "--t-max", "2", "--t-count", "5"] + LOW_RADIAL, ""),
     ("zonal_invert_zonal_gaussian_n3k3", GAUSS33, ["zonal-invert"] + LOW,
      "PASS max_weighted_err=1.0135526176360101e-07 tol=0.001"),
-    ("support_cap_bump_n3k2", BUMP, ["support", "--trials", "10", "--seed", "5"] + LOW,
+    ("support_cap_bump_n3k2", BUMP, ["support", "--trials", "10", "--seed", "5"] + LOW_SPHERE,
      "PASS max_beyond=0 control=1.4473326613403827"),
     ("existence_pole_power_n3k2", GAUSS, ["existence", "--mu", "0.4", "--expect", "converges"] + LOW,
      "verdict=converges"),
@@ -347,7 +356,7 @@ def test_missing_profile_file_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["forward", "1", "--sphere-order", "0"],
-    ["forward", "1", "--radial-order", "0"],
+    ["radon", "1", "--radial-order", "0"],
     ["factor-check", "0"],
     ["zonal-forward", "--t-count", "0"],
     ["invert", "--grid-order", "0"],
@@ -360,8 +369,8 @@ def test_count_below_one_is_a_usage_error(capsys, gauss_scene, argv):
 
 
 @pytest.mark.parametrize("command,flags,shape", [
-    ("zonal-forward", ["--t-count", "7"], (7,)),
-    ("zonal-invert", [], (800,)),
+    ("zonal-forward", ["--t-count", "7"] + LOW_RADIAL, (7,)),
+    ("zonal-invert", LOW, (800,)),
 ])
 def test_zonal_subcommands_call_the_forward_integral_once(monkeypatch, tmp_path, gauss_scene,
                                                           command, flags, shape):
@@ -375,13 +384,13 @@ def test_zonal_subcommands_call_the_forward_integral_once(monkeypatch, tmp_path,
         return forward(profile, t, dims, spec)
 
     monkeypatch.setattr(cli, "zonal_forward", counting_forward)
-    assert run([command, gauss_scene, "--out", str(tmp_path / "out.csv")] + flags + LOW) == 0
+    assert run([command, gauss_scene, "--out", str(tmp_path / "out.csv")] + flags) == 0
     assert seen == [shape]
 
 
 def test_consecutive_runs_share_no_output_target(tmp_path, capsys, gauss_scene):
     out = tmp_path / "out.csv"
-    argv = ["zonal-forward", gauss_scene, "--t-count", "3"] + LOW
+    argv = ["zonal-forward", gauss_scene, "--t-count", "3"] + LOW_RADIAL
     assert run(argv + ["--out", str(out)]) == 0
     written = out.read_text()
     capsys.readouterr()
@@ -427,3 +436,96 @@ def test_tol_defaults_per_subcommand(argv, default):
     parser = cli._build_parser()
     assert parser.parse_args(argv).tol == default
     assert parser.parse_args(argv + ["--tol", "0.25"]).tol == 0.25
+
+
+# The setting flags each subcommand's computation reads.  zonal-invert accepts
+# --sphere-order without reading it.
+SETTING_FLAGS = ("--sphere-order", "--radial-order", "--cutoff", "--eps", "--outer", "--seed")
+FLAT_SETTINGS = ("--sphere-order", "--radial-order", "--cutoff", "--seed")
+READS = {
+    "forward": ("--sphere-order", "--seed"),
+    "radon": FLAT_SETTINGS,
+    "factor-check": FLAT_SETTINGS,
+    "dual": FLAT_SETTINGS,
+    "zonal-forward": ("--radial-order", "--cutoff"),
+    "zonal-invert": ("--sphere-order", "--radial-order", "--cutoff"),
+    "invert": ("--sphere-order", "--radial-order", "--eps", "--outer"),
+    "support": ("--sphere-order", "--seed"),
+    "existence": ("--sphere-order", "--radial-order"),
+}
+UNREAD = [(command, flag) for command, read in READS.items() for flag in SETTING_FLAGS if flag not in read]
+# Small runs of every subcommand but invert, which takes tens of seconds.
+SMALL = {"forward": ["2"], "radon": ["2"], "factor-check": ["1"], "dual": ["--grid-size", "2"],
+         "zonal-forward": ["--t-count", "3"], "zonal-invert": [], "support": ["--trials", "2"], "existence": []}
+TWO_VALUES = {"--sphere-order": ("8", "12"), "--radial-order": ("8", "12"), "--cutoff": ("2", "3"),
+              "--seed": ("1", "2")}
+
+
+def test_parser_offers_exactly_the_read_settings():
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {name: tuple(flag for flag in SETTING_FLAGS if flag in parser._option_string_actions)
+               for name, parser in subcommands.choices.items()}
+    assert offered == READS
+    assert sum(map(len, offered.values())) == 27
+
+
+@pytest.mark.parametrize("command,flag", UNREAD, ids=[f"{c} {f}" for c, f in UNREAD])
+def test_unread_setting_is_refused(capsys, gauss_scene, command, flag):
+    assert run([command, gauss_scene] + PLANE_COUNT.get(command, []) + [flag, "1"]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _small_run(tmp_path, scene, command, flags):
+    out = tmp_path / "out.csv"
+    order = [f for flag in ("--sphere-order", "--radial-order") if flag in READS[command] for f in (flag, "8")]
+    assert run([command, scene] + SMALL[command] + order + flags + ["--out", str(out)]) in (0, 1)
+    return out.read_text()
+
+
+KEPT = [(command, flag) for command in SMALL for flag in READS[command]]
+
+
+@pytest.mark.parametrize("command,flag", KEPT, ids=[f"{c} {f}" for c, f in KEPT])
+def test_read_setting_changes_the_rows(tmp_path, command, flag):
+    # k = 3, as the angular rule of a line (k = 2) has two nodes at any order;
+    # existence runs on a field that is not zonal, whose cap integrals depend
+    # on the angular order
+    scene = tmp_path / "s.scene"
+    scene.write_text("family = first_harmonic_weighted\n" if command == "existence" else GAUSS33)
+    rows = [[line for line in _small_run(tmp_path, str(scene), command, [flag, value]).splitlines()
+             if not line.startswith("#")] for value in TWO_VALUES[flag]]
+    assert (rows[0] == rows[1]) is ((command, flag) == ("zonal-invert", "--sphere-order"))
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_profile_csv_is_read_once_per_run(monkeypatch, tmp_path, command):
+    # Without --cutoff the suggested cutoff needs the profile's grid, and the
+    # field or the zonal handler needs the profile itself: one read serves both.
+    csv_path = tmp_path / "profile.csv"
+    grid = np.geomspace(0.1, 10.0, 20)
+    save_profile_csv(csv_path, grid, np.exp(-grid))
+    scene = tmp_path / "custom.scene"
+    scene.write_text(f"family = custom_profile_csv\npath = {csv_path}\nn = 2\nk = 2\n")
+    # the reconstruction itself takes tens of seconds and never reads the file
+    monkeypatch.setattr(cli, "invert_slice", lambda data, dims, riesz, spec: SphereField(lambda eta: eta[:, 0]))
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    out = tmp_path / "out.csv"
+    assert run([command, str(scene)] + SMALL.get(command, ["--grid-order", "2"]) + ["--out", str(out)]) in (0, 1)
+    assert opened.count(str(csv_path)) == 1
+
+
+def test_plane_file_takes_one_header_line(tmp_path, gauss_scene, capsys):
+    # Only the first line left after comments may be a header; a second
+    # non-numeric line is an error naming its line.
+    planes = tmp_path / "planes.csv"
+    planes.write_text("# planes\nalpha,beta,gamma,t\nmore words\n0.5,0.5,0.5,1.0\n")
+    assert run(["forward", gauss_scene, str(planes), "--sphere-order", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{planes}:3" in err

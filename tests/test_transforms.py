@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sphslice.transforms as transforms
@@ -313,11 +313,16 @@ SCENE_FAMILY = st.sampled_from(["constant", "zonal_gaussian", "cap_bump", "first
     seed=st.integers(0, 2**32 - 1),
     t=st.floats(0.0, 5.0),
 )
+# Subnormal coefficients make the transforms subnormal too (about 2.6e-318
+# here), where one rounding moves a value by more than 1e-12 of it.
+@example(dims=(2, 2), families=("zonal_gaussian", "constant"), coefficients=(1.1125369292536007e-308, 0.0),
+         seed=0, t=4.5)
 @settings(max_examples=20, deadline=None)
 def test_slice_transform_is_linear(dims, families, coefficients, seed, t):
     # The error is measured against the transform of |a f| + |b g|, which
     # bounds the cancellation in either sum; over 400 random draws it stayed
-    # below 4.7e-16.
+    # below 4.7e-16.  The bound is floored at the smallest normal float, as
+    # below it the spacing of floats exceeds 1e-12 of the value.
     n, k = dims
     f, g = (build_field(SceneSpec(family=name, dims=Dimensions(n, k))) for name in families)
     a, b = coefficients
@@ -326,7 +331,7 @@ def test_slice_transform_is_linear(dims, families, coefficients, seed, t):
     combined = slice_transform(SphereField(lambda eta: a * f(eta) + b * g(eta)), tau, spec)
     separate = a * slice_transform(f, tau, spec) + b * slice_transform(g, tau, spec)
     scale = slice_transform(SphereField(lambda eta: np.abs(a * f(eta)) + np.abs(b * g(eta))), tau, spec)
-    assert abs(combined - separate) <= 1e-12 * scale
+    assert abs(combined - separate) <= max(1e-12 * scale, np.finfo(float).tiny)
 
 
 def _one_node(value):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,3 +281,25 @@ def test_invert_propagates_an_error_of_the_batched_call():
         zonal_invert(forward, dims, spec)
     assert shapes == [(800,)]
 
+
+
+@pytest.mark.parametrize("text", [
+    "s f0\n0.1 1.0\n1.0\t0.5\n10.0   0.25\n",
+    "s,f0,\n0.1,1.0,\n1.0 , 0.5\n10.0,,0.25\n",
+    "s,f0\n0.1,1.0,7\n1.0,0.5\n10.0,0.25,7,7\n",
+], ids=["whitespace", "stray-commas", "extra-columns"])
+def test_profile_csv_splits_rows_as_plane_files_do(tmp_path, text):
+    # Values are separated by commas, whitespace or both, and columns beyond
+    # s and f0 are ignored.
+    path = tmp_path / "profile.csv"
+    path.write_text(text)
+    loaded = load_profile_csv(path)
+    assert np.array_equal(loaded.grid[0], [0.1, 1.0, 10.0])
+    assert np.array_equal(loaded.grid[1], [1.0, 0.5, 0.25])
+
+
+def test_profile_csv_error_names_its_line(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("s,f0\n# note\n0.1,1.0\nf0,s\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: could not convert 'f0,s'")):
+        load_profile_csv(path)
