@@ -33,11 +33,23 @@ import sys
 import numpy as np
 
 from .analysis import CONTROL_DIST, CapSpec, existence_check, power_growth_field, support_experiment
-from .geometry import Dimensions, FlatSpec, _complete_orthonormal, random_flat
+# random_flat and factorization_check are unused here but stay importable as
+# cli.<name>: the traced benchmark (bench/tracer.py) replaces them.
+from .geometry import Dimensions, FlatSpec, _complete_orthonormal, _gaussian_flats, random_flat
 from .inversion import RieszParams, invert_slice
 from .quadrature import QuadratureSpec, sphere_rule
 from .scenes import SceneError, SceneSpec, build_field, parse_scene, scene_profile, suggested_cutoff
-from .transforms import dual_transform, factorization_check, op_B, radon_john, section_to_plane, slice_transform
+from .transforms import (
+    _factorization_checks,
+    _flat_sums,
+    _slice_sums,
+    dual_transform,
+    factorization_check,
+    op_B,
+    radon_john,
+    section_to_plane,
+    slice_transform,
+)
 from .zonal import _read_table, zonal_forward, zonal_invert
 
 __all__ = ["main"]
@@ -316,14 +328,16 @@ def _row_to_plane(row: list[float], dims: Dimensions) -> FlatSpec:
 
 
 def _random_planes(dims: Dimensions, count: int, seed: int) -> list[FlatSpec]:
+    """count random_flat draws, each plane's offset t first and then its Gaussian matrix."""
     if count < 1:
         raise SceneError("plane count must be a positive integer")
     rng = np.random.default_rng(seed)
-    planes = []
-    for _ in range(count):
-        t = math.tan(rng.uniform(0.0, math.pi / 2.0 - 0.01))
-        planes.append(random_flat(rng, dims.n, dims.k - 1, t))
-    return planes
+    distances = []
+    gaussians = np.empty((count, dims.n, dims.k))
+    for gaussian in gaussians:
+        distances.append(math.tan(rng.uniform(0.0, math.pi / 2.0 - 0.01)))
+        rng.standard_normal(out=gaussian)
+    return _gaussian_flats(gaussians, distances)
 
 
 def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
@@ -349,27 +363,26 @@ def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
 def _cmd_forward(args) -> int:
     scene, spec = _load(args)
     field = build_field(scene)
-    return _per_plane(args, scene, spec, lambda zeta, tau: slice_transform(field, tau, spec))
+    return _per_plane(args, scene, spec, lambda taus: _slice_sums(field, taus, spec))
 
 
 def _cmd_radon(args) -> int:
     scene, spec = _load(args)
     g = op_B(build_field(scene), scene.dims)
-    return _per_plane(args, scene, spec, lambda zeta, tau: radon_john(g, zeta, spec))
+    return _per_plane(args, scene, spec, lambda taus: _flat_sums(g, [tau.section for tau in taus], spec))
 
 
-def _per_plane(args, scene, spec, value) -> int:
-    """One row per random or listed plane: its parameters, dist and value(zeta, tau)."""
+def _per_plane(args, scene, spec, values) -> int:
+    """One row per random or listed plane: its parameters, dist and its entry of values(planes)."""
     try:
         count = int(args.planes)
     except ValueError:
         planes = _read_planes(args.planes, scene.dims)
     else:
         planes = _random_planes(scene.dims, count, args.seed)
-    rows = []
-    for zeta in planes:
-        tau = section_to_plane(zeta)
-        rows.append(_plane_to_row(zeta, scene.dims) + [tau.dist, value(zeta, tau)])
+    taus = [section_to_plane(zeta) for zeta in planes]
+    rows = [_plane_to_row(zeta, scene.dims) + [tau.dist, value]
+            for zeta, tau, value in zip(planes, taus, values(taus))]
     columns = _plane_columns(scene.dims) + ["dist", "value"]
     return _emit(args, scene, spec, columns, rows, header={"planes": args.planes})
 
@@ -377,12 +390,10 @@ def _per_plane(args, scene, spec, value) -> int:
 def _cmd_factor_check(args) -> int:
     scene, spec = _load(args)
     field = build_field(scene)
-    rows = []
-    worst = 0.0
-    for zeta in _random_planes(scene.dims, args.count, args.seed):
-        report = factorization_check(field, section_to_plane(zeta), spec)
-        worst = max(worst, report.rel_diff)
-        rows.append(_plane_to_row(zeta, scene.dims) + [report.lhs, report.rhs, report.abs_diff])
+    planes = _random_planes(scene.dims, args.count, args.seed)
+    reports = _factorization_checks(field, [section_to_plane(zeta) for zeta in planes], spec)
+    rows = [_plane_to_row(zeta, scene.dims) + [r.lhs, r.rhs, r.abs_diff] for zeta, r in zip(planes, reports)]
+    worst = max(0.0, *(r.rel_diff for r in reports))
     columns = _plane_columns(scene.dims) + ["lhs", "rhs", "abs_diff"]
     return _emit(args, scene, spec, columns, rows, header={"tol": args.tol, "count": args.count},
                  footer={"max_rel_diff": worst}, passed=worst <= args.tol, criterion=f"tol {_fmt(args.tol)}",

@@ -62,14 +62,7 @@ class FlatSpec:
         offset = np.asarray(self.offset, dtype=float)
         if basis.shape[0] < 1 or basis.shape[1] < 2 or offset.shape != (basis.shape[1],):
             raise ValueError("dimension mismatch in flat specification")
-        if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(offset))):
-            raise ValueError("flat specification must be finite")
-        gram = basis @ basis.T
-        if np.max(np.abs(gram - np.eye(basis.shape[0]))) > ORTHO_TOL:
-            raise ValueError("basis rows must be orthonormal")
-        scale = 1.0 + float(np.linalg.norm(offset))
-        if np.max(np.abs(basis @ offset)) > ORTHO_TOL * scale:
-            raise ValueError("offset must be orthogonal to the basis")
+        _check_flats(basis[None], offset[None])
         object.__setattr__(self, "basis", _freeze(basis))
         object.__setattr__(self, "offset", _freeze(offset))
 
@@ -85,6 +78,21 @@ class FlatSpec:
     def distance(self) -> float:
         """Distance of the flat to the origin (equals |offset|)."""
         return float(np.linalg.norm(self.offset))
+
+
+def _check_flats(basis: np.ndarray, offset: np.ndarray):
+    """FlatSpec's checks over a stack of flats: basis (P, d, n), offset (P, n).
+
+    Raises the ValueError of the first check that any member fails.
+    """
+    if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(offset))):
+        raise ValueError("flat specification must be finite")
+    gram = basis @ basis.transpose(0, 2, 1)
+    if np.max(np.abs(gram - np.eye(basis.shape[1]))) > ORTHO_TOL:
+        raise ValueError("basis rows must be orthonormal")
+    scale = 1.0 + np.linalg.norm(offset, axis=-1)
+    if np.any(np.max(np.abs(basis @ offset[:, :, None]), axis=(1, 2)) > ORTHO_TOL * scale):
+        raise ValueError("offset must be orthogonal to the basis")
 
 
 def _unchecked_flat(basis: np.ndarray, offset: np.ndarray) -> FlatSpec:
@@ -211,18 +219,39 @@ def random_flat(rng: np.random.Generator, n: int, dim: int, distance: float) -> 
         raise ValueError("flat dimension must lie in [1, n-1]")
     if distance < 0.0:
         raise ValueError("distance must be >= 0")
-    q = _haar_columns(rng, n, dim + 1)
-    return FlatSpec(q[:, :dim].T, distance * q[:, dim])
+    return _gaussian_flats(rng.standard_normal((1, n, dim + 1)), [distance])[0]
+
+
+def _gaussian_flats(gaussians: np.ndarray, distances) -> list[FlatSpec]:
+    """The flats random_flat builds from each Gaussian matrix of a (P, n, dim + 1) stack.
+
+    Flat i is spanned by the first dim Haar columns of gaussians[i] and sits
+    at distances[i] along the last one.  The stack takes one QR call and one
+    validation, and the flats share two read-only arrays.
+    """
+    q = _haar_frames(gaussians)
+    dim = q.shape[-1] - 1
+    columns = _freeze(q[..., :dim])
+    offset = _freeze(np.asarray(distances, dtype=float)[:, None] * q[..., dim])
+    # Member i's basis is columns[i].T, laid out as FlatSpec's copy of q[:, :dim].T.
+    basis = columns.transpose(0, 2, 1)
+    _check_flats(basis, offset)
+    return [_unchecked_flat(b, v) for b, v in zip(basis, offset)]
 
 
 def _haar_columns(rng: np.random.Generator, n: int, cols: int) -> np.ndarray:
-    """cols Haar-distributed orthonormal columns in R^n, drawn from rng.
+    """cols Haar-distributed orthonormal columns in R^n, drawn from rng."""
+    return _haar_frames(rng.standard_normal((1, n, cols)))[0]
 
-    The Q factor of an n x cols standard Gaussian matrix, with each column's
-    sign chosen so that R has a positive diagonal.
+
+def _haar_frames(gaussians: np.ndarray) -> np.ndarray:
+    """The Q factor of each matrix of a (P, n, cols) stack of standard Gaussian matrices.
+
+    Each column's sign is chosen so that R has a positive diagonal, which
+    makes the columns Haar-distributed.
     """
-    q, r = np.linalg.qr(rng.standard_normal((n, cols)))
-    q *= np.sign(np.diag(r))
+    q, r = np.linalg.qr(gaussians)
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     return q
 
 
@@ -237,17 +266,34 @@ def sample_sphere_cross_section(tau: SlicePlane, order: int):
     sphere and on the plane; the pole is approached only as dist -> 1.  The
     nodes are coordinate-major (Fortran order), as in flat_rule.
     """
-    k = tau.section.dim + 1
+    nodes, weights = _section_nodes([tau], order)
+    return nodes[:, 0].T, weights[0]
+
+
+def _section_nodes(taus, order: int):
+    """sample_sphere_cross_section for a stack of planes that share one k.
+
+    Returns nodes of shape (n + 1, C, m), so that reshape(n + 1, C * m).T
+    holds plane i's nodes in rows i*m to (i+1)*m, coordinate-major, and
+    weights of shape (C, m).  Each plane's span direction, center, radius
+    and weight scale are SlicePlane's, from the same float operations, so
+    plane i's values are the stack of one's bits.
+    """
+    k = taus[0].section.dim + 1
     if order < k:
         raise ValueError("cross-section rule needs order >= k")
-    n = tau.section.ambient_dim
-    dirs = np.zeros((k, n + 1))
-    dirs[: k - 1, :n] = tau.section.basis
-    dirs[k - 1] = tau.span_direction
+    n = taus[0].section.ambient_dim
+    dirs, centers, radii = [], [], []
+    for tau, hyp in zip(taus, np.hypot(1.0, [tau.t for tau in taus]).tolist()):
+        offset = tau.section.offset.tolist()
+        t2 = tau.t**2
+        dirs.append([row + [0.0] for row in tau.section.basis.tolist()] + [[-x / hyp for x in offset] + [1.0 / hyp]])
+        centers.append([x / (1.0 + t2) for x in offset] + [t2 / (1.0 + t2)])
+        radii.append(1.0 / hyp)
     sigma_nodes, sigma_w = sphere_rule(k - 1, order)
-    r = tau.radius
     # center + r * (sigma_nodes @ dirs), built coordinate-major as in flat_rule.
-    nodes = dirs.T @ sigma_nodes.T
-    nodes *= r
-    nodes += tau.center[:, None]
-    return nodes.T, sigma_w * r ** (k - 1)
+    nodes = np.empty((n + 1, len(taus), len(sigma_w)))
+    np.matmul(np.array(dirs).transpose(0, 2, 1), sigma_nodes.T, out=nodes.transpose(1, 0, 2))
+    nodes *= np.array(radii)[:, None]
+    nodes += np.array(centers).T[:, :, None]
+    return nodes, sigma_w * np.array([r ** (k - 1) for r in radii])[:, None]

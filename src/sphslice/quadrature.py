@@ -167,18 +167,33 @@ def flat_rule(zeta, spec: QuadratureSpec):
     The nodes have shape (m, n) and are coordinate-major (Fortran order):
     each coordinate is one contiguous column.
     """
-    basis = np.asarray(zeta.basis, dtype=float)
-    offset = np.asarray(zeta.offset, dtype=float)
-    d = basis.shape[0]
+    nodes, weights = _flat_nodes(zeta.basis[None], zeta.offset[None], spec)
+    return nodes[:, 0].T, weights
+
+
+def _flat_nodes(bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec):
+    """flat_rule for a stack of flats: bases (C, d, n) and offsets (C, n).
+
+    Returns nodes of shape (n, C, m), so that reshape(n, C * m).T holds flat
+    i's nodes in rows i*m to (i+1)*m, coordinate-major, and the weights (m,)
+    that every flat of the stack shares.  Flat i's values are the stack of
+    one's bits.
+    """
+    d = bases.shape[1]
     if d < 1:
         raise ValueError("flat must have dimension >= 1")
     intrinsic, weights = _flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)
-    # offset + intrinsic @ basis, built transposed: the same matmul's values
-    # with one contiguous row per coordinate, so the offset is added in one
-    # contiguous pass per coordinate.
-    nodes = basis.T @ intrinsic.T
-    nodes += offset[:, None]
-    return nodes.T, weights
+    # offset + intrinsic @ basis, built with one contiguous row per
+    # coordinate and flat, so the offset is added in one contiguous pass per
+    # coordinate.  A line's product has one term: a broadcast product gives
+    # the matmul's values without a BLAS call.
+    nodes = np.empty((bases.shape[2], len(bases), len(weights)))
+    if d == 1:
+        np.multiply(bases.transpose(2, 0, 1), intrinsic[:, 0], out=nodes)
+    else:
+        np.matmul(bases.transpose(0, 2, 1), intrinsic.T, out=nodes.transpose(1, 0, 2))
+    nodes += offsets.T[:, :, None]
+    return nodes, weights
 
 
 @lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)

@@ -20,18 +20,20 @@ from typing import Callable
 
 import numpy as np
 
+# flat_rule and sample_sphere_cross_section are unused here but stay
+# importable as transforms.<name>: the traced benchmark (bench/tracer.py)
+# replaces them.
 from .geometry import (
     Dimensions,
     FlatSpec,
     SlicePlane,
     _complete_orthonormal,
     _haar_columns,
+    _section_nodes,
     make_flat,
     sample_sphere_cross_section,
 )
-# sphere_rule is unused here but stays importable as transforms.sphere_rule:
-# the traced benchmark (bench/tracer.py) replaces it.
-from .quadrature import QuadratureSpec, flat_rule, sphere_rule
+from .quadrature import QuadratureSpec, _flat_nodes, _flat_template, flat_rule, sphere_rule
 from .stereo import _sq_norm, nu, nu_inverse, plane_to_sphere_weight
 
 __all__ = [
@@ -46,8 +48,9 @@ __all__ = [
     "dual_transform",
 ]
 
-# Fields are evaluated on consecutive blocks of at most this many quadrature
-# nodes (see _quadrature_sum).
+# Fields are evaluated on blocks of at most this many quadrature nodes: the
+# rules of whole planes, or consecutive parts of one larger rule (see
+# _chunk_sums).
 _BLOCK_POINTS = 16384
 
 
@@ -98,49 +101,93 @@ class FactorizationReport:
 
 def slice_transform(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -> float:
     """Integral of f over the sphere cross-section cut by tau."""
-    k = tau.section.dim + 1
-    if f.pole_exponent >= 0.5 * (k - 1):
-        warnings.warn(
-            "pole growth exponent meets or exceeds (k-1)/2; the slice transform may diverge",
-            stacklevel=2,
-        )
-    nodes, weights = sample_sphere_cross_section(tau, spec.sphere_order)
-    return _quadrature_sum(f, nodes, weights, "the cross-section")
+    _warn_on_pole_growth(f, tau.section.dim + 1)
+    return _chunk_sums(f, *_section_nodes([tau], spec.sphere_order), "the cross-section")[0]
 
 
 def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
     """Integral of g over the affine flat zeta, truncated at spec.radial_cutoff."""
-    if g.decay_exponent is not None and g.decay_exponent <= zeta.dim:
+    _warn_on_slow_decay(g, zeta.dim)
+    return _chunk_sums(g, *_flat_nodes(zeta.basis[None], zeta.offset[None], spec), "the flat")[0]
+
+
+def _slice_sums(f: SphereField, taus, spec: QuadratureSpec) -> list[float]:
+    """slice_transform of f over each plane of taus, a sequence of planes that share one k."""
+    k = taus[0].section.dim + 1
+    _warn_on_pole_growth(f, k)
+    size = len(sphere_rule(k - 1, spec.sphere_order)[1])
+    return _stack_sums(f, len(taus), lambda lo, hi: _section_nodes(taus[lo:hi], spec.sphere_order), size,
+                       "the cross-section")
+
+
+def _flat_sums(g: PlaneField, zetas, spec: QuadratureSpec) -> list[float]:
+    """radon_john of g over each flat of zetas, a sequence of flats that share one dimension."""
+    d = zetas[0].dim
+    _warn_on_slow_decay(g, d)
+    bases = np.array([zeta.basis for zeta in zetas])
+    offsets = np.array([zeta.offset for zeta in zetas])
+    size = len(_flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)[1])
+    return _stack_sums(g, len(zetas), lambda lo, hi: _flat_nodes(bases[lo:hi], offsets[lo:hi], spec), size,
+                       "the flat")
+
+
+def _warn_on_pole_growth(f: SphereField, k: int):
+    if f.pole_exponent >= 0.5 * (k - 1):
+        warnings.warn(
+            "pole growth exponent meets or exceeds (k-1)/2; the slice transform may diverge",
+            stacklevel=3,
+        )
+
+
+def _warn_on_slow_decay(g: PlaneField, d: int):
+    if g.decay_exponent is not None and g.decay_exponent <= d:
         warnings.warn(
             "decay exponent does not exceed the flat dimension; the integral may diverge",
-            stacklevel=2,
+            stacklevel=3,
         )
-    nodes, weights = flat_rule(zeta, spec)
-    return _quadrature_sum(g, nodes, weights, "the flat")
 
 
-def _quadrature_sum(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> float:
-    """sum(field(nodes) * weights), with the field evaluated block by block.
+def _stack_sums(field, count: int, rule, size: int, where: str) -> list[float]:
+    """The sums of a stack of count planes whose rules have size nodes each, chunk by chunk.
 
-    Blocks of at most _BLOCK_POINTS nodes keep the temporaries of nu and op_B
-    in cache; the values are pointwise and the sum runs over all of them at
-    once, so the result does not depend on the block size.  A rule of one
-    block is evaluated in one call, without the copy into a value array,
-    which would cost a line integral of a few hundred nodes about 4%.
+    rule(lo, hi) gives the nodes and weights of planes lo to hi - 1.  A chunk
+    holds at most max(1, _BLOCK_POINTS // size) planes, so that the field
+    sees at most _BLOCK_POINTS nodes per call, unless one plane's rule is
+    larger.
     """
-    if len(nodes) <= _BLOCK_POINTS:
-        vals = field(nodes)
+    per_chunk = max(1, _BLOCK_POINTS // size)
+    totals = []
+    for lo in range(0, count, per_chunk):
+        totals += _chunk_sums(field, *rule(lo, lo + per_chunk), where)
+    return totals
+
+
+def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> list[float]:
+    """sum(field(nodes) * weights) of each plane of a chunk.
+
+    nodes (dim, C, m) hold the C planes' rules, as the node builders lay
+    them out; the weights are (m,) or (C, m).  The field is called once on
+    all C * m nodes, or, for one plane whose rule is larger than
+    _BLOCK_POINTS, once per consecutive block of _BLOCK_POINTS nodes.  The
+    values are pointwise and each plane's sum runs over its own contiguous
+    row of values at once, so the sums depend neither on the chunk nor on the
+    blocks.
+    """
+    dim, count, size = nodes.shape
+    points = nodes.reshape(dim, count * size).T
+    if count * size <= _BLOCK_POINTS:
+        vals = field(points)
     else:
-        vals = np.empty(len(nodes))
-        for lo in range(0, len(nodes), _BLOCK_POINTS):
-            vals[lo : lo + _BLOCK_POINTS] = field(nodes[lo : lo + _BLOCK_POINTS])
-    total = float((vals * weights).sum())
-    # The weights are finite, so a non-finite value makes the sum non-finite:
-    # the values are scanned only then.  A sum that overflows from finite
-    # values stays inf.
-    if not math.isfinite(total) and not np.isfinite(vals).all():
+        vals = np.empty(count * size)
+        for lo in range(0, count * size, _BLOCK_POINTS):
+            vals[lo : lo + _BLOCK_POINTS] = field(points[lo : lo + _BLOCK_POINTS])
+    sums = np.add.reduce(vals.reshape(count, size) * weights, axis=1).tolist()
+    # The weights are finite, so a non-finite value makes its plane's sum
+    # non-finite: the values are scanned only then.  A sum that overflows
+    # from finite values stays inf.
+    if not all(map(math.isfinite, sums)) and not np.isfinite(vals).all():
         raise ValueError(f"integrand blowup: field is not finite on {where}")
-    return total
+    return sums
 
 
 def op_B(f: SphereField, dims: Dimensions) -> PlaneField:
@@ -184,10 +231,14 @@ def factorization_check(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -
     trace flat.  Agreement is evidence that geometry, projection and both
     transforms are consistent; the report never collapses the two routes.
     """
-    lhs = slice_transform(f, tau, spec)
-    g = op_B(f, tau.dims)
-    rhs = radon_john(g, tau.section, spec)
-    return FactorizationReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
+    return _factorization_checks(f, [tau], spec)[0]
+
+
+def _factorization_checks(f: SphereField, taus, spec: QuadratureSpec) -> list[FactorizationReport]:
+    """factorization_check of f on each plane of taus, a sequence of planes that share one k."""
+    lhs = _slice_sums(f, taus, spec)
+    rhs = _flat_sums(op_B(f, taus[0].dims), [tau.section for tau in taus], spec)
+    return [FactorizationReport(lhs=a, rhs=b, abs_diff=abs(a - b)) for a, b in zip(lhs, rhs)]
 
 
 def _fibonacci_hemisphere(count: int) -> np.ndarray:

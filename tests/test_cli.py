@@ -1,4 +1,5 @@
 import argparse
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphslice import SphereField, save_profile_csv
+import sphslice.transforms as transforms
+from sphslice import PlaneField, SphereField, save_profile_csv
 from sphslice import cli
 from sphslice.cli import main
+from sphslice.transforms import _BLOCK_POINTS
 
 
 GAUSS = "family = zonal_gaussian\namplitude = 1.0\nwidth = 1.0\nn = 3\nk = 2\n"
@@ -386,6 +389,40 @@ def test_zonal_subcommands_call_the_forward_integral_once(monkeypatch, tmp_path,
     monkeypatch.setattr(cli, "zonal_forward", counting_forward)
     assert run([command, gauss_scene, "--out", str(tmp_path / "out.csv")] + flags) == 0
     assert seen == [shape]
+
+
+def test_factor_check_integrates_its_planes_in_chunks(monkeypatch, tmp_path, gauss_scene):
+    # Each route of an 80-plane factor-check evaluates the field once per
+    # chunk of planes, not once per plane: at most ceil(80 m / _BLOCK_POINTS)
+    # calls for rules of m nodes, and every node exactly once.
+    calls = {"slice": [], "flat": []}
+    route = ["slice"]  # the route whose field evaluation is running
+    build_field, op_B = cli.build_field, transforms.op_B
+
+    def counting_build_field(scene):
+        f = build_field(scene)
+        return SphereField(lambda eta: calls[route[0]].append(len(eta)) or f(eta), f.pole_exponent)
+
+    def counting_op_B(f, dims):
+        g = op_B(f, dims)
+
+        def flat_route(x):
+            route[0] = "flat"
+            try:
+                return g(x)
+            finally:
+                route[0] = "slice"
+
+        return PlaneField(flat_route, g.decay_exponent)
+
+    monkeypatch.setattr(cli, "build_field", counting_build_field)
+    monkeypatch.setattr(transforms, "op_B", counting_op_B)
+    argv = ["factor-check", gauss_scene, "80", "--seed", "4", "--sphere-order", "48", "--radial-order", "64"]
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    for points in calls.values():
+        m = sum(points) // 80
+        assert m > 0 and sum(points) == 80 * m
+        assert len(points) <= math.ceil(80 * m / _BLOCK_POINTS)
 
 
 def test_consecutive_runs_share_no_output_target(tmp_path, capsys, gauss_scene):

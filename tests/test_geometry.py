@@ -10,7 +10,8 @@ from sphslice import (
     make_flat,
     random_flat,
 )
-from sphslice.geometry import _unchecked_flat, sample_sphere_cross_section
+from sphslice.cli import _random_planes
+from sphslice.geometry import _check_flats, _gaussian_flats, _unchecked_flat, sample_sphere_cross_section
 from sphslice.quadrature import sphere_rule
 
 # cotangent offset 3 puts the section at distance 3/sqrt(10) from the origin
@@ -142,3 +143,67 @@ def test_unchecked_flats_share_read_only_arrays_only():
         _unchecked_flat(line.basis, np.array([0.0, 2.0]))
     flat = _unchecked_flat(line.basis, line.offset)
     assert flat.basis is line.basis and flat.offset is line.offset
+
+
+# -- flats drawn and validated as one stack ---------------------------------------
+
+
+def _random_planes_one_at_a_time(n, k, count, seed):
+    """The CLI's plane draws as a loop of random_flat calls: each plane's t, then its matrix."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(count):
+        t = math.tan(rng.uniform(0.0, math.pi / 2.0 - 0.01))
+        planes.append(random_flat(rng, n, k - 1, t))
+    return planes
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (5, 3)])
+def test_stacked_draw_equals_the_per_plane_loop(seed, n, k):
+    stacked = _random_planes(Dimensions(n, k), 80, seed)
+    reference = _random_planes_one_at_a_time(n, k, 80, seed)
+    assert len(stacked) == len(reference)
+    for got, want in zip(stacked, reference):
+        assert np.array_equal(got.basis, want.basis)
+        assert np.array_equal(got.offset, want.offset)
+        # the layout of FlatSpec's own copy of q[:, :dim].T, and read-only
+        assert got.basis.strides == want.basis.strides
+        assert not got.basis.flags.writeable and not got.offset.flags.writeable
+
+
+def _valid_stack(count=6, n=4, dim=2):
+    rng = np.random.default_rng(1)
+    flats = [random_flat(rng, n, dim, t) for t in np.linspace(0.0, 3.0, count)]
+    return np.array([f.basis for f in flats]), np.array([f.offset for f in flats])
+
+
+def _spoil(member, how, basis, offset):
+    if how == "non-finite":
+        basis[member, 0, 1] = np.nan
+    elif how == "non-orthonormal":
+        basis[member] *= 1.0 + 1e-9
+    else:
+        offset[member] += 1e-9 * basis[member, 0]
+
+
+@pytest.mark.parametrize("how", ["non-finite", "non-orthonormal", "non-orthogonal"])
+@pytest.mark.parametrize("member", [0, 3, 5])
+def test_stacked_checks_raise_flatspecs_message_for_one_bad_member(how, member):
+    basis, offset = _valid_stack()
+    _check_flats(basis, offset)
+    _spoil(member, how, basis, offset)
+    with pytest.raises(ValueError) as single:
+        FlatSpec(basis[member], offset[member])
+    with pytest.raises(ValueError) as stacked:
+        _check_flats(basis, offset)
+    assert str(stacked.value) == str(single.value)
+    assert str(single.value) in ("flat specification must be finite", "basis rows must be orthonormal",
+                                 "offset must be orthogonal to the basis")
+
+
+def test_stacked_draw_refuses_a_non_finite_matrix():
+    gaussians = np.random.default_rng(2).standard_normal((5, 3, 2))
+    gaussians[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="flat specification must be finite"):
+        _gaussian_flats(gaussians, [1.0] * 5)

@@ -272,11 +272,13 @@ def test_block_evaluation_is_bit_identical(monkeypatch, count, which):
     nodes = rng.standard_normal((count, width))
     weights = rng.uniform(0.1, 1.0, count)
     counting = CountingField()
+    # the rule of one plane, in the stacked builders' (dim, 1, m) layout
+    stacked = np.ascontiguousarray(nodes.T[:, None, :])
     if which == "radon_john":
-        monkeypatch.setattr(transforms, "flat_rule", lambda zeta, spec: (nodes, weights))
+        monkeypatch.setattr(transforms, "_flat_nodes", lambda bases, offsets, spec: (stacked, weights))
         got = radon_john(PlaneField(counting), make_flat(np.eye(3)[:1], np.zeros(3)), SPEC)
     else:
-        monkeypatch.setattr(transforms, "sample_sphere_cross_section", lambda tau, order: (nodes, weights))
+        monkeypatch.setattr(transforms, "_section_nodes", lambda taus, order: (stacked, weights[None, :]))
         zeta = make_flat(np.eye(3)[:2], np.zeros(3))
         got = slice_transform(SphereField(counting), section_to_plane(zeta), SPEC)
     assert max(len(b) for b in counting.batches) <= _BLOCK_POINTS
@@ -358,3 +360,70 @@ def test_finite_values_whose_sum_overflows_give_inf():
     huge = PlaneField(lambda x: np.full(len(x), 1e308))
     with np.errstate(over="ignore"):
         assert radon_john(huge, make_flat([[1.0, 0.0]], [0.0, 0.5]), SPEC) == math.inf
+
+
+# -- planes integrated as one stack ---------------------------------------------
+
+# Orders per slice-plane dimension k whose rules fall below _BLOCK_POINTS with
+# one chunk for up to 40 planes, below it with chunks of about 16 planes, and
+# above it (one plane per chunk, evaluated block by block).  The sphere orders
+# size the cross-section rules; with them the radial orders size the flat
+# rules (cutoff 10 has five dyadic panels).
+STACK_ORDERS = {
+    2: [(8, 3), (1000, 100), (17000, 1700)],
+    3: [(4, 2), (32, 50), (130, 900)],
+    4: [(3, 2), (10, 25), (26, 450)],
+    5: [(2, 1), (6, 25), (12, 450)],
+}
+
+
+@given(
+    dims=st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+    size_class=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["zonal_gaussian", "first_harmonic_weighted"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_stacked_sums_equal_stacks_of_one(dims, size_class, count, seed, family):
+    # The batched slice and flat sums equal one call per plane bit for bit,
+    # whether the planes share one chunk, split into uneven chunks or each
+    # have a rule larger than one block.
+    n, k = dims
+    sphere_order = STACK_ORDERS[k][size_class[0]][0]
+    radial_order = STACK_ORDERS[k][size_class[1]][1]
+    spec = QuadratureSpec(sphere_order=max(sphere_order, k), radial_order=radial_order, radial_cutoff=10.0)
+    slice_spec = spec
+    if k > 2:
+        # the flat rule of a d-flat takes a sphere rule of dimension d - 1;
+        # a low order there keeps its size set by the radial order
+        spec = QuadratureSpec(sphere_order=2, radial_order=radial_order, radial_cutoff=10.0)
+    rng = np.random.default_rng(seed)
+    zetas = [random_flat(rng, n, k - 1, t) for t in rng.uniform(0.0, 4.0, count)]
+    taus = [section_to_plane(zeta) for zeta in zetas]
+    f = build_field(SceneSpec(family=family, dims=Dimensions(n, k)))
+    g = op_B(f, Dimensions(n, k))
+    assert transforms._slice_sums(f, taus, slice_spec) == [slice_transform(f, tau, slice_spec) for tau in taus]
+    assert transforms._flat_sums(g, zetas, spec) == [radon_john(g, zeta, spec) for zeta in zetas]
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (5, 4)])
+def test_stacked_nodes_are_the_stacks_of_one_in_a_coordinate_major_view(n, k):
+    spec = QuadratureSpec(sphere_order=6, radial_order=8, radial_cutoff=10.0)
+    rng = np.random.default_rng(n * 10 + k)
+    zetas = [random_flat(rng, n, k - 1, t) for t in (0.0, 0.4, 3.0, 250.0)]
+    taus = [section_to_plane(zeta) for zeta in zetas]
+    flat_nodes, flat_weights = transforms._flat_nodes(
+        np.array([z.basis for z in zetas]), np.array([z.offset for z in zetas]), spec)
+    section_nodes, section_weights = transforms._section_nodes(taus, spec.sphere_order)
+    for stacked, weights, singles, width in [
+        (flat_nodes, flat_weights, [transforms.flat_rule(z, spec) for z in zetas], n),
+        (section_nodes, section_weights, [transforms.sample_sphere_cross_section(t, 6) for t in taus], n + 1),
+    ]:
+        m = len(singles[0][1])
+        assert stacked.shape == (width, len(zetas), m)
+        points = stacked.reshape(width, -1).T
+        assert np.shares_memory(points, stacked) and points.flags.f_contiguous
+        for i, (nodes, w) in enumerate(singles):
+            assert np.array_equal(points[i * m : (i + 1) * m], nodes)
+            assert np.array_equal(np.broadcast_to(weights, (len(zetas), m))[i], w)

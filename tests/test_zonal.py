@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sphslice import (
     zonal_forward,
     zonal_invert,
 )
+import sphslice.zonal as zonal
 from sphslice.quadrature import composite_gauss, gauss_legendre, panel_edges
 from sphslice.scenes import SceneSpec, scene_profile
 from sphslice.transforms import _BLOCK_POINTS
@@ -303,3 +305,44 @@ def test_profile_csv_error_names_its_line(tmp_path):
     path.write_text("s,f0\n# note\n0.1,1.0\nf0,s\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:4: could not convert 'f0,s'")):
         load_profile_csv(path)
+
+
+def _half_integral_by_rows(u, w):
+    """The half-order integral one grid point at a time, as zonal_invert first computed it."""
+    n = len(u)
+    out = np.zeros(n)
+    for i in range(n):
+        a = u[i:-1] - u[i]
+        b = u[i + 1 :] - u[i]
+        h = b - a
+        sa, sb = np.sqrt(a), np.sqrt(b)
+        i0 = 2.0 * (sb - sa)
+        i1 = (2.0 / 3.0) * (b * sb - a * sa) - 2.0 * a * (sb - sa)
+        wj = w[i:-1]
+        wj1 = w[i + 1 :]
+        out[i] = np.sum(wj * i0 + (wj1 - wj) / h * i1)
+    return out
+
+
+@pytest.mark.parametrize("weights", ["decaying", "random", "derivative"])
+def test_half_integral_in_row_blocks_is_bit_identical_to_the_row_loop(weights):
+    s = np.geomspace(zonal.S_MIN, zonal.S_MAX, zonal.GRID_POINTS)
+    u = s * s
+    if weights == "decaying":
+        w = 1.0 / (1.0 + u) ** 2
+    elif weights == "random":
+        w = np.random.default_rng(0).standard_normal(len(u))
+    else:
+        # what zonal_invert hands it at k = 2: -d/du of a zonal forward profile
+        w = -zonal._deriv5(np.exp(-u), np.log(s[1] / s[0])) / (2.0 * u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = zonal._half_integral(u, w)
+    assert np.array_equal(got, _half_integral_by_rows(u, w))
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 129])
+def test_half_integral_row_blocks_cover_every_grid_size(count):
+    u = np.geomspace(1e-3, 10.0, count) ** 2
+    w = np.random.default_rng(count).standard_normal(count)
+    assert np.array_equal(zonal._half_integral(u, w), _half_integral_by_rows(u, w))
