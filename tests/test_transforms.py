@@ -24,6 +24,7 @@ from sphslice import (
 )
 from sphslice.scenes import SceneSpec, build_field
 from sphslice.transforms import _BLOCK_POINTS, flat_through, orientation_set
+from test_inversion import dual_of_gaussian_2d, dual_of_gaussian_3d
 
 SPEC = QuadratureSpec(radial_order=64, radial_cutoff=12.0)
 
@@ -204,6 +205,28 @@ def test_dual_transform_center_value():
 
     value = dual_transform(data, np.zeros(2), 1, Dimensions(2, 2), spec)
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+# Lines in the plane use uniform midpoint angles, which integrate the smooth
+# periodic data to rounding: the largest relative error at the points below is
+# 4.4e-16, so 1e-14 leaves a margin of 22.  Lines in space use 256 directions
+# of a rotated Fibonacci lattice, a quasi-Monte Carlo sample: its largest
+# error there is 3.5e-3 (at |x| = 1.96), so 1e-2 leaves a margin of 2.8.
+@pytest.mark.parametrize("points,closed_form,rel", [
+    ([[0.3, 0.0], [-0.6, 0.5], [1.0, 1.0], [-0.4, 1.9], [2.5, -0.5]], dual_of_gaussian_2d(), 1e-14),
+    ([[0.3, 0.0, 0.0], [0.0, -0.6, 0.5], [1.0, 1.0, 0.2], [-0.4, 1.2, -1.5], [2.5, 0.0, -0.5]],
+     dual_of_gaussian_3d(), 1e-2),
+])
+def test_dual_transform_matches_the_closed_form_off_center(points, closed_form, rel):
+    # the backprojection of the line data sqrt(pi) exp(-p^2) of exp(-|x|^2)
+    spec = QuadratureSpec(radial_order=32, radial_cutoff=8.0)
+    dims = Dimensions(len(points[0]), 2)
+
+    def data(zeta):
+        return radon_john(gaussian_plane_field(), zeta, spec)
+
+    for x in np.array(points):
+        assert dual_transform(data, x, 1, dims, spec) == pytest.approx(float(closed_form(x)), rel=rel)
 
 
 def zonal_decaying_field():
