@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Dimensions, SlicePlane, random_flat
+from .geometry import Dimensions, SlicePlane, _draw_flats
 from .quadrature import QuadratureSpec, composite_gauss, sphere_rule
-from .transforms import PlaneField, SphereField, radon_john, slice_transform
+from .transforms import PlaneField, SphereField, _flat_sums, _slice_sums
 
 __all__ = [
     "CapSpec",
@@ -263,8 +263,8 @@ def support_experiment(
     rng = np.random.default_rng(spec.seed)
     scale = _peak_on_sphere(f, dims, spec)
 
-    def transform(zeta):
-        return slice_transform(f, SlicePlane(zeta), spec)
+    def transform(zetas):
+        return _slice_sums(f, [SlicePlane(zeta) for zeta in zetas], spec)
 
     def far_offset(rng):
         dist = cap.b_star + (0.999 - cap.b_star) * rng.uniform(1e-3, 1.0)
@@ -278,16 +278,11 @@ def support_experiment(
 
 
 def _probe_max(rng, dims: Dimensions, count: int, offset, transform) -> float:
-    """Largest |transform(zeta)| over `count` random flats zeta of dimension dims.k - 1.
+    """Largest |value| of transform(zetas) over one stack of `count` random flats of dimension dims.k - 1.
 
-    Each flat draws its offset magnitude `offset(rng)` from rng first, then
-    its orientation, so the draws interleave flat by flat.
+    Each flat draws its offset magnitude `offset(rng)` first, then its orientation.
     """
-    peak = 0.0
-    for _ in range(count):
-        zeta = random_flat(rng, dims.n, dims.k - 1, offset(rng))
-        peak = max(peak, abs(transform(zeta)))
-    return peak
+    return max([0.0, *map(abs, transform(_draw_flats(rng, dims.n, dims.k - 1, count, offset)))])
 
 
 @dataclass(frozen=True)
@@ -312,15 +307,15 @@ def kplane_support_probe(
     For g supported in that ball the transform vanishes on every flat at
     distance beyond r; fields without compact support (a Gaussian, say) show
     nonzero values outside any radius, and the report simply records the
-    magnitudes.  Flats have the trace dimension dims.k - 1; radon_john warns
-    when the decay exponent of g does not exceed it.
+    magnitudes.  Flats have the trace dimension dims.k - 1; the flat integrals
+    warn when the decay exponent of g does not exceed it.
     """
     if r <= 0.0:
         raise ValueError("support radius must be positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(spec.seed)
-    transform = functools.partial(radon_john, g, spec=spec)
+    transform = functools.partial(_flat_sums, g, spec=spec)
     max_outside = _probe_max(rng, dims, trials, lambda rng: r * rng.uniform(1.05, 3.0), transform)
     max_control = _probe_max(rng, dims, max(8, trials // 8), lambda rng: 0.5 * r, transform)
     return KPlaneProbeReport(radius=r, max_outside=max_outside, max_control=max_control, trials=trials)

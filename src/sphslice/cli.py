@@ -35,21 +35,12 @@ import numpy as np
 from .analysis import CONTROL_DIST, CapSpec, existence_check, power_growth_field, support_experiment
 # random_flat and factorization_check are unused here but stay importable as
 # cli.<name>: the traced benchmark (bench/tracer.py) replaces them.
-from .geometry import Dimensions, FlatSpec, _complete_orthonormal, _gaussian_flats, random_flat
+from .geometry import Dimensions, FlatSpec, _complete_orthonormal, _draw_flats, random_flat
 from .inversion import RieszParams, invert_slice
 from .quadrature import QuadratureSpec, sphere_rule
 from .scenes import SceneError, SceneSpec, build_field, parse_scene, scene_profile, suggested_cutoff
-from .transforms import (
-    _factorization_checks,
-    _flat_sums,
-    _slice_sums,
-    dual_transform,
-    factorization_check,
-    op_B,
-    radon_john,
-    section_to_plane,
-    slice_transform,
-)
+from .transforms import (_dual_transforms, _factorization_checks, _flat_sums, _slice_sums, factorization_check, op_B,
+                         section_to_plane, slice_transform)
 from .zonal import _read_table, zonal_forward, zonal_invert
 
 __all__ = ["main"]
@@ -331,13 +322,8 @@ def _random_planes(dims: Dimensions, count: int, seed: int) -> list[FlatSpec]:
     """count random_flat draws, each plane's offset t first and then its Gaussian matrix."""
     if count < 1:
         raise SceneError("plane count must be a positive integer")
-    rng = np.random.default_rng(seed)
-    distances = []
-    gaussians = np.empty((count, dims.n, dims.k))
-    for gaussian in gaussians:
-        distances.append(math.tan(rng.uniform(0.0, math.pi / 2.0 - 0.01)))
-        rng.standard_normal(out=gaussian)
-    return _gaussian_flats(gaussians, distances)
+    return _draw_flats(np.random.default_rng(seed), dims.n, dims.k - 1, count,
+                       lambda rng: math.tan(rng.uniform(0.0, math.pi / 2.0 - 0.01)))
 
 
 def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
@@ -493,8 +479,8 @@ def _cmd_dual(args) -> int:
     axis = np.linspace(-args.extent, args.extent, args.grid_size)
     grids = np.meshgrid(*([axis] * dims.n), indexing="ij")
     points = np.stack([g_.ravel() for g_ in grids], axis=-1)
-    rows = [list(x) + [dual_transform(lambda zeta: radon_john(g, zeta, spec), x, dims.k - 1, dims, spec)]
-            for x in points]
+    values = _dual_transforms(lambda flats: _flat_sums(g, flats, spec), points, dims.k - 1, dims, spec)
+    rows = [list(x) + [value] for x, value in zip(points, values)]
     return _emit(args, scene, spec, [f"x{j + 1}" for j in range(dims.n)] + ["value"], rows,
                  header={"grid_size": args.grid_size, "extent": args.extent})
 

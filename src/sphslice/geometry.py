@@ -81,17 +81,17 @@ class FlatSpec:
 
 
 def _check_flats(basis: np.ndarray, offset: np.ndarray):
-    """FlatSpec's checks over a stack of flats: basis (P, d, n), offset (P, n).
+    """FlatSpec's checks over a stack of flats: basis (..., d, n) and offset (..., n), broadcast.
 
     Raises the ValueError of the first check that any member fails.
     """
     if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(offset))):
         raise ValueError("flat specification must be finite")
-    gram = basis @ basis.transpose(0, 2, 1)
-    if np.max(np.abs(gram - np.eye(basis.shape[1]))) > ORTHO_TOL:
+    gram = basis @ np.swapaxes(basis, -1, -2)
+    if np.max(np.abs(gram - np.eye(basis.shape[-2]))) > ORTHO_TOL:
         raise ValueError("basis rows must be orthonormal")
     scale = 1.0 + np.linalg.norm(offset, axis=-1)
-    if np.any(np.max(np.abs(basis @ offset[:, :, None]), axis=(1, 2)) > ORTHO_TOL * scale):
+    if np.any(np.max(np.abs(basis @ offset[..., None]), axis=(-2, -1)) > ORTHO_TOL * scale):
         raise ValueError("offset must be orthogonal to the basis")
 
 
@@ -111,14 +111,18 @@ def _unchecked_flat(basis: np.ndarray, offset: np.ndarray) -> FlatSpec:
     return flat
 
 
+def _reduce(w: np.ndarray, rows) -> np.ndarray:
+    """w less its components along orthonormal rows, in place: modified Gram-Schmidt, done twice."""
+    for _ in range(2):
+        for u in rows:
+            w -= (w @ u) * u
+    return w
+
+
 def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    # Modified Gram-Schmidt with one re-orthogonalization pass.
     out = []
     for row in rows:
-        w = row.astype(float).copy()
-        for _ in range(2):
-            for u in out:
-                w -= (w @ u) * u
+        w = _reduce(row.astype(float), out)
         nrm = np.linalg.norm(w)
         if nrm <= ORTHO_TOL * max(1.0, np.linalg.norm(row)):
             raise ValueError("degenerate flat: basis vectors are linearly dependent")
@@ -134,11 +138,27 @@ def make_flat(basis, offset) -> FlatSpec:
     """
     rows = np.atleast_2d(np.asarray(basis, dtype=float))
     v = np.asarray(offset, dtype=float)
-    if v.ndim != 1 or rows.shape[1] != v.shape[0]:
+    if v.ndim != 1 or rows.shape[1] != v.shape[0] or v.shape[0] < 2:
         raise ValueError("dimension mismatch between basis and offset")
-    ortho = _orthonormalize(rows)
-    v = v - (v @ ortho.T) @ ortho
-    return FlatSpec(ortho, v)
+    [[flat]] = flat_through(rows[None], [v])
+    return flat
+
+
+def flat_through(frames: np.ndarray, points):
+    """For each point of a (Q, n) stack, the flats through it along each frame of a (F, d, n) stack.
+
+    Yields one list per point, whose flat i has the orthonormalized frames[i]
+    as basis and the point's component orthogonal to it, x - (x @ B.T) @ B, as
+    offset.  The frames are orthonormalized once, and each list is validated
+    as one stack.
+    """
+    ortho = _freeze([_orthonormalize(rows) for rows in frames])
+    directions = ortho.transpose(0, 2, 1)
+    for x in np.asarray(points, dtype=float):
+        # products frame by frame, in the one-frame shapes, keep that formula's bits
+        offset = _freeze(x - ((x @ directions)[:, None, :] @ ortho)[:, 0])
+        _check_flats(ortho, offset)
+        yield [_unchecked_flat(basis, v) for basis, v in zip(ortho, offset)]
 
 
 @dataclass(frozen=True)
@@ -169,14 +189,12 @@ class SlicePlane:
 
     @property
     def radius(self) -> float:
-        return 1.0 / np.hypot(1.0, self.t)
+        return _trace_geometry([self])[2][0]
 
     @property
     def center(self) -> np.ndarray:
         """Center of the cross-section sphere, in R^{n+1}."""
-        t2 = self.t**2
-        u = np.append(self.section.offset, t2) / (1.0 + t2)
-        return u
+        return np.array(_trace_geometry([self])[1][0])
 
     @property
     def span_direction(self) -> np.ndarray:
@@ -185,20 +203,31 @@ class SlicePlane:
         Points from the offset towards the pole; for the central plane (t = 0)
         it is the pole itself.
         """
-        t = self.t
-        w = np.append(-self.section.offset, 1.0) / np.hypot(1.0, t)
-        return w
+        return np.array(_trace_geometry([self])[0][0][-1])
+
+
+def _trace_geometry(taus):
+    """Direction frames, centers and radii of a sequence of planes, in Python floats.
+
+    With h = sqrt(1 + t^2) = hypot(1, t), plane tau's frame is its trace basis
+    (last coordinate 0) and its span direction (-offset, 1) / h; its center is
+    (offset, t^2) / (1 + t^2) and its radius 1 / h.
+    """
+    frames, centers, radii = [], [], []
+    for tau, hyp in zip(taus, np.hypot(1.0, [tau.t for tau in taus]).tolist()):
+        offset = tau.section.offset.tolist()
+        t2 = tau.t**2
+        frames.append([row + [0.0] for row in tau.section.basis.tolist()] + [[-x / hyp for x in offset] + [1.0 / hyp]])
+        centers.append([x / (1.0 + t2) for x in offset] + [t2 / (1.0 + t2)])
+        radii.append(1.0 / hyp)
+    return frames, centers, radii
 
 
 def _complete_orthonormal(rows: np.ndarray, n: int) -> np.ndarray:
     """Deterministically extend orthonormal rows to a full basis of R^n."""
-    out = [r for r in rows]
-    for i in range(n):
-        cand = np.zeros(n)
-        cand[i] = 1.0
-        for _ in range(2):
-            for u in out:
-                cand -= (cand @ u) * u
+    out = list(rows)
+    for cand in np.eye(n):
+        _reduce(cand, out)
         nrm = np.linalg.norm(cand)
         if nrm > 1e-8:
             out.append(cand / nrm)
@@ -219,7 +248,20 @@ def random_flat(rng: np.random.Generator, n: int, dim: int, distance: float) -> 
         raise ValueError("flat dimension must lie in [1, n-1]")
     if distance < 0.0:
         raise ValueError("distance must be >= 0")
-    return _gaussian_flats(rng.standard_normal((1, n, dim + 1)), [distance])[0]
+    return _draw_flats(rng, n, dim, 1, lambda rng: distance)[0]
+
+
+def _draw_flats(rng: np.random.Generator, n: int, dim: int, count: int, distance) -> list[FlatSpec]:
+    """count random_flat draws of dim-flats in R^n, built as one stack.
+
+    Flat after flat, distance(rng) is drawn and then the Gaussian matrix, as a loop of random_flat calls draws them.
+    """
+    distances = []
+    gaussians = np.empty((count, n, dim + 1))
+    for gaussian in gaussians:
+        distances.append(distance(rng))
+        rng.standard_normal(out=gaussian)
+    return _gaussian_flats(gaussians, distances)
 
 
 def _gaussian_flats(gaussians: np.ndarray, distances) -> list[FlatSpec]:
@@ -237,11 +279,6 @@ def _gaussian_flats(gaussians: np.ndarray, distances) -> list[FlatSpec]:
     basis = columns.transpose(0, 2, 1)
     _check_flats(basis, offset)
     return [_unchecked_flat(b, v) for b, v in zip(basis, offset)]
-
-
-def _haar_columns(rng: np.random.Generator, n: int, cols: int) -> np.ndarray:
-    """cols Haar-distributed orthonormal columns in R^n, drawn from rng."""
-    return _haar_frames(rng.standard_normal((1, n, cols)))[0]
 
 
 def _haar_frames(gaussians: np.ndarray) -> np.ndarray:
@@ -275,21 +312,15 @@ def _section_nodes(taus, order: int):
 
     Returns nodes of shape (n + 1, C, m), so that reshape(n + 1, C * m).T
     holds plane i's nodes in rows i*m to (i+1)*m, coordinate-major, and
-    weights of shape (C, m).  Each plane's span direction, center, radius
-    and weight scale are SlicePlane's, from the same float operations, so
-    plane i's values are the stack of one's bits.
+    weights of shape (C, m).  Each plane's span direction, center and
+    radius are SlicePlane's (_trace_geometry), so plane i's values are the
+    stack of one's bits.
     """
     k = taus[0].section.dim + 1
     if order < k:
         raise ValueError("cross-section rule needs order >= k")
     n = taus[0].section.ambient_dim
-    dirs, centers, radii = [], [], []
-    for tau, hyp in zip(taus, np.hypot(1.0, [tau.t for tau in taus]).tolist()):
-        offset = tau.section.offset.tolist()
-        t2 = tau.t**2
-        dirs.append([row + [0.0] for row in tau.section.basis.tolist()] + [[-x / hyp for x in offset] + [1.0 / hyp]])
-        centers.append([x / (1.0 + t2) for x in offset] + [t2 / (1.0 + t2)])
-        radii.append(1.0 / hyp)
+    dirs, centers, radii = _trace_geometry(taus)
     sigma_nodes, sigma_w = sphere_rule(k - 1, order)
     # center + r * (sigma_nodes @ dirs), built coordinate-major as in flat_rule.
     nodes = np.empty((n + 1, len(taus), len(sigma_w)))

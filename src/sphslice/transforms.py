@@ -20,19 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-# flat_rule and sample_sphere_cross_section are unused here but stay
-# importable as transforms.<name>: the traced benchmark (bench/tracer.py)
+# flat_rule, make_flat and sample_sphere_cross_section are unused here but
+# stay importable as transforms.<name>: the traced benchmark (bench/tracer.py)
 # replaces them.
-from .geometry import (
-    Dimensions,
-    FlatSpec,
-    SlicePlane,
-    _complete_orthonormal,
-    _haar_columns,
-    _section_nodes,
-    make_flat,
-    sample_sphere_cross_section,
-)
+from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_nodes,
+                       flat_through, make_flat, sample_sphere_cross_section)
 from .quadrature import QuadratureSpec, _flat_nodes, _flat_template, flat_rule, sphere_rule
 from .stereo import _sq_norm, nu, nu_inverse, plane_to_sphere_weight
 
@@ -252,7 +244,7 @@ def _fibonacci_hemisphere(count: int) -> np.ndarray:
 
 
 def _seeded_rotation(n: int, seed: int) -> np.ndarray:
-    q = _haar_columns(np.random.default_rng(seed), n, n)
+    q = _haar_frames(np.random.default_rng(seed).standard_normal((1, n, n)))[0]
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
@@ -275,37 +267,32 @@ def orientation_set(flat_dim: int, n: int, count: int, seed: int) -> np.ndarray:
         dirs = _fibonacci_hemisphere(count) @ _seeded_rotation(3, seed).T
         if flat_dim == 1:
             return dirs[:, None, :]
-        frames = np.empty((count, 2, 3))
-        for i, normal in enumerate(dirs):
-            frames[i] = _complete_orthonormal(normal[None, :], 3)[1:]
-        return frames
-    rng = np.random.default_rng(seed)
-    frames = np.empty((count, flat_dim, n))
-    for i in range(count):
-        frames[i] = _haar_columns(rng, n, n)[:, :flat_dim].T
-    return frames
-
-
-def flat_through(basis: np.ndarray, x: np.ndarray) -> FlatSpec:
-    """The flat with the given orthonormal direction rows passing through x."""
-    return make_flat(basis, np.asarray(x, dtype=float))
+        return np.array([_complete_orthonormal(normal[None, :], 3)[1:] for normal in dirs])
+    q = _haar_frames(np.random.default_rng(seed).standard_normal((count, n, n)))
+    return np.ascontiguousarray(q[:, :, :flat_dim].transpose(0, 2, 1))
 
 
 def dual_transform(phi, x, flat_dim: int, dims: Dimensions, spec: QuadratureSpec) -> float:
     """Average of phi over flats of dimension flat_dim through the point x.
 
-    phi is a callable taking a FlatSpec; the average is taken with respect to
-    the rotation-invariant distribution of orientations, realized by the
+    phi is a callable taking a FlatSpec, called once per flat of the stack
+    _dual_transforms builds.  The average is taken with respect to the
+    rotation-invariant distribution of orientations, realized by the
     deterministic sample of orientation_set, so results are reproducible for a
     fixed spec.seed.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (dims.n,):
         raise ValueError("dimension mismatch between point and dims")
-    frames = orientation_set(flat_dim, dims.n, spec.orientation_samples, spec.seed)
-    vals = np.empty(len(frames))
-    for i, basis in enumerate(frames):
-        vals[i] = phi(flat_through(basis, x))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand blowup: flat function not finite")
-    return float(np.mean(vals))
+    return _dual_transforms(lambda flats: [phi(zeta) for zeta in flats], [x], flat_dim, dims, spec)[0]
+
+
+def _dual_transforms(values, points, flat_dim: int, dims: Dimensions, spec: QuadratureSpec) -> list[float]:
+    """dual_transform at each of points, where values(flats) gives the data on one point's stack of flats."""
+    means = []
+    for flats in flat_through(orientation_set(flat_dim, dims.n, spec.orientation_samples, spec.seed), points):
+        vals = np.asarray(values(flats), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("integrand blowup: flat function not finite")
+        means.append(float(np.mean(vals)))
+    return means

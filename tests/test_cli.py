@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sphslice.geometry as geometry
 import sphslice.transforms as transforms
-from sphslice import PlaneField, SphereField, save_profile_csv
+from sphslice import (Dimensions, FlatSpec, PlaneField, QuadratureSpec, SphereField, op_B, radon_john,
+                      save_profile_csv)
 from sphslice import cli
 from sphslice.cli import main
+from sphslice.scenes import SceneSpec, build_field
 from sphslice.transforms import _BLOCK_POINTS
 
 
@@ -147,7 +150,9 @@ def test_parse_error_reports_lineno(tmp_path, capsys):
     assert ":2" in capsys.readouterr().err
 
 
-def test_numeric_failure_exits_3(tmp_path):
+@pytest.fixture
+def nan_scene(tmp_path):
+    # a zonal profile with one NaN sample
     grid = np.geomspace(0.1, 10.0, 50)
     values = np.exp(-grid)
     values[20] = np.nan
@@ -155,7 +160,19 @@ def test_numeric_failure_exits_3(tmp_path):
     save_profile_csv(csv_path, grid, values)
     scene = tmp_path / "bad.scene"
     scene.write_text(f"family = custom_profile_csv\npath = {csv_path}\n")
-    assert run(["zonal-forward", str(scene), "--t-count", "5"]) == 3
+    return str(scene)
+
+
+def test_numeric_failure_exits_3(nan_scene):
+    assert run(["zonal-forward", nan_scene, "--t-count", "5"]) == 3
+
+
+@pytest.mark.parametrize("argv", [["dual", "--grid-size", "2"], ["dual", "--n", "2", "--k", "2", "--grid-size", "2"],
+                                  ["support", "--trials", "5"]])
+def test_non_finite_stacked_data_exits_3(capsys, nan_scene, argv):
+    # some node of some flat of the stack sees the profile's NaN
+    assert run([argv[0], nan_scene] + argv[1:] + ["--sphere-order", "8"]) == 3
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_profile_csv_with_leading_comments_is_read(tmp_path):
@@ -423,6 +440,51 @@ def test_factor_check_integrates_its_planes_in_chunks(monkeypatch, tmp_path, gau
         m = sum(points) // 80
         assert m > 0 and sum(points) == 80 * m
         assert len(points) <= math.ceil(80 * m / _BLOCK_POINTS)
+
+
+def _dual_one_flat_at_a_time(g, points, dims, spec):
+    # dual_transform as written before it stacked: per point, one flat built
+    # as make_flat did and one radon_john per orientation, then the mean
+    frames = transforms.orientation_set(dims.k - 1, dims.n, spec.orientation_samples, spec.seed)
+    values = []
+    for x in points:
+        vals = np.empty(len(frames))
+        for i, basis in enumerate(frames):
+            ortho = geometry._orthonormalize(basis)
+            vals[i] = radon_john(g, FlatSpec(ortho, x - (x @ ortho.T) @ ortho), spec)
+        values.append(float(np.mean(vals)))
+    return values
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (4, 3)])
+def test_dual_rows_equal_the_per_flat_loop(tmp_path, n, k):
+    out = tmp_path / "out.csv"
+    scene = tmp_path / "s.scene"
+    scene.write_text(f"family = zonal_gaussian\nn = {n}\nk = {k}\n")
+    assert run(["dual", str(scene), "--grid-size", "2", "--extent", "1.5", "--cutoff", "8", "--seed", "3",
+                "--sphere-order", "8", "--radial-order", "8", "--out", str(out)]) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    dims = Dimensions(n, k)
+    spec = QuadratureSpec(sphere_order=8, radial_order=8, radial_cutoff=8.0, seed=3)
+    g = op_B(build_field(SceneSpec(family="zonal_gaussian", dims=dims)), dims)
+    # %.17g round-trips, so the grid points and values are the computed bits
+    assert list(rows[:, -1]) == _dual_one_flat_at_a_time(g, rows[:, :-1], dims, spec)
+
+
+@pytest.mark.parametrize("argv,stacks", [
+    (["support", "--trials", "50", "--sphere-order", "8"], 2),
+    (["dual", "--n", "2", "--k", "2", "--grid-size", "2", "--sphere-order", "8", "--radial-order", "8"], 4),
+])
+def test_flats_are_validated_once_per_stack(monkeypatch, tmp_path, bump_scene, argv, stacks):
+    # support draws its 50 far and its 8 control planes as one stack each, and
+    # dual builds the 256 flats through each of its 4 grid points as one stack:
+    # the flat checks run once per stack, not once per flat
+    calls = []
+    check = geometry._check_flats
+    monkeypatch.setattr(geometry, "_check_flats", lambda basis, offset: calls.append(1) or check(basis, offset))
+    assert run([argv[0], bump_scene] + argv[1:] + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == stacks
 
 
 def test_consecutive_runs_share_no_output_target(tmp_path, capsys, gauss_scene):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sphslice.geometry as geometry
 import sphslice.transforms as transforms
 from sphslice import (
     Dimensions,
@@ -187,13 +188,32 @@ def test_orientation_set_keeps_the_inline_qr_bits(seed):
     assert np.array_equal(orientation_set(1, 3, 10, seed), dirs[:, None, :])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("flat_dim,n", [(1, 4), (2, 4), (3, 5), (2, 6)])
+def test_haar_orientations_are_the_frame_by_frame_draws(seed, flat_dim, n):
+    # one Gaussian stack and one batched QR give each frame's bits
+    rng = np.random.default_rng(seed)
+    frames = np.empty((7, flat_dim, n))
+    for i in range(7):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        q *= np.sign(np.diag(r))
+        frames[i] = q[:, :flat_dim].T
+    got = orientation_set(flat_dim, n, 7, seed)
+    assert np.array_equal(got, frames) and got.flags.c_contiguous
+
+
 def test_flat_through_contains_point():
-    basis = np.array([[1.0, 0.0, 0.0]])
-    x = np.array([2.0, 1.0, -1.0])
-    zeta = flat_through(basis, x)
-    # x - offset must lie in the span
-    rel = x - zeta.offset
-    assert np.allclose(rel - (rel @ zeta.basis.T) @ zeta.basis, 0.0, atol=1e-12)
+    frames = np.array([[[1.0, 0.0, 0.0]], [[1.0, 2.0, 0.0]]])
+    points = np.array([[2.0, 1.0, -1.0], [0.0, 0.0, 0.0], [-0.5, 3.0, 0.25]])
+    for x, flats in zip(points, flat_through(frames, points)):
+        assert len(flats) == len(frames)
+        for basis, zeta in zip(frames, flats):
+            # x - offset must lie in the span, and the flat has the one-frame formula's bits
+            rel = x - zeta.offset
+            assert np.allclose(rel - (rel @ zeta.basis.T) @ zeta.basis, 0.0, atol=1e-12)
+            ortho = geometry._orthonormalize(basis)
+            assert np.array_equal(zeta.basis, ortho)
+            assert np.array_equal(zeta.offset, x - (x @ ortho.T) @ ortho)
 
 
 def test_dual_transform_center_value():
@@ -205,6 +225,13 @@ def test_dual_transform_center_value():
 
     value = dual_transform(data, np.zeros(2), 1, Dimensions(2, 2), spec)
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+def test_dual_transform_refuses_a_non_finite_flat_value():
+    spec = QuadratureSpec(orientation_samples=8)
+    values = iter([1.0] * 5 + [math.inf] + [1.0] * 2)
+    with pytest.raises(ValueError, match="flat function not finite"):
+        dual_transform(lambda zeta: next(values), np.ones(2), 1, Dimensions(2, 2), spec)
 
 
 # Lines in the plane use uniform midpoint angles, which integrate the smooth
