@@ -40,7 +40,7 @@ from .inversion import RieszParams, invert_slice
 from .quadrature import QuadratureSpec, sphere_rule
 from .scenes import SceneError, SceneSpec, build_field, parse_scene, scene_profile, suggested_cutoff
 from .transforms import (_dual_transforms, _factorization_checks, _flat_sums, _slice_sums, factorization_check, op_B,
-                         section_to_plane, slice_transform)
+                         section_to_plane)
 from .zonal import _read_table, zonal_forward, zonal_invert
 
 __all__ = ["main"]
@@ -418,7 +418,7 @@ def _cmd_invert(args) -> int:
     with _usage_errors():
         riesz = RieszParams(k_order=scene.dims.k - 1, eps=args.eps, outer_R=args.outer)
     field = build_field(scene)
-    reconstruction = invert_slice(lambda tau: slice_transform(field, tau, spec), scene.dims, riesz, spec)
+    reconstruction = invert_slice(field, scene.dims, riesz, spec)
     pts, _ = sphere_rule(scene.dims.n, args.grid_order)
     pts = pts[pts[:, -1] <= args.cap_limit]
     if not len(pts):

@@ -37,7 +37,8 @@ from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, sphere_
 # unused here but stay importable as inversion.<name>: the traced benchmark
 # (bench/tracer.py) replaces them.
 from scipy.interpolate import RectBivariateSpline
-from .transforms import PlaneField, SphereField, flat_through, op_B_inverse, orientation_set, section_to_plane
+from .transforms import (PlaneField, SphereField, _flat_sums, _slice_sums, flat_through, op_B_inverse,
+                         orientation_set, section_to_plane)
 from .zonal import sigma
 
 __all__ = [
@@ -301,6 +302,10 @@ class _LineDualField:
     The value at a point is the average over orientations of the tabulated
     data on the line through the point, interpolated in offset.
 
+    The table is filled row by row: rows(basis, offsets) gives the data on
+    the lines of one orientation's read-only basis (1, 2) at each offset of
+    a read-only (P, 2) stack, as P values (see _line_rows and _slice_rows).
+
     The growth cannot move to construction: how far the table must reach
     depends on the points evaluated (the row filter of invert_radon samples
     each row up to ell*outer_R beyond the farthest of them), which are known
@@ -308,8 +313,8 @@ class _LineDualField:
     once.
     """
 
-    def __init__(self, data, spec: QuadratureSpec):
-        self._data = data
+    def __init__(self, rows, spec: QuadratureSpec):
+        self._rows = rows
         count = spec.orientation_samples
         theta = (np.arange(count) + 0.5) * (math.pi / count)
         self._normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -331,8 +336,7 @@ class _LineDualField:
             # every line shares it and the line's frozen basis.
             offsets = np.multiply.outer(p_values, line.offset)
             offsets.setflags(write=False)
-            for j, offset in enumerate(offsets):
-                block[i, j] = self._data(_unchecked_flat(line.basis, offset))
+            block[i] = self._rows(line.basis, offsets)
         return block
 
     def _ensure(self, p_needed: float):
@@ -387,36 +391,71 @@ def _require_lines_in_plane(flat_dim: int, n: int):
         )
 
 
+def _line_rows(phi, spec: QuadratureSpec):
+    """The table's rows(basis, offsets) for line data phi.
+
+    phi is a PlaneField, whose rows are the radon_john integrals of one
+    _flat_sums stack per orientation, or a callable taking a FlatSpec,
+    called once per line in offset order.  Both give the bits of one
+    radon_john call per line.
+    """
+    if isinstance(phi, PlaneField):
+        return lambda basis, offsets: _flat_sums(phi, [_unchecked_flat(basis, offset) for offset in offsets], spec)
+    return lambda basis, offsets: [phi(_unchecked_flat(basis, offset)) for offset in offsets]
+
+
+def _slice_rows(F, spec: QuadratureSpec):
+    """The table's rows(basis, offsets) for slice data F, on the planes whose traces are the lines.
+
+    F is a SphereField, whose rows are the slice_transform integrals of one
+    _slice_sums stack per orientation, or a callable taking a SlicePlane,
+    called once per line in offset order.  Both give the bits of one
+    slice_transform call per plane.
+    """
+    if isinstance(F, SphereField):
+        return lambda basis, offsets: _slice_sums(
+            F, [section_to_plane(_unchecked_flat(basis, offset)) for offset in offsets], spec)
+    return _line_rows(lambda zeta: F(section_to_plane(zeta)), spec)
+
+
 def make_dual_field(phi, flat_dim: int, dims: Dimensions, spec: QuadratureSpec):
     """Backprojection h = average of the line data phi over lines through x in the plane.
 
-    phi is called with a FlatSpec and must return a float.  The data is
-    tabulated once and interpolated linearly in offset (see _LineDualField);
-    the result is a batched callable on (N, 2) arrays of finite points.
+    phi is called with a FlatSpec and must return a float, or is a
+    PlaneField whose line integrals are the data.  The data is tabulated
+    once and interpolated linearly in offset (see _LineDualField); the
+    result is a batched callable on (N, 2) arrays of finite points.
     Lines in the plane (flat_dim 1, dims.n 2) are the only case backprojected
     at practical cost: any other case raises NotImplementedError before phi
     is called.
     """
     _require_lines_in_plane(flat_dim, dims.n)
-    return _LineDualField(phi, spec)
+    return _LineDualField(_line_rows(phi, spec), spec)
 
 
 def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> PlaneField:
     """Recover a plane field from its flat-integral data phi.
 
     phi(zeta) must return the integral over the flat zeta of the unknown
-    field, for flats of dimension params.k_order in R^{dims.n}.  The data is
-    tabulated over lines (see _LineDualField), each row (one orientation, as a
-    function of the offset p) is filtered by the derivative in p, and the
-    result at x is the mean over orientations theta of the filtered rows at
-    x . theta, divided by coeff_c(1, 2).  Only lines in the plane (dims.n 2,
-    k_order 1) are supported; other dimensions raise NotImplementedError
-    here, before any data is computed.
+    field, for flats of dimension params.k_order in R^{dims.n}.  phi may
+    also be the PlaneField itself: its data are then radon_john(phi, zeta,
+    spec), computed one stack of lines per orientation, with the same bits.
+    The data is tabulated over lines (see _LineDualField), each row (one
+    orientation, as a function of the offset p) is filtered by the
+    derivative in p, and the result at x is the mean over orientations theta
+    of the filtered rows at x . theta, divided by coeff_c(1, 2).  Only lines
+    in the plane (dims.n 2, k_order 1) are supported; other dimensions raise
+    NotImplementedError here, before any data is computed.
     """
+    return _backprojected(_line_rows(phi, spec), dims, params, spec)
+
+
+def _backprojected(rows, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> PlaneField:
+    """invert_radon of the line data whose table rows are rows(basis, offsets)."""
     if not 1 <= params.k_order < dims.n:
         raise ValueError("flat order must satisfy 1 <= k_order < n")
     _require_lines_in_plane(params.k_order, dims.n)
-    table = _LineDualField(phi, spec)
+    table = _LineDualField(rows, spec)
     constant = coeff_c(params.k_order, dims.n)
 
     def eval_field(x):
@@ -430,17 +469,15 @@ def invert_slice(F, dims: Dimensions, params: RieszParams, spec: QuadratureSpec)
     """Recover a sphere field from its slice data F.
 
     F(tau) must return the cross-section integral of the unknown field over
-    the slice plane tau.  The data is carried to flat data over the plane
-    correspondence, inverted there, and conjugated back; the reconstruction
-    degrades towards the pole, where the conjugation weight blows up.  Only
-    S^2 sliced by 2-planes (Dimensions(2, 2)) is supported; other dimensions
-    raise NotImplementedError before F is called (see invert_radon).
+    the slice plane tau.  F may also be the SphereField itself: its data are
+    then slice_transform(F, tau, spec), computed one stack of planes per
+    orientation, with the same bits.  The data is carried to flat data over
+    the plane correspondence, inverted there, and conjugated back; the
+    reconstruction degrades towards the pole, where the conjugation weight
+    blows up.  Only S^2 sliced by 2-planes (Dimensions(2, 2)) is supported;
+    other dimensions raise NotImplementedError before F is called (see
+    invert_radon).
     """
     if params.k_order != dims.k - 1:
         raise ValueError("params.k_order must equal dims.k - 1 for slice inversion")
-
-    def flat_data(zeta: FlatSpec) -> float:
-        return F(section_to_plane(zeta))
-
-    g = invert_radon(flat_data, dims, params, spec)
-    return op_B_inverse(g, dims)
+    return op_B_inverse(_backprojected(_slice_rows(F, spec), dims, params, spec), dims)

@@ -179,20 +179,30 @@ def _flat_nodes(bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec):
     that every flat of the stack shares.  Flat i's values are the stack of
     one's bits.
     """
+    nodes, weights = _flat_span(bases, spec)
+    # offset + intrinsic @ basis: the offset is added in one contiguous pass
+    # per coordinate.
+    nodes += offsets.T[:, :, None]
+    return nodes, weights
+
+
+def _flat_span(bases: np.ndarray, spec: QuadratureSpec):
+    """The rule's nodes intrinsic @ basis for a stack of bases (C, d, n), before any offset.
+
+    Returns nodes of shape (n, C, m), one contiguous row per coordinate and
+    flat, and the weights (m,) that every flat shares.
+    """
     d = bases.shape[1]
     if d < 1:
         raise ValueError("flat must have dimension >= 1")
     intrinsic, weights = _flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)
-    # offset + intrinsic @ basis, built with one contiguous row per
-    # coordinate and flat, so the offset is added in one contiguous pass per
-    # coordinate.  A line's product has one term: a broadcast product gives
-    # the matmul's values without a BLAS call.
+    # A line's product has one term: a broadcast product gives the matmul's
+    # values without a BLAS call.
     nodes = np.empty((bases.shape[2], len(bases), len(weights)))
     if d == 1:
         np.multiply(bases.transpose(2, 0, 1), intrinsic[:, 0], out=nodes)
     else:
         np.matmul(bases.transpose(0, 2, 1), intrinsic.T, out=nodes.transpose(1, 0, 2))
-    nodes += offsets.T[:, :, None]
     return nodes, weights
 
 

@@ -25,7 +25,7 @@ import numpy as np
 # replaces them.
 from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_nodes,
                        flat_through, make_flat, sample_sphere_cross_section)
-from .quadrature import QuadratureSpec, _flat_nodes, _flat_template, flat_rule, sphere_rule
+from .quadrature import QuadratureSpec, _flat_nodes, _flat_span, _flat_template, flat_rule, sphere_rule
 from .stereo import _sq_norm, nu, nu_inverse, plane_to_sphere_weight
 
 __all__ = [
@@ -100,7 +100,38 @@ def slice_transform(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -> fl
 def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
     """Integral of g over the affine flat zeta, truncated at spec.radial_cutoff."""
     _warn_on_slow_decay(g, zeta.dim)
-    return _chunk_sums(g, *_flat_nodes(zeta.basis[None], zeta.offset[None], spec), "the flat")[0]
+    # span + offset is _flat_nodes' arithmetic for a stack of one: the same bits
+    span, weights = _shared_span(zeta.basis, spec)
+    return _chunk_sums(g, span + zeta.offset[:, None, None], weights, "the flat")[0]
+
+
+# The span of the last read-only basis radon_john integrated over, as one
+# (key, (span, weights)) tuple: the lines of one orientation of the
+# inversion's table share their basis, so after the first line each costs
+# one add of its offset, one field call and one sum.
+_last_span = (None, None)
+
+
+def _shared_span(basis: np.ndarray, spec: QuadratureSpec):
+    """_flat_span of one basis (d, n): read-only (n, 1, m) nodes of the flat through the origin, and the weights.
+
+    The span of the last read-only basis is kept, keyed by the basis's bytes
+    and the rule's settings, so a basis changed in place gets a fresh span.
+    A writable basis, which could change while its span is built, is never
+    kept.  The key and its span are stored and read as one tuple, so threads
+    that race on the entry can only cost a rebuild, never return another
+    basis's span.
+    """
+    global _last_span
+    if basis.flags.writeable:
+        return _flat_span(basis[None], spec)
+    key = (basis.shape, basis.tobytes(), spec.radial_cutoff, spec.radial_order, spec.sphere_order)
+    memo = _last_span
+    if memo[0] != key:
+        span, weights = _flat_span(basis[None], spec)
+        span.setflags(write=False)
+        memo = _last_span = (key, (span, weights))
+    return memo[1]
 
 
 def _slice_sums(f: SphereField, taus, spec: QuadratureSpec) -> list[float]:
@@ -173,7 +204,12 @@ def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> li
         vals = np.empty(count * size)
         for lo in range(0, count * size, _BLOCK_POINTS):
             vals[lo : lo + _BLOCK_POINTS] = field(points[lo : lo + _BLOCK_POINTS])
-    sums = np.add.reduce(vals.reshape(count, size) * weights, axis=1).tolist()
+    if count == 1:
+        # One plane's row is summed as it is: the same pairwise sum as the
+        # stacked reduction's, without its reshapes.
+        sums = [float(np.add.reduce(vals.reshape(size) * weights.reshape(size)))]
+    else:
+        sums = np.add.reduce(vals.reshape(count, size) * weights, axis=1).tolist()
     # The weights are finite, so a non-finite value makes its plane's sum
     # non-finite: the values are scanned only then.  A sum that overflows
     # from finite values stays inf.

@@ -161,11 +161,8 @@ def test_05_radon_inversion_gaussian(capsys):
                           orientation_samples=256)
     params = RieszParams(k_order=1, eps=0.05, outer_R=30.0)
     gauss = PlaneField(lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1)))
-
-    def line_data(zeta):
-        return radon_john(gauss, zeta, spec)
-
-    reconstruction = invert_radon(line_data, dims, params, spec)
+    # the line data are radon_john(gauss, zeta, spec), one stack per orientation
+    reconstruction = invert_radon(gauss, dims, params, spec)
     axis = np.linspace(-2.0, 2.0, 41)
     xx, yy = np.meshgrid(axis, axis)
     points = np.stack([xx, yy], axis=-1)
@@ -185,11 +182,8 @@ def _slice_inversion_error(family, seed):
     data_spec = QuadratureSpec(sphere_order=32, radial_order=48, radial_cutoff=10.0,
                                orientation_samples=96, seed=seed)
     params = RieszParams(k_order=1, eps=0.1, outer_R=20.0)
-
-    def data(tau):
-        return slice_transform(field, tau, data_spec)
-
-    reconstruction = invert_slice(data, dims, params, data_spec)
+    # the slice data are slice_transform(field, tau, data_spec), one stack per orientation
+    reconstruction = invert_slice(field, dims, params, data_spec)
     pts, _ = sphere_rule(2, 16)
     pts = pts[pts[:, -1] <= 0.99]
     rec = reconstruction(pts)

@@ -1,5 +1,6 @@
 import argparse
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -628,3 +629,43 @@ def test_plane_file_takes_one_header_line(tmp_path, gauss_scene, capsys):
     assert run(["forward", gauss_scene, str(planes), "--sphere-order", "8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{planes}:3" in err
+
+
+HARMONIC22 = "family = first_harmonic_weighted\nn = 2\nk = 2\n"
+
+
+def _factor_check_bytes(scene, out):
+    assert run(["factor-check", scene, "12", "--seed", "5", "--sphere-order", "48", "--radial-order", "64",
+                "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("text", [GAUSS, GAUSS33, HARMONIC22], ids=["zonal-3-2", "zonal-3-3", "harmonic-2-2"])
+def test_factor_check_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, text):
+    # The block size sets how many planes one field call stacks and how a
+    # rule larger than it is split: at 640 nodes every line rule here is
+    # split, at 65,536 all 12 planes of a line or section rule are one stack.
+    scene = tmp_path / "scene.txt"
+    scene.write_text(text)
+    outputs = set()
+    for block in (640, 4096, 16384, 65536):
+        monkeypatch.setattr(transforms, "_BLOCK_POINTS", block)
+        outputs.add(_factor_check_bytes(str(scene), tmp_path / f"block{block}.csv"))
+    assert len(outputs) == 1
+
+
+def test_factor_check_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    # (3, 3) builds its 2-flat rules with a stacked matrix product
+    scene = tmp_path / "scene.txt"
+    scene.write_text(GAUSS33)
+    outputs = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphslice.cli", "factor-check", str(scene), "20", "--seed", "5",
+             "--sphere-order", "48", "--radial-order", "64", "--out", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn, i0e
 
@@ -22,10 +22,16 @@ from sphslice import (
     invert_slice,
     radon_john,
     riesz_derivative,
+    section_to_plane,
+    slice_transform,
+    sphere_rule,
 )
 import sphslice.inversion as inversion
+import sphslice.transforms as transforms
+from sphslice.geometry import _unchecked_flat
 from sphslice.inversion import coeff_B_l_prime, make_dual_field
 from sphslice.quadrature import composite_gauss, gauss_legendre
+from sphslice.scenes import SceneSpec, build_field
 
 
 def mp_B(ell, alpha):
@@ -305,15 +311,19 @@ property_settings = settings(max_examples=6, deadline=None,
 
 
 @given(centers, centers, weights, weights)
+@example(np.array([0.01578395, 0.3889441]), np.array([-0.54251244, 0.53025235]), -0.0, 5e-324)
 @property_settings
 def test_invert_radon_is_linear(c1, c2, a, b):
+    # The bound is floored at the smallest normal float, as below it the
+    # spacing of floats exceeds 1e-12 of the value: with b = 5e-324 the data
+    # are subnormal and the difference was 1.2e-322.
     phi1, phi2 = shifted_gaussian_lines(c1), shifted_gaussian_lines(c2)
     rec1, rec2, both = (
         invert_radon(phi, Dimensions(2, 2), PARAMS, SMALL_SPEC)(PROPERTY_POINTS)
         for phi in (phi1, phi2, lambda zeta: a * phi1(zeta) + b * phi2(zeta))
     )
     scale = abs(a) * np.max(np.abs(rec1)) + abs(b) * np.max(np.abs(rec2))
-    assert np.max(np.abs(both - (a * rec1 + b * rec2))) <= 1e-12 * scale
+    assert np.max(np.abs(both - (a * rec1 + b * rec2))) <= max(1e-12 * scale, np.finfo(float).tiny)
 
 
 @given(centers, st.integers(1, 2 * SMALL_SPEC.orientation_samples - 1))
@@ -479,7 +489,7 @@ def test_line_table_flats_are_valid_and_read_only():
         seen.append(zeta)
         return gaussian_lines(zeta)
 
-    field = inversion._LineDualField(data, QuadratureSpec(orientation_samples=4))
+    field = make_dual_field(data, 1, Dimensions(2, 2), QuadratureSpec(orientation_samples=4))
     field(np.array([[25.0, 0.0]]))  # grows the table
     assert len(seen) > 4 * 1001
     for zeta in seen:
@@ -493,7 +503,7 @@ def test_line_table_flats_share_their_orientation_basis():
         seen.append(zeta)
         return 0.0
 
-    field = inversion._LineDualField(data, QuadratureSpec(orientation_samples=3))
+    field = make_dual_field(data, 1, Dimensions(2, 2), QuadratureSpec(orientation_samples=3))
     per_line = len(field._p)
     assert len(seen) == 3 * per_line
     for i, line in enumerate(field._unit_lines):
@@ -502,6 +512,104 @@ def test_line_table_flats_share_their_orientation_basis():
         # the offsets are the products p * normal of one flat per offset
         offsets = np.array([zeta.offset for zeta in flats])
         assert np.array_equal(offsets, np.array([p * line.offset for p in field._p]))
+
+
+# radon_john data of the plane Gaussian on a cheap rule, for the scalar and
+# the field form of the line table (its orientation count is SMALL_SPEC's)
+FIELD_SPEC = QuadratureSpec(sphere_order=8, radial_order=16, radial_cutoff=6.0, orientation_samples=16)
+GAUSS = PlaneField(lambda x: np.exp(-np.sum(x * x, axis=-1)))
+# acceptance 06's settings and evaluation points
+SECTION_SPEC = QuadratureSpec(sphere_order=32, radial_order=48, radial_cutoff=10.0)
+SECTION_PARAMS = RieszParams(k_order=1, eps=0.1, outer_R=20.0)
+CAP_POINTS = sphere_rule(2, 16)[0]
+CAP_POINTS = CAP_POINTS[CAP_POINTS[:, -1] <= 0.99]
+SECTION_FAMILIES = ("zonal_gaussian", "first_harmonic_weighted")
+
+
+def sphere_scene_field(family):
+    return build_field(SceneSpec(family=family, parameters={}, dims=Dimensions(2, 2)))
+
+
+def test_the_table_builds_one_span_per_orientation_and_fill(monkeypatch):
+    # The lines of one orientation share their basis, so radon_john line
+    # data build each row's span once; the field form, which integrates each
+    # row as stacks, gives the same bits.
+    builds, fills = [], []
+    build, fill = transforms._flat_span, inversion._LineDualField._fill
+    monkeypatch.setattr(transforms, "_flat_span", lambda b, s: builds.append(len(b)) or build(b, s))
+    monkeypatch.setattr(inversion._LineDualField, "_fill", lambda self, p: fills.append(len(p)) or fill(self, p))
+    rec = invert_radon(lambda zeta: radon_john(GAUSS, zeta, FIELD_SPEC), Dimensions(2, 2), PARAMS, FIELD_SPEC)
+    values = rec(SMALL_POINTS)
+    assert len(fills) == 3
+    assert 0 < len(builds) <= FIELD_SPEC.orientation_samples * len(fills)
+    assert np.array_equal(invert_radon(GAUSS, Dimensions(2, 2), PARAMS, FIELD_SPEC)(SMALL_POINTS), values)
+
+
+@pytest.mark.parametrize("form", ["plane", "sphere"])
+def test_one_evaluation_grows_the_field_table_once(monkeypatch, form):
+    fills = []
+    fill = inversion._LineDualField._fill
+    monkeypatch.setattr(inversion._LineDualField, "_fill", lambda self, p: fills.append(len(p)) or fill(self, p))
+    if form == "plane":
+        rec, points = invert_radon(GAUSS, Dimensions(2, 2), PARAMS, FIELD_SPEC), SMALL_POINTS
+    else:
+        spec = dataclasses.replace(SECTION_SPEC, sphere_order=8, orientation_samples=8)
+        rec = invert_slice(sphere_scene_field("zonal_gaussian"), Dimensions(2, 2), SECTION_PARAMS, spec)
+        points = CAP_POINTS[:5]
+    assert len(fills) == 1
+    rec(points)
+    assert len(fills) == 3  # one growth fills both sides of the offset grid
+    rec(points)
+    assert len(fills) == 3
+
+
+def table_line(angle):
+    """A table orientation's unit line: basis along the line, offset the unit normal at angle."""
+    normal = np.array([math.cos(angle), math.sin(angle)])
+    return FlatSpec(basis=np.array([[-normal[1], normal[0]]]), offset=normal)
+
+
+def table_offsets(line, p):
+    offsets = np.multiply.outer(np.asarray(p, dtype=float), line.offset)
+    offsets.setflags(write=False)
+    return offsets
+
+
+angles = st.floats(0.0, math.pi, exclude_max=True)
+
+
+@given(angles, st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=300))
+@settings(max_examples=25, deadline=None)
+def test_field_rows_equal_the_scalar_lines(angle, p):
+    # 300 lines of 128 nodes take three chunks
+    line = table_line(angle)
+    offsets = table_offsets(line, p)
+    rows = inversion._line_rows(GAUSS, FIELD_SPEC)(line.basis, offsets)
+    want = [radon_john(GAUSS, _unchecked_flat(line.basis, offset), FIELD_SPEC) for offset in offsets]
+    assert np.array_equal(rows, want)
+
+
+@given(st.sampled_from(SECTION_FAMILIES), angles, st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=600))
+@settings(max_examples=20, deadline=None)
+def test_field_rows_equal_the_scalar_sections(family, angle, p):
+    # 600 sections of 32 nodes take two chunks
+    f = sphere_scene_field(family)
+    line = table_line(angle)
+    offsets = table_offsets(line, p)
+    rows = inversion._slice_rows(f, SECTION_SPEC)(line.basis, offsets)
+    want = [slice_transform(f, section_to_plane(_unchecked_flat(line.basis, offset)), SECTION_SPEC)
+            for offset in offsets]
+    assert np.array_equal(rows, want)
+
+
+@given(st.sampled_from(SECTION_FAMILIES), st.integers(2, 6), st.integers(0, 7))
+@property_settings
+def test_invert_slice_of_the_field_is_the_closure_form(family, count, seed):
+    f = sphere_scene_field(family)
+    spec = dataclasses.replace(SECTION_SPEC, orientation_samples=count, seed=seed)
+    closure = invert_slice(lambda tau: slice_transform(f, tau, spec), Dimensions(2, 2), SECTION_PARAMS, spec)
+    field = invert_slice(f, Dimensions(2, 2), SECTION_PARAMS, spec)
+    assert np.array_equal(field(CAP_POINTS), closure(CAP_POINTS))
 
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import sphslice.geometry as geometry
 import sphslice.transforms as transforms
 from sphslice import (
     Dimensions,
+    FlatSpec,
     PlaneField,
     QuadratureSpec,
     SphereField,
@@ -325,7 +328,7 @@ def test_block_evaluation_is_bit_identical(monkeypatch, count, which):
     # the rule of one plane, in the stacked builders' (dim, 1, m) layout
     stacked = np.ascontiguousarray(nodes.T[:, None, :])
     if which == "radon_john":
-        monkeypatch.setattr(transforms, "_flat_nodes", lambda bases, offsets, spec: (stacked, weights))
+        monkeypatch.setattr(transforms, "_shared_span", lambda basis, spec: (stacked, weights))
         got = radon_john(PlaneField(counting), make_flat(np.eye(3)[:1], np.zeros(3)), SPEC)
     else:
         monkeypatch.setattr(transforms, "_section_nodes", lambda taus, order: (stacked, weights[None, :]))
@@ -477,3 +480,82 @@ def test_stacked_nodes_are_the_stacks_of_one_in_a_coordinate_major_view(n, k):
         for i, (nodes, w) in enumerate(singles):
             assert np.array_equal(points[i * m : (i + 1) * m], nodes)
             assert np.array_equal(np.broadcast_to(weights, (len(zetas), m))[i], w)
+
+
+def _radon_john_unshared(g, zeta, spec):
+    """radon_john through the stacked builder, which keeps no span."""
+    return transforms._flat_sums(g, [zeta], spec)[0]
+
+
+def test_kept_span_gives_the_stacked_bits(monkeypatch):
+    # Two offsets on each basis under each of three rule settings, over two
+    # bases of each flat dimension: the second offset hits the kept span,
+    # every other call misses it and builds one.  Every value is the bits of _flat_sums
+    # of the stack of one, which keeps nothing.
+    g = PlaneField(lambda x: np.exp(-np.sum(x * x, axis=-1)) * (1.0 + 0.3 * x[..., 0]))
+    specs = [QuadratureSpec(sphere_order=8, radial_order=16, radial_cutoff=6.0),
+             QuadratureSpec(sphere_order=8, radial_order=16, radial_cutoff=9.0),
+             QuadratureSpec(sphere_order=12, radial_order=24, radial_cutoff=6.0)]
+    rng = np.random.default_rng(11)
+    bases = [random_flat(rng, 3, d, t) for d in (1, 2) for t in (0.7, 1.5)]
+    builds = []
+    build = transforms._flat_span
+    monkeypatch.setattr(transforms, "_flat_span", lambda b, s: builds.append(b.shape) or build(b, s))
+    for zeta in bases:
+        for spec in specs:
+            for flat, fresh in [(zeta, True), (FlatSpec(zeta.basis, 2.0 * zeta.offset), False)]:
+                before = len(builds)
+                got = radon_john(g, flat, spec)
+                assert len(builds) - before == fresh
+                assert got == _radon_john_unshared(g, flat, spec)
+
+
+def test_a_basis_changed_in_place_gets_a_fresh_span():
+    g = PlaneField(lambda x: np.exp(-np.sum(x * x, axis=-1)) * (1.0 + 0.5 * x[..., 1]))
+    spec = QuadratureSpec(sphere_order=8, radial_order=16, radial_cutoff=6.0)
+    zeta = FlatSpec(np.array([[0.6, 0.8]]), np.zeros(2))  # owns its frozen basis
+    first = radon_john(g, zeta, spec)
+    assert first == _radon_john_unshared(g, zeta, spec)
+    kept = transforms._last_span
+    zeta.basis.setflags(write=True)
+    zeta.basis[0] = [0.8, -0.6]
+    turned = FlatSpec(np.array([[0.8, -0.6]]), np.zeros(2))
+    # a writable basis is integrated afresh and is not kept
+    assert radon_john(g, zeta, spec) == _radon_john_unshared(g, turned, spec) != first
+    assert transforms._last_span is kept
+    # frozen again, its new bytes miss the span kept for the old ones
+    zeta.basis.setflags(write=False)
+    assert radon_john(g, zeta, spec) == _radon_john_unshared(g, turned, spec)
+
+
+def test_threads_racing_on_the_kept_span_get_their_own_bits():
+    # Threads alternate between two bases and two rule settings, so they
+    # rebuild the kept span under one another; a span read with another
+    # key's would give another line's value.
+    g = PlaneField(lambda x: np.exp(-np.sum(x * x, axis=-1)) * (1.0 + 0.3 * x[..., 0]))
+    specs = [QuadratureSpec(sphere_order=4, radial_order=8, radial_cutoff=6.0),
+             QuadratureSpec(sphere_order=4, radial_order=12, radial_cutoff=6.0)]
+    zetas = [make_flat(np.array([[math.cos(a), math.sin(a)]]), np.array([-math.sin(a), math.cos(a)]) * 0.3)
+             for a in (0.2, 1.3)]
+    cases = [(zeta, spec) for zeta in zetas for spec in specs]
+    want = [_radon_john_unshared(g, zeta, spec) for zeta, spec in cases]
+    wrong = []
+
+    def worker(start):
+        for i in range(300):
+            j = (start + i) % len(cases)
+            if radon_john(g, *cases[j]) != want[j]:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
