@@ -108,7 +108,8 @@ def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
 # The span of the last read-only basis radon_john integrated over, as one
 # (key, (span, weights)) tuple: the lines of one orientation of the
 # inversion's table share their basis, so after the first line each costs
-# one add of its offset, one field call and one sum.
+# one add of its offset, one field call and one sum.  Only scalar line data
+# need it: it goes once the inversion workloads pass the field (ROADMAP item 2).
 _last_span = (None, None)
 
 
@@ -204,12 +205,7 @@ def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> li
         vals = np.empty(count * size)
         for lo in range(0, count * size, _BLOCK_POINTS):
             vals[lo : lo + _BLOCK_POINTS] = field(points[lo : lo + _BLOCK_POINTS])
-    if count == 1:
-        # One plane's row is summed as it is: the same pairwise sum as the
-        # stacked reduction's, without its reshapes.
-        sums = [float(np.add.reduce(vals.reshape(size) * weights.reshape(size)))]
-    else:
-        sums = np.add.reduce(vals.reshape(count, size) * weights, axis=1).tolist()
+    sums = np.add.reduce(vals.reshape(count, size) * weights, axis=1).tolist()
     # The weights are finite, so a non-finite value makes its plane's sum
     # non-finite: the values are scanned only then.  A sum that overflows
     # from finite values stays inf.
