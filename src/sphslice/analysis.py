@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import Dimensions, SlicePlane, _draw_flats
 from .quadrature import QuadratureSpec, composite_gauss, sphere_rule
-from .transforms import PlaneField, SphereField, _flat_sums, _slice_sums
+from .transforms import _BLOCK_POINTS, PlaneField, SphereField, _flat_sums, _slice_sums
 
 __all__ = [
     "CapSpec",
@@ -129,8 +129,13 @@ def _annulus_integral(
     """Integral of |f|^power u^{u_exponent} dS over the annulus u_lo < u < u_hi."""
     omega, w_omega = sphere_rule(dims.n - 1, spec.sphere_order)
     u, w_u = composite_gauss(u_lo, u_hi, min(spec.radial_order, 32))
-    pts = _cap_point_batch(u, omega)
-    vals = np.abs(f(pts.reshape(-1, dims.n + 1))).reshape(len(u), len(omega))
+    # The field sees blocks of whole rows of u, at most _BLOCK_POINTS points
+    # each unless one row is larger; the sums below run on the full array.
+    vals = np.empty((len(u), len(omega)))
+    rows = max(1, _BLOCK_POINTS // len(omega))
+    for lo in range(0, len(u), rows):
+        pts = _cap_point_batch(u[lo : lo + rows], omega)
+        vals[lo : lo + rows] = np.abs(f(pts.reshape(-1, dims.n + 1))).reshape(-1, len(omega))
     if power != 1.0:
         vals = vals**power
     angular = vals @ w_omega

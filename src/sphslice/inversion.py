@@ -37,8 +37,8 @@ from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, sphere_
 # unused here but stay importable as inversion.<name>: the traced benchmark
 # (bench/tracer.py) replaces them.
 from scipy.interpolate import RectBivariateSpline
-from .transforms import (PlaneField, SphereField, _flat_sums, _slice_sums, flat_through, op_B_inverse,
-                         orientation_set, section_to_plane)
+from .transforms import (_BLOCK_POINTS, PlaneField, SphereField, _flat_sums, _slice_sums, flat_through,
+                         op_B_inverse, orientation_set, section_to_plane)
 from .zonal import sigma
 
 __all__ = [
@@ -70,8 +70,6 @@ NONCONV_TOL = 1e-3
 # through the kernel at the finest cutoff (see _riesz_batch), so that a
 # result that is zero up to rounding (constant data) stays silent too.
 ROUNDING_ULPS = 16
-
-_CHUNK_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -207,19 +205,19 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     channels = h_all.shape[1:]
     out = np.empty(channels + (len(X),))
     nonconv = 0.0
-    chunk = max(1, _CHUNK_POINTS // max(1, len(rho) * len(omega) * ell * math.prod(channels)))
+    # A chunk's stencil holds at most _BLOCK_POINTS values, unless one
+    # point's stencil alone is larger.
+    chunk = max(1, _BLOCK_POINTS // max(1, len(rho) * len(omega) * ell * math.prod(channels)))
     for lo_i in range(0, len(X), chunk):
         xs = X[lo_i : lo_i + chunk]
         h_at_x = np.moveaxis(h_all[lo_i : lo_i + chunk], 0, -1)
-        pts = xs[:, None, None, None, :] - offsets[None, :, :, :, :]
-        vals = _channels_first(h(pts.reshape(-1, n)), (len(xs), len(rho), len(omega), ell))
+        vals = _point_major(h, xs, offsets)
         diff = vals @ signs + h_at_x[..., None, None]
         angular = diff @ w_omega
         # Tail beyond outer_R: the j = 0 term integrates exactly; for j >= 1
         # the field is replaced by its angular average at radius j * outer_R
         # decaying like r^{-gamma}.
-        tail_pts = xs[:, None, None, :] - tail_offsets
-        tail_vals = _channels_first(h(tail_pts.reshape(-1, n)), (len(xs), len(omega), ell))
+        tail_vals = _point_major(h, xs, tail_offsets)
         tail_avg = np.tensordot(tail_vals, w_omega, axes=([-2], [0])) / surface
         tail = surface * params.outer_R ** (-k) * (
             h_at_x / k + (tail_avg @ signs) / (k + gamma)
@@ -246,11 +244,21 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     return out, nonconv, scale
 
 
-def _channels_first(values, shape: tuple) -> np.ndarray:
-    """Values of h reshaped to shape, with h's channel axis (if any) moved to the front."""
-    values = np.asarray(values, dtype=float)
-    values = values.reshape(shape + values.shape[1:])
-    return np.moveaxis(values, -1, 0) if values.ndim > len(shape) else values
+def _point_major(h, xs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """h at xs - offsets, shaped (len(xs), *offsets.shape[:-1]), with h's channel axis (if any) first.
+
+    h is sampled offset-major: for each offset, all of xs in order, so that a
+    spline queried at ascending points resumes its interval search where the
+    last query stopped.  The values are then copied to the point-major
+    layout, so that the products over them do not depend on the order of
+    sampling.
+    """
+    n = xs.shape[1]
+    pts = xs - offsets.reshape(-1, 1, n)
+    values = np.asarray(h(pts.reshape(-1, n)), dtype=float)
+    values = values.reshape((len(pts), len(xs)) + values.shape[1:]).swapaxes(0, 1).copy()
+    values = values.reshape((len(xs),) + offsets.shape[:-1] + values.shape[2:])
+    return np.moveaxis(values, -1, 0) if values.ndim > offsets.ndim else values
 
 
 def riesz_derivative(h, x, params: RieszParams, dims: Dimensions, spec: QuadratureSpec):

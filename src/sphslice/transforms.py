@@ -40,9 +40,12 @@ __all__ = [
     "dual_transform",
 ]
 
-# Fields are evaluated on blocks of at most this many quadrature nodes: the
-# rules of whole planes, or consecutive parts of one larger rule (see
-# _chunk_sums).
+# The package's one block budget: fields are evaluated on blocks of at most
+# this many points.  It is read by _stack_sums and _chunk_sums here (the
+# rules of whole planes, or consecutive parts of one larger rule),
+# zonal.zonal_forward (offsets per chunk of (t, q) nodes),
+# inversion._riesz_batch (points per chunk of kernel stencil values) and
+# analysis._annulus_integral (rows of u per block of cap points).
 _BLOCK_POINTS = 16384
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sphslice.analysis as analysis
 import sphslice.geometry as geometry
 import sphslice.transforms as transforms
 from sphslice import (Dimensions, FlatSpec, PlaneField, QuadratureSpec, SphereField, op_B, radon_john,
@@ -640,17 +641,27 @@ def _factor_check_bytes(scene, out):
     return out.read_bytes()
 
 
+def _existence_bytes(scene, out):
+    assert run(["existence", scene, "--sphere-order", "48", "--radial-order", "64", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("text", [GAUSS, GAUSS33, HARMONIC22], ids=["zonal-3-2", "zonal-3-3", "harmonic-2-2"])
 def test_factor_check_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, text):
     # The block size sets how many planes one field call stacks and how a
     # rule larger than it is split: at 640 nodes every line rule here is
     # split, at 65,536 all 12 planes of a line or section rule are one stack.
+    # existence's cap integrals call the field on blocks of whole rings of
+    # directions (2,304 nodes a ring for n = 3, 48 for n = 2), so the four
+    # sizes split them differently.
     scene = tmp_path / "scene.txt"
     scene.write_text(text)
     outputs = set()
     for block in (640, 4096, 16384, 65536):
         monkeypatch.setattr(transforms, "_BLOCK_POINTS", block)
-        outputs.add(_factor_check_bytes(str(scene), tmp_path / f"block{block}.csv"))
+        monkeypatch.setattr(analysis, "_BLOCK_POINTS", block)
+        outputs.add((_factor_check_bytes(str(scene), tmp_path / f"block{block}.csv"),
+                     _existence_bytes(str(scene), tmp_path / f"existence{block}.csv")))
     assert len(outputs) == 1
 
 

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn, i0e
 
@@ -311,6 +311,7 @@ property_settings = settings(max_examples=6, deadline=None,
 
 
 @given(centers, centers, weights, weights)
+@example(np.zeros(2), np.zeros(2), -0.0, 5e-324)
 @property_settings
 def test_invert_radon_is_linear(c1, c2, a, b):
     phi1, phi2 = shifted_gaussian_lines(c1), shifted_gaussian_lines(c2)
@@ -319,7 +320,10 @@ def test_invert_radon_is_linear(c1, c2, a, b):
         for phi in (phi1, phi2, lambda zeta: a * phi1(zeta) + b * phi2(zeta))
     )
     scale = abs(a) * np.max(np.abs(rec1)) + abs(b) * np.max(np.abs(rec2))
-    assert np.max(np.abs(both - (a * rec1 + b * rec2))) <= 1e-12 * scale
+    # The bound is floored at the smallest normal float, as below it the
+    # spacing of floats exceeds 1e-12 of the value (a subnormal weight such as
+    # b = 5e-324 makes 1e-12 * scale underflow to 0).
+    assert np.max(np.abs(both - (a * rec1 + b * rec2))) <= max(1e-12 * scale, np.finfo(float).tiny)
 
 
 @given(centers, st.integers(1, 2 * SMALL_SPEC.orientation_samples - 1))
@@ -431,8 +435,8 @@ def test_row_tail_bounds_a_slowly_decaying_row():
 @pytest.mark.parametrize("n", [1, 2])
 def test_kernel_channels_equal_scalar_calls(monkeypatch, n):
     # a field of C channels is derived as C scalar fields would be; a small
-    # chunk budget makes the batch run in several chunks
-    monkeypatch.setattr(inversion, "_CHUNK_POINTS", 2_000)
+    # block budget makes the batch run in several chunks
+    monkeypatch.setattr(inversion, "_BLOCK_POINTS", 2_000)
     widths = np.array([0.6, 1.0, 1.7])
     X = np.random.default_rng(n).uniform(-1.5, 1.5, size=(7, n))
     spec = QuadratureSpec(sphere_order=16, radial_order=64)
@@ -557,6 +561,53 @@ def test_one_evaluation_grows_the_field_table_once(monkeypatch, form):
     assert len(fills) == 3  # one growth fills both sides of the offset grid
     rec(points)
     assert len(fills) == 3
+
+
+def test_reconstruction_agrees_across_block_budgets(monkeypatch):
+    # The block budget sets how many points one kernel chunk derives (and how
+    # many lines one table stack holds); the contractions then run on other
+    # row counts, so the last bits may move, but not beyond 1e-13 of the peak.
+    points = np.random.default_rng(3).uniform(-1.2, 1.2, size=(20, 2))
+    values = []
+    for block in (640, 4096, 16384, 2_000_000):
+        monkeypatch.setattr(inversion, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(transforms, "_BLOCK_POINTS", block)
+        values.append(invert_radon(GAUSS, Dimensions(2, 2), PARAMS, FIELD_SPEC)(points))
+    peak = np.max(np.abs(values[0]))
+    for other in values[1:]:
+        assert np.max(np.abs(other - values[0])) <= 1e-13 * peak
+
+
+def test_kernel_calls_stay_within_the_block_budget(monkeypatch):
+    # plane_invert's settings: acceptance 05's rule and kernel, 8 orientations
+    # and a 21 x 21 grid, whose 333 table nodes are filtered as 8 channels.
+    # Every call of the row function carries at most _BLOCK_POINTS values
+    # (points x channels), or one evaluation point's stencil when that alone
+    # is larger.
+    spec = QuadratureSpec(sphere_order=64, radial_order=64, radial_cutoff=12.0, orientation_samples=8)
+    rho, _ = composite_gauss(PARAMS.eps / 4.0, PARAMS.outer_R, 8)
+    stencil = len(rho) * len(sphere_rule(0, 64)[0]) * PARAMS.ell
+    calls, batches = [], []
+    kernel = inversion._riesz_batch
+
+    def counting_kernel(h, X, params, spec):
+        batches.append(len(X))
+
+        def counting(P):
+            values = h(P)
+            calls.append((len(P), math.prod(values.shape[1:])))
+            return values
+
+        return kernel(counting, X, params, spec)
+
+    monkeypatch.setattr(inversion, "_riesz_batch", counting_kernel)
+    axis = np.linspace(-2.0, 2.0, 21)
+    invert_radon(GAUSS, Dimensions(2, 2), PARAMS, spec)(np.stack(np.meshgrid(axis, axis), axis=-1))
+    assert batches == [333]
+    assert {channels for _, channels in calls} == {8}
+    for points, channels in calls:
+        assert points * channels <= inversion._BLOCK_POINTS or (
+            points == stencil and stencil * channels > inversion._BLOCK_POINTS)
 
 
 def table_line(angle):
