@@ -206,7 +206,8 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     out = np.empty(channels + (len(X),))
     nonconv = 0.0
     # A chunk's stencil holds at most _BLOCK_POINTS values, unless one
-    # point's stencil alone is larger.
+    # point's stencil alone is larger; h_all, as many values as the result,
+    # is sampled at once.
     chunk = max(1, _BLOCK_POINTS // max(1, len(rho) * len(omega) * ell * math.prod(channels)))
     for lo_i in range(0, len(X), chunk):
         xs = X[lo_i : lo_i + chunk]
