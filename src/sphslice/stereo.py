@@ -46,11 +46,14 @@ def _sq_norm(arr: np.ndarray) -> np.ndarray:
     return s2
 
 
-def nu(x):
-    """Project plane points onto the punctured sphere.
+def _nu_and_denominator(x):
+    """nu(x) together with its denominator |x|^2 + 1, shape (...,).
 
-    Maps an array of shape (..., n) to an array of shape (..., n+1), which is
-    coordinate-major (Fortran order): each coordinate is one contiguous block.
+    The conjugation op_B divides by a power of the same denominator, so it
+    takes the pair instead of squaring |x| a second time.  transforms binds
+    this function under the name nu: the traced benchmark counts
+    stereo.points by replacing transforms.nu with a wrapper that passes the
+    return value through.
     """
     arr = np.asarray(x, dtype=float)
     n = arr.shape[-1]
@@ -60,7 +63,16 @@ def nu(x):
     for i in range(n):
         np.divide(2.0 * arr[..., i], denom, out=out[..., i])
     np.divide(s2 - 1.0, denom, out=out[..., n])
-    return out
+    return out, denom
+
+
+def nu(x):
+    """Project plane points onto the punctured sphere.
+
+    Maps an array of shape (..., n) to an array of shape (..., n+1), which is
+    coordinate-major (Fortran order): each coordinate is one contiguous block.
+    """
+    return _nu_and_denominator(x)[0]
 
 
 def nu_inverse(eta):

@@ -26,7 +26,7 @@ import numpy as np
 from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_nodes,
                        flat_through, make_flat, sample_sphere_cross_section)
 from .quadrature import QuadratureSpec, _flat_nodes, _flat_span, _flat_template, flat_rule, sphere_rule
-from .stereo import _sq_norm, nu, nu_inverse, plane_to_sphere_weight
+from .stereo import _nu_and_denominator as nu, nu_inverse, plane_to_sphere_weight
 
 __all__ = [
     "SphereField",
@@ -223,10 +223,12 @@ def op_B(f: SphereField, dims: Dimensions) -> PlaneField:
     scale = 2.0 ** (k - 1)
 
     def geval(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # nu is looked up in this module at each call: the traced benchmark
-        # counts stereo.points by replacing transforms.nu.
-        return scale * f(nu(x)) / (_sq_norm(x) + 1.0) ** (k - 1)
+        # nu is stereo._nu_and_denominator, so |x|^2 is computed once per
+        # point.  It is looked up in this module at each call under the name
+        # nu: the traced benchmark counts stereo.points by replacing
+        # transforms.nu.
+        eta, denom = nu(x)
+        return scale * f(eta) / denom ** (k - 1)
 
     return PlaneField(eval=geval, decay_exponent=2.0 * (k - 1) - 2.0 * f.pole_exponent)
 

@@ -14,6 +14,7 @@ from sphslice import (
     random_flat,
 )
 from sphslice.geometry import sample_sphere_cross_section
+from sphslice.stereo import _nu_and_denominator
 
 
 def test_known_image():
@@ -105,6 +106,12 @@ def test_projection_is_bit_identical_to_numpy_sums(width):
             eta = nu(points)
             assert eta.shape == batch + (width + 1,)
             assert np.array_equal(eta, nu_by_numpy_sums(points))
+            # the pair op_B reads: nu's bits and layout, and |x|^2 + 1
+            paired, denom = _nu_and_denominator(points)
+            assert paired.flags.f_contiguous
+            assert np.array_equal(paired, eta)
+            assert np.shape(denom) == batch
+            assert np.array_equal(denom, np.sum(points * points, axis=-1) + 1.0)
             back = nu_inverse(eta)
             assert back.shape == batch + (width,)
             assert np.array_equal(back, nu_inverse_by_numpy_sums(eta))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sphslice.geometry as geometry
+import sphslice.stereo as stereo
 import sphslice.transforms as transforms
 from sphslice import (
     Dimensions,
@@ -266,19 +267,22 @@ def zonal_decaying_field():
 
 @pytest.mark.parametrize("width", range(1, 8))
 def test_op_B_is_bit_identical_to_numpy_sums(width):
-    # the conjugated field as numpy's own reductions compute it
-    k = min(max(width, 2), 3)
+    # the conjugated field as numpy's own reductions compute it, for every
+    # k from 2 to n = max(width, 2): k >= 4 reaches the general power
+    # denom ** (k - 1) rather than numpy's square and identity fast paths
     f = zonal_decaying_field()
-    g = op_B(f, Dimensions(max(width, 2), k))
-    rng = np.random.default_rng(width)
-    for batch in [(300,), (4, 6), (0,), ()]:
-        x = rng.standard_normal(batch + (width,)) * 10.0 ** rng.uniform(-3, 3, batch + (width,))
-        s2 = np.sum(x * x, axis=-1, keepdims=True)
-        eta = np.concatenate([2.0 * x, s2 - 1.0], axis=-1) / (s2 + 1.0)
-        want = 2.0 ** (k - 1) * f(eta) / (np.sum(x * x, axis=-1) + 1.0) ** (k - 1)
-        got = g(x)
-        assert np.shape(got) == batch
-        assert np.array_equal(got, want)
+    n = max(width, 2)
+    for k in range(2, n + 1):
+        g = op_B(f, Dimensions(n, k))
+        rng = np.random.default_rng(width)
+        for batch in [(300,), (4, 6), (0,), ()]:
+            x = rng.standard_normal(batch + (width,)) * 10.0 ** rng.uniform(-3, 3, batch + (width,))
+            s2 = np.sum(x * x, axis=-1, keepdims=True)
+            eta = np.concatenate([2.0 * x, s2 - 1.0], axis=-1) / (s2 + 1.0)
+            want = 2.0 ** (k - 1) * f(eta) / (np.sum(x * x, axis=-1) + 1.0) ** (k - 1)
+            got = g(x)
+            assert np.shape(got) == batch
+            assert np.array_equal(got, want)
 
 
 def test_op_B_sends_each_point_through_transforms_nu_once(monkeypatch):
@@ -291,9 +295,20 @@ def test_op_B_sends_each_point_through_transforms_nu_once(monkeypatch):
         return real_nu(x)
 
     monkeypatch.setattr(transforms, "nu", counting_nu)
+    squared = []
+    real_sq_norm = stereo._sq_norm
+
+    def counting_sq_norm(arr):
+        squared.append(len(np.asarray(arr).reshape(-1, np.shape(arr)[-1])))
+        return real_sq_norm(arr)
+
+    # |x|^2 is computed once per point, inside the projection
+    monkeypatch.setattr(stereo, "_sq_norm", counting_sq_norm)
+    monkeypatch.setattr(transforms, "_sq_norm", counting_sq_norm, raising=False)
     g = op_B(zonal_decaying_field(), Dimensions(3, 2))
     g(np.ones((37, 3)))
     assert sum(seen) == 37
+    assert sum(squared) == 37
     seen.clear()
     zeta = line_at(0.4)
     nodes, _ = transforms.flat_rule(zeta, SPEC)
