@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Dimensions, SlicePlane, _draw_flats
+from .geometry import Dimensions, _draw_flats
 from .quadrature import QuadratureSpec, composite_gauss, sphere_rule
 from .transforms import _BLOCK_POINTS, PlaneField, SphereField, _flat_sums, _slice_sums
 
@@ -267,9 +267,7 @@ def support_experiment(
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(spec.seed)
     scale = _peak_on_sphere(f, dims, spec)
-
-    def transform(zetas):
-        return _slice_sums(f, [SlicePlane(zeta) for zeta in zetas], spec)
+    transform = functools.partial(_slice_sums, f, spec=spec)
 
     def far_offset(rng):
         dist = cap.b_star + (0.999 - cap.b_star) * rng.uniform(1e-3, 1.0)
@@ -283,11 +281,11 @@ def support_experiment(
 
 
 def _probe_max(rng, dims: Dimensions, count: int, offset, transform) -> float:
-    """Largest |value| of transform(zetas) over one stack of `count` random flats of dimension dims.k - 1.
+    """Largest |value| of transform(bases, offsets) over one stack of `count` random flats of dimension dims.k - 1.
 
     Each flat draws its offset magnitude `offset(rng)` first, then its orientation.
     """
-    return max([0.0, *map(abs, transform(_draw_flats(rng, dims.n, dims.k - 1, count, offset)))])
+    return max([0.0, *map(abs, transform(*_draw_flats(rng, dims.n, dims.k - 1, count, offset)))])
 
 
 @dataclass(frozen=True)

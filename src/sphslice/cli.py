@@ -33,9 +33,9 @@ import sys
 import numpy as np
 
 from .analysis import CONTROL_DIST, CapSpec, existence_check, power_growth_field, support_experiment
-# random_flat and factorization_check are unused here but stay importable as
-# cli.<name>: the traced benchmark (bench/tracer.py) replaces them.
-from .geometry import Dimensions, FlatSpec, _complete_orthonormal, _draw_flats, random_flat
+# random_flat, factorization_check and section_to_plane are unused here but stay
+# importable as cli.<name>: the traced benchmark (bench/tracer.py) replaces them.
+from .geometry import Dimensions, FlatSpec, _complete_orthonormal, _distances, _draw_flats, _freeze, random_flat
 from .inversion import RieszParams, invert_slice
 from .quadrature import QuadratureSpec, sphere_rule
 from .scenes import SceneError, SceneSpec, build_field, parse_scene, scene_profile, suggested_cutoff
@@ -270,27 +270,27 @@ def _canonical_direction(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _plane_to_row(zeta: FlatSpec, dims: Dimensions) -> list[float]:
+def _plane_to_row(basis: np.ndarray, offset: np.ndarray, dims: Dimensions) -> list[float]:
     if (dims.n, dims.k) == (2, 2):
-        d = _canonical_direction(zeta.basis[0])
+        d = _canonical_direction(basis[0])
         theta = math.atan2(d[1], d[0]) % math.pi
         normal = np.array([-math.sin(theta), math.cos(theta)])
-        return [theta, float(zeta.offset @ normal)]
+        return [theta, float(offset @ normal)]
     if (dims.n, dims.k) == (3, 2):
-        d = _canonical_direction(zeta.basis[0])
+        d = _canonical_direction(basis[0])
         alpha = math.acos(max(-1.0, min(1.0, d[2])))
         beta = math.atan2(d[1], d[0])
         p, q = _complete_orthonormal(d[None, :], 3)[1:]
-        t = float(np.linalg.norm(zeta.offset))
-        gamma = math.atan2(zeta.offset @ q, zeta.offset @ p) if t > 0 else 0.0
+        t = float(np.linalg.norm(offset))
+        gamma = math.atan2(offset @ q, offset @ p) if t > 0 else 0.0
         return [alpha, beta, gamma, t]
     if (dims.n, dims.k) == (3, 3):
-        normal = np.cross(zeta.basis[0], zeta.basis[1])
+        normal = np.cross(basis[0], basis[1])
         normal = _canonical_direction(normal / np.linalg.norm(normal))
         alpha = math.acos(max(-1.0, min(1.0, normal[2])))
         beta = math.atan2(normal[1], normal[0])
-        return [alpha, beta, float(zeta.offset @ normal)]
-    return list(zeta.basis.ravel()) + list(zeta.offset)
+        return [alpha, beta, float(offset @ normal)]
+    return list(basis.ravel()) + list(offset)
 
 
 def _row_to_plane(row: list[float], dims: Dimensions) -> FlatSpec:
@@ -318,15 +318,16 @@ def _row_to_plane(row: list[float], dims: Dimensions) -> FlatSpec:
     return FlatSpec(basis=basis, offset=np.asarray(row[width:], dtype=float))
 
 
-def _random_planes(dims: Dimensions, count: int, seed: int) -> list[FlatSpec]:
-    """count random_flat draws, each plane's offset t first and then its Gaussian matrix."""
+def _random_planes(dims: Dimensions, count: int, seed: int):
+    """count random_flat draws as (bases, offsets) arrays, each plane's offset t first and then its Gaussian matrix."""
     if count < 1:
         raise SceneError("plane count must be a positive integer")
     return _draw_flats(np.random.default_rng(seed), dims.n, dims.k - 1, count,
                        lambda rng: math.tan(rng.uniform(0.0, math.pi / 2.0 - 0.01)))
 
 
-def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
+def _read_planes(path: str, dims: Dimensions):
+    """The planes of a plane file as (bases, offsets) arrays, each row validated as a FlatSpec."""
     width = len(_plane_columns(dims))
     planes = []
     with _usage_errors():
@@ -340,7 +341,7 @@ def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
             raise SceneError(f"{path}:{lineno}: {exc}") from exc
     if not planes:
         raise SceneError(f"{path}: no planes found")
-    return planes
+    return _freeze([zeta.basis for zeta in planes]), _freeze([zeta.offset for zeta in planes])
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +350,26 @@ def _read_planes(path: str, dims: Dimensions) -> list[FlatSpec]:
 def _cmd_forward(args) -> int:
     scene, spec = _load(args)
     field = build_field(scene)
-    return _per_plane(args, scene, spec, lambda taus: _slice_sums(field, taus, spec))
+    return _per_plane(args, scene, spec, functools.partial(_slice_sums, field, spec=spec))
 
 
 def _cmd_radon(args) -> int:
     scene, spec = _load(args)
     g = op_B(build_field(scene), scene.dims)
-    return _per_plane(args, scene, spec, lambda taus: _flat_sums(g, [tau.section for tau in taus], spec))
+    return _per_plane(args, scene, spec, functools.partial(_flat_sums, g, spec=spec))
 
 
 def _per_plane(args, scene, spec, values) -> int:
-    """One row per random or listed plane: its parameters, dist and its entry of values(planes)."""
+    """One row per random or listed plane: its parameters, dist and its entry of values(bases, offsets)."""
     try:
         count = int(args.planes)
     except ValueError:
-        planes = _read_planes(args.planes, scene.dims)
+        bases, offsets = _read_planes(args.planes, scene.dims)
     else:
-        planes = _random_planes(scene.dims, count, args.seed)
-    taus = [section_to_plane(zeta) for zeta in planes]
-    rows = [_plane_to_row(zeta, scene.dims) + [tau.dist, value]
-            for zeta, tau, value in zip(planes, taus, values(taus))]
+        bases, offsets = _random_planes(scene.dims, count, args.seed)
+    t = _distances(offsets)
+    rows = [_plane_to_row(basis, offset, scene.dims) + [dist, value]
+            for basis, offset, dist, value in zip(bases, offsets, t / np.hypot(1.0, t), values(bases, offsets))]
     columns = _plane_columns(scene.dims) + ["dist", "value"]
     return _emit(args, scene, spec, columns, rows, header={"planes": args.planes})
 
@@ -376,9 +377,9 @@ def _per_plane(args, scene, spec, values) -> int:
 def _cmd_factor_check(args) -> int:
     scene, spec = _load(args)
     field = build_field(scene)
-    planes = _random_planes(scene.dims, args.count, args.seed)
-    reports = _factorization_checks(field, [section_to_plane(zeta) for zeta in planes], spec)
-    rows = [_plane_to_row(zeta, scene.dims) + [r.lhs, r.rhs, r.abs_diff] for zeta, r in zip(planes, reports)]
+    bases, offsets = _random_planes(scene.dims, args.count, args.seed)
+    reports = _factorization_checks(field, bases, offsets, spec)
+    rows = [_plane_to_row(b, v, scene.dims) + [r.lhs, r.rhs, r.abs_diff] for b, v, r in zip(bases, offsets, reports)]
     worst = max(0.0, *(r.rel_diff for r in reports))
     columns = _plane_columns(scene.dims) + ["lhs", "rhs", "abs_diff"]
     return _emit(args, scene, spec, columns, rows, header={"tol": args.tol, "count": args.count},
@@ -401,7 +402,7 @@ def _cmd_zonal_forward(args) -> int:
 def _cmd_zonal_invert(args) -> int:
     scene, spec = _load(args)
     profile = scene_profile(scene)
-    recovered = zonal_invert(lambda t: zonal_forward(profile, t, scene.dims, spec), scene.dims, spec)
+    recovered = zonal_invert(lambda t: zonal_forward(profile, t, scene.dims, spec), scene.dims)
     s_grid = np.geomspace(0.1, 10.0, 65)
     truth = np.asarray(profile(s_grid), dtype=float)
     rec = np.asarray(recovered(s_grid), dtype=float)
@@ -479,7 +480,7 @@ def _cmd_dual(args) -> int:
     axis = np.linspace(-args.extent, args.extent, args.grid_size)
     grids = np.meshgrid(*([axis] * dims.n), indexing="ij")
     points = np.stack([g_.ravel() for g_ in grids], axis=-1)
-    values = _dual_transforms(lambda flats: _flat_sums(g, flats, spec), points, dims.k - 1, dims, spec)
+    values = _dual_transforms(functools.partial(_flat_sums, g, spec=spec), points, dims.k - 1, dims, spec)
     rows = [list(x) + [value] for x, value in zip(points, values)]
     return _emit(args, scene, spec, [f"x{j + 1}" for j in range(dims.n)] + ["value"], rows,
                  header={"grid_size": args.grid_size, "extent": args.extent})

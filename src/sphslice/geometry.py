@@ -12,7 +12,6 @@ cross-section, are what the transforms consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -140,25 +139,25 @@ def make_flat(basis, offset) -> FlatSpec:
     v = np.asarray(offset, dtype=float)
     if v.ndim != 1 or rows.shape[1] != v.shape[0] or v.shape[0] < 2:
         raise ValueError("dimension mismatch between basis and offset")
-    [[flat]] = flat_through(rows[None], [v])
-    return flat
+    [(bases, offsets)] = flat_through(rows[None], [v])
+    return _unchecked_flat(bases[0], offsets[0])
 
 
 def flat_through(frames: np.ndarray, points):
     """For each point of a (Q, n) stack, the flats through it along each frame of a (F, d, n) stack.
 
-    Yields one list per point, whose flat i has the orthonormalized frames[i]
-    as basis and the point's component orthogonal to it, x - (x @ B.T) @ B, as
-    offset.  The frames are orthonormalized once, and each list is validated
-    as one stack.
+    Yields one read-only (bases, offsets) pair per point: flat i has the
+    orthonormalized frames[i] as basis and the point's component orthogonal
+    to it, x - (x @ B.T) @ B, as offset.  The frames are orthonormalized
+    once, and each pair is validated as one stack.
     """
     ortho = _freeze([_orthonormalize(rows) for rows in frames])
     directions = ortho.transpose(0, 2, 1)
     for x in np.asarray(points, dtype=float):
         # products frame by frame, in the one-frame shapes, keep that formula's bits
-        offset = _freeze(x - ((x @ directions)[:, None, :] @ ortho)[:, 0])
-        _check_flats(ortho, offset)
-        yield [_unchecked_flat(basis, v) for basis, v in zip(ortho, offset)]
+        offsets = _freeze(x - ((x @ directions)[:, None, :] @ ortho)[:, 0])
+        _check_flats(ortho, offsets)
+        yield ortho, offsets
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ class SlicePlane:
     def dims(self) -> Dimensions:
         return Dimensions(self.section.ambient_dim, self.section.dim + 1)
 
-    @cached_property
+    @property
     def t(self) -> float:
         return self.section.distance
 
@@ -189,12 +188,12 @@ class SlicePlane:
 
     @property
     def radius(self) -> float:
-        return _trace_geometry([self])[2][0]
+        return _trace_geometry(self.section.basis[None], self.section.offset[None])[2][0]
 
     @property
     def center(self) -> np.ndarray:
         """Center of the cross-section sphere, in R^{n+1}."""
-        return np.array(_trace_geometry([self])[1][0])
+        return np.array(_trace_geometry(self.section.basis[None], self.section.offset[None])[1][0])
 
     @property
     def span_direction(self) -> np.ndarray:
@@ -203,21 +202,27 @@ class SlicePlane:
         Points from the offset towards the pole; for the central plane (t = 0)
         it is the pole itself.
         """
-        return np.array(_trace_geometry([self])[0][0][-1])
+        return np.array(_trace_geometry(self.section.basis[None], self.section.offset[None])[0][0][-1])
 
 
-def _trace_geometry(taus):
-    """Direction frames, centers and radii of a sequence of planes, in Python floats.
+def _distances(offsets: np.ndarray) -> np.ndarray:
+    """|offset| of each row of a (C, n) stack, with the bits of FlatSpec.distance."""
+    return np.sqrt((offsets[:, None, :] @ offsets[:, :, None])[:, 0, 0])
 
-    With h = sqrt(1 + t^2) = hypot(1, t), plane tau's frame is its trace basis
-    (last coordinate 0) and its span direction (-offset, 1) / h; its center is
-    (offset, t^2) / (1 + t^2) and its radius 1 / h.
+
+def _trace_geometry(bases: np.ndarray, offsets: np.ndarray):
+    """Direction frames, centers and radii of the planes whose traces are a (C, d, n), (C, n) stack, in Python floats.
+
+    With t = |offset| and h = hypot(1, t), a plane's frame is its trace basis
+    (last coordinate 0) and its span direction (-offset, 1) / h; its center
+    is (offset, t^2) / (1 + t^2) and its radius 1 / h.
     """
     frames, centers, radii = [], [], []
-    for tau, hyp in zip(taus, np.hypot(1.0, [tau.t for tau in taus]).tolist()):
-        offset = tau.section.offset.tolist()
-        t2 = tau.t**2
-        frames.append([row + [0.0] for row in tau.section.basis.tolist()] + [[-x / hyp for x in offset] + [1.0 / hyp]])
+    ts = _distances(offsets)
+    # Plane by plane: numpy's powers of arrays differ from Python's in the last bit on some planes.
+    for basis, offset, t, hyp in zip(bases.tolist(), offsets.tolist(), ts.tolist(), np.hypot(1.0, ts).tolist()):
+        t2 = t**2
+        frames.append([row + [0.0] for row in basis] + [[-x / hyp for x in offset] + [1.0 / hyp]])
         centers.append([x / (1.0 + t2) for x in offset] + [t2 / (1.0 + t2)])
         radii.append(1.0 / hyp)
     return frames, centers, radii
@@ -248,11 +253,12 @@ def random_flat(rng: np.random.Generator, n: int, dim: int, distance: float) -> 
         raise ValueError("flat dimension must lie in [1, n-1]")
     if distance < 0.0:
         raise ValueError("distance must be >= 0")
-    return _draw_flats(rng, n, dim, 1, lambda rng: distance)[0]
+    bases, offsets = _draw_flats(rng, n, dim, 1, lambda rng: distance)
+    return _unchecked_flat(bases[0], offsets[0])
 
 
-def _draw_flats(rng: np.random.Generator, n: int, dim: int, count: int, distance) -> list[FlatSpec]:
-    """count random_flat draws of dim-flats in R^n, built as one stack.
+def _draw_flats(rng: np.random.Generator, n: int, dim: int, count: int, distance):
+    """count random_flat draws of dim-flats in R^n, built as one stack: read-only bases (count, dim, n) and offsets.
 
     Flat after flat, distance(rng) is drawn and then the Gaussian matrix, as a loop of random_flat calls draws them.
     """
@@ -264,12 +270,12 @@ def _draw_flats(rng: np.random.Generator, n: int, dim: int, count: int, distance
     return _gaussian_flats(gaussians, distances)
 
 
-def _gaussian_flats(gaussians: np.ndarray, distances) -> list[FlatSpec]:
-    """The flats random_flat builds from each Gaussian matrix of a (P, n, dim + 1) stack.
+def _gaussian_flats(gaussians: np.ndarray, distances):
+    """The flats random_flat builds from each Gaussian matrix of a (P, n, dim + 1) stack, as read-only (bases, offsets).
 
     Flat i is spanned by the first dim Haar columns of gaussians[i] and sits
     at distances[i] along the last one.  The stack takes one QR call and one
-    validation, and the flats share two read-only arrays.
+    validation.
     """
     q = _haar_frames(gaussians)
     dim = q.shape[-1] - 1
@@ -278,7 +284,7 @@ def _gaussian_flats(gaussians: np.ndarray, distances) -> list[FlatSpec]:
     # Member i's basis is columns[i].T, laid out as FlatSpec's copy of q[:, :dim].T.
     basis = columns.transpose(0, 2, 1)
     _check_flats(basis, offset)
-    return [_unchecked_flat(b, v) for b, v in zip(basis, offset)]
+    return basis, offset
 
 
 def _haar_frames(gaussians: np.ndarray) -> np.ndarray:
@@ -303,12 +309,12 @@ def sample_sphere_cross_section(tau: SlicePlane, order: int):
     sphere and on the plane; the pole is approached only as dist -> 1.  The
     nodes are coordinate-major (Fortran order), as in flat_rule.
     """
-    nodes, weights = _section_nodes([tau], order)
+    nodes, weights = _section_nodes(tau.section.basis[None], tau.section.offset[None], order)
     return nodes[:, 0].T, weights[0]
 
 
-def _section_nodes(taus, order: int):
-    """sample_sphere_cross_section for a stack of planes that share one k.
+def _section_nodes(bases: np.ndarray, offsets: np.ndarray, order: int):
+    """sample_sphere_cross_section for the planes whose traces are a (C, d, n), (C, n) stack.
 
     Returns nodes of shape (n + 1, C, m), so that reshape(n + 1, C * m).T
     holds plane i's nodes in rows i*m to (i+1)*m, coordinate-major, and
@@ -316,14 +322,14 @@ def _section_nodes(taus, order: int):
     radius are SlicePlane's (_trace_geometry), so plane i's values are the
     stack of one's bits.
     """
-    k = taus[0].section.dim + 1
+    count, d, n = bases.shape
+    k = d + 1
     if order < k:
         raise ValueError("cross-section rule needs order >= k")
-    n = taus[0].section.ambient_dim
-    dirs, centers, radii = _trace_geometry(taus)
+    dirs, centers, radii = _trace_geometry(bases, offsets)
     sigma_nodes, sigma_w = sphere_rule(k - 1, order)
     # center + r * (sigma_nodes @ dirs), built coordinate-major as in flat_rule.
-    nodes = np.empty((n + 1, len(taus), len(sigma_w)))
+    nodes = np.empty((n + 1, count, len(sigma_w)))
     np.matmul(np.array(dirs).transpose(0, 2, 1), sigma_nodes.T, out=nodes.transpose(1, 0, 2))
     nodes *= np.array(radii)[:, None]
     nodes += np.array(centers).T[:, :, None]

@@ -409,7 +409,8 @@ def _line_rows(phi, spec: QuadratureSpec):
     radon_john call per line.
     """
     if isinstance(phi, PlaneField):
-        return lambda basis, offsets: _flat_sums(phi, [_unchecked_flat(basis, offset) for offset in offsets], spec)
+        return lambda basis, offsets: _flat_sums(
+            phi, np.broadcast_to(basis, offsets.shape[:1] + basis.shape), offsets, spec)
     return lambda basis, offsets: [phi(_unchecked_flat(basis, offset)) for offset in offsets]
 
 
@@ -423,7 +424,7 @@ def _slice_rows(F, spec: QuadratureSpec):
     """
     if isinstance(F, SphereField):
         return lambda basis, offsets: _slice_sums(
-            F, [section_to_plane(_unchecked_flat(basis, offset)) for offset in offsets], spec)
+            F, np.broadcast_to(basis, offsets.shape[:1] + basis.shape), offsets, spec)
     return _line_rows(lambda zeta: F(section_to_plane(zeta)), spec)
 
 

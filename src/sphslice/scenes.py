@@ -169,7 +169,7 @@ def build_field(scene: SceneSpec) -> SphereField:
 
         return SphereField(eval=eval_constant)
     if scene.family == "zonal_gaussian":
-        return profile_to_sphere_field(scene_profile(scene), scene.dims)
+        return profile_to_sphere_field(scene_profile(scene))
     if scene.family == "cap_bump":
 
         def eval_bump(eta):
@@ -188,7 +188,7 @@ def build_field(scene: SceneSpec) -> SphereField:
 
         return SphereField(eval=eval_harmonic)
     # custom_profile_csv
-    return profile_to_sphere_field(scene_profile(scene), scene.dims)
+    return profile_to_sphere_field(scene_profile(scene))
 
 
 def scene_profile(scene: SceneSpec) -> ZonalProfile:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 # stay importable as transforms.<name>: the traced benchmark (bench/tracer.py)
 # replaces them.
 from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_nodes,
-                       flat_through, make_flat, sample_sphere_cross_section)
+                       _unchecked_flat, flat_through, make_flat, sample_sphere_cross_section)
 from .quadrature import QuadratureSpec, _flat_nodes, _flat_span, _flat_template, flat_rule, sphere_rule
 from .stereo import _nu_and_denominator as nu, nu_inverse, plane_to_sphere_weight
 
@@ -97,65 +98,47 @@ class FactorizationReport:
 def slice_transform(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -> float:
     """Integral of f over the sphere cross-section cut by tau."""
     _warn_on_pole_growth(f, tau.section.dim + 1)
-    return _chunk_sums(f, *_section_nodes([tau], spec.sphere_order), "the cross-section")[0]
+    nodes, weights = _section_nodes(tau.section.basis[None], tau.section.offset[None], spec.sphere_order)
+    return _chunk_sums(f, nodes, weights, "the cross-section")[0]
 
 
 def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
     """Integral of g over the affine flat zeta, truncated at spec.radial_cutoff."""
     _warn_on_slow_decay(g, zeta.dim)
     # span + offset is _flat_nodes' arithmetic for a stack of one: the same bits
-    span, weights = _shared_span(zeta.basis, spec)
+    span, weights = _span_of(zeta.basis.tobytes(), zeta.basis.shape, spec)
     return _chunk_sums(g, span + zeta.offset[:, None, None], weights, "the flat")[0]
 
 
-# The span of the last read-only basis radon_john integrated over, as one
-# (key, (span, weights)) tuple: the lines of one orientation of the
-# inversion's table share their basis, so after the first line each costs
-# one add of its offset, one field call and one sum.  Only scalar line data
-# need it: it goes once the inversion workloads pass the field (ROADMAP item 2).
-_last_span = (None, None)
+@lru_cache(maxsize=1)
+def _span_of(basis: bytes, shape: tuple, spec: QuadratureSpec):
+    """_flat_span of the basis (d, n) whose bytes and shape are given: read-only (n, 1, m) nodes, and the weights.
 
-
-def _shared_span(basis: np.ndarray, spec: QuadratureSpec):
-    """_flat_span of one basis (d, n): read-only (n, 1, m) nodes of the flat through the origin, and the weights.
-
-    The span of the last read-only basis is kept, keyed by the basis's bytes
-    and the rule's settings, so a basis changed in place gets a fresh span.
-    A writable basis, which could change while its span is built, is never
-    kept.  The key and its span are stored and read as one tuple, so threads
-    that race on the entry can only cost a rebuild, never return another
-    basis's span.
+    The lines of one orientation of the inversion's table share their basis,
+    so after the first line each costs one add of its offset, one field call
+    and one sum.  The span is built from its own key, so it cannot belong to
+    another basis, and a basis changed in place has other bytes.
     """
-    global _last_span
-    if basis.flags.writeable:
-        return _flat_span(basis[None], spec)
-    key = (basis.shape, basis.tobytes(), spec.radial_cutoff, spec.radial_order, spec.sphere_order)
-    memo = _last_span
-    if memo[0] != key:
-        span, weights = _flat_span(basis[None], spec)
-        span.setflags(write=False)
-        memo = _last_span = (key, (span, weights))
-    return memo[1]
+    span, weights = _flat_span(np.frombuffer(basis).reshape(shape)[None], spec)
+    span.setflags(write=False)
+    return span, weights
 
 
-def _slice_sums(f: SphereField, taus, spec: QuadratureSpec) -> list[float]:
-    """slice_transform of f over each plane of taus, a sequence of planes that share one k."""
-    k = taus[0].section.dim + 1
+def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec) -> list[float]:
+    """slice_transform of f over each plane whose trace is a flat of the (C, d, n), (C, n) stack."""
+    k = bases.shape[1] + 1
     _warn_on_pole_growth(f, k)
     size = len(sphere_rule(k - 1, spec.sphere_order)[1])
-    return _stack_sums(f, len(taus), lambda lo, hi: _section_nodes(taus[lo:hi], spec.sphere_order), size,
+    return _stack_sums(f, bases, offsets, lambda b, v: _section_nodes(b, v, spec.sphere_order), size,
                        "the cross-section")
 
 
-def _flat_sums(g: PlaneField, zetas, spec: QuadratureSpec) -> list[float]:
-    """radon_john of g over each flat of zetas, a sequence of flats that share one dimension."""
-    d = zetas[0].dim
+def _flat_sums(g: PlaneField, bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec) -> list[float]:
+    """radon_john of g over each flat of the (C, d, n), (C, n) stack."""
+    d = bases.shape[1]
     _warn_on_slow_decay(g, d)
-    bases = np.array([zeta.basis for zeta in zetas])
-    offsets = np.array([zeta.offset for zeta in zetas])
     size = len(_flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)[1])
-    return _stack_sums(g, len(zetas), lambda lo, hi: _flat_nodes(bases[lo:hi], offsets[lo:hi], spec), size,
-                       "the flat")
+    return _stack_sums(g, bases, offsets, lambda b, v: _flat_nodes(b, v, spec), size, "the flat")
 
 
 def _warn_on_pole_growth(f: SphereField, k: int):
@@ -174,18 +157,18 @@ def _warn_on_slow_decay(g: PlaneField, d: int):
         )
 
 
-def _stack_sums(field, count: int, rule, size: int, where: str) -> list[float]:
-    """The sums of a stack of count planes whose rules have size nodes each, chunk by chunk.
+def _stack_sums(field, bases: np.ndarray, offsets: np.ndarray, rule, size: int, where: str) -> list[float]:
+    """The sums of a stack of planes whose rules have size nodes each, chunk by chunk.
 
-    rule(lo, hi) gives the nodes and weights of planes lo to hi - 1.  A chunk
-    holds at most max(1, _BLOCK_POINTS // size) planes, so that the field
-    sees at most _BLOCK_POINTS nodes per call, unless one plane's rule is
-    larger.
+    rule(bases, offsets) gives the nodes and weights of a part of the stack.
+    A chunk holds at most max(1, _BLOCK_POINTS // size) planes, so that the
+    field sees at most _BLOCK_POINTS nodes per call, unless one plane's rule
+    is larger.
     """
     per_chunk = max(1, _BLOCK_POINTS // size)
     totals = []
-    for lo in range(0, count, per_chunk):
-        totals += _chunk_sums(field, *rule(lo, lo + per_chunk), where)
+    for lo in range(0, len(bases), per_chunk):
+        totals += _chunk_sums(field, *rule(bases[lo : lo + per_chunk], offsets[lo : lo + per_chunk]), where)
     return totals
 
 
@@ -260,13 +243,14 @@ def factorization_check(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -
     trace flat.  Agreement is evidence that geometry, projection and both
     transforms are consistent; the report never collapses the two routes.
     """
-    return _factorization_checks(f, [tau], spec)[0]
+    return _factorization_checks(f, tau.section.basis[None], tau.section.offset[None], spec)[0]
 
 
-def _factorization_checks(f: SphereField, taus, spec: QuadratureSpec) -> list[FactorizationReport]:
-    """factorization_check of f on each plane of taus, a sequence of planes that share one k."""
-    lhs = _slice_sums(f, taus, spec)
-    rhs = _flat_sums(op_B(f, taus[0].dims), [tau.section for tau in taus], spec)
+def _factorization_checks(f: SphereField, bases: np.ndarray, offsets: np.ndarray,
+                          spec: QuadratureSpec) -> list[FactorizationReport]:
+    """factorization_check of f on each plane whose trace is a flat of the (C, d, n), (C, n) stack."""
+    lhs = _slice_sums(f, bases, offsets, spec)
+    rhs = _flat_sums(op_B(f, Dimensions(bases.shape[2], bases.shape[1] + 1)), bases, offsets, spec)
     return [FactorizationReport(lhs=a, rhs=b, abs_diff=abs(a - b)) for a, b in zip(lhs, rhs)]
 
 
@@ -321,14 +305,15 @@ def dual_transform(phi, x, flat_dim: int, dims: Dimensions, spec: QuadratureSpec
     x = np.asarray(x, dtype=float)
     if x.shape != (dims.n,):
         raise ValueError("dimension mismatch between point and dims")
-    return _dual_transforms(lambda flats: [phi(zeta) for zeta in flats], [x], flat_dim, dims, spec)[0]
+    return _dual_transforms(lambda bases, offsets: [phi(_unchecked_flat(b, v)) for b, v in zip(bases, offsets)],
+                            [x], flat_dim, dims, spec)[0]
 
 
 def _dual_transforms(values, points, flat_dim: int, dims: Dimensions, spec: QuadratureSpec) -> list[float]:
-    """dual_transform at each of points, where values(flats) gives the data on one point's stack of flats."""
+    """dual_transform at each of points, where values(bases, offsets) gives the data on one point's stack of flats."""
     means = []
-    for flats in flat_through(orientation_set(flat_dim, dims.n, spec.orientation_samples, spec.seed), points):
-        vals = np.asarray(values(flats), dtype=float)
+    for bases, offsets in flat_through(orientation_set(flat_dim, dims.n, spec.orientation_samples, spec.seed), points):
+        vals = np.asarray(values(bases, offsets), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand blowup: flat function not finite")
         means.append(float(np.mean(vals)))

@@ -183,7 +183,7 @@ def _half_integral(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def zonal_invert(F0: Callable[[float], float], dims: Dimensions, spec: QuadratureSpec) -> ZonalProfile:
+def zonal_invert(F0: Callable[[float], float], dims: Dimensions) -> ZonalProfile:
     """Recover the zonal profile from its forward transform.
 
     Works in the squared variable u = t^2 on a logarithmic grid: the forward
@@ -233,7 +233,7 @@ def zonal_invert(F0: Callable[[float], float], dims: Dimensions, spec: Quadratur
     return ZonalProfile(f0=f0, grid=(s, values))
 
 
-def profile_to_sphere_field(profile: ZonalProfile, dims: Dimensions):
+def profile_to_sphere_field(profile: ZonalProfile):
     """Zonal sphere field with the given radial profile.
 
     The stereographic radius at a sphere point is s = sqrt((1+eta_last)/(1-eta_last));
@@ -277,8 +277,9 @@ def load_profile_csv(path) -> ZonalProfile:
         if len(values) < 2:
             raise ValueError(f"{path}:{lineno}: profile CSV needs columns s,f0")
     s, vals = np.array([values[:2] for _, values in rows]).T
-    if np.any(s <= 0) or np.any(np.diff(s) <= 0):
-        raise ValueError(f"{path}: profile grid must be positive and strictly increasing")
+    # NaN fails every comparison, so the grid is tested for finiteness first
+    if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) <= 0):
+        raise ValueError(f"{path}: profile grid must be finite, positive and strictly increasing")
     xi = np.log(s)
 
     def f0(sq: np.ndarray) -> np.ndarray:

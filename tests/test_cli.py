@@ -197,6 +197,20 @@ def test_malformed_profile_csv_exits_2(tmp_path, capsys):
     assert "strictly increasing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["s,f0\nnan,0.5\n1.0,0.2\n", "s,f0\n0.5,1.0\nnan,0.5\n2.0,0.1\n",
+                                  "s,f0\n0.5,1.0\n1.0,0.5\ninf,0.1\n", "s,f0\n0.5,1.0\n-inf,0.5\n"])
+@pytest.mark.parametrize("extra", [[], ["--cutoff", "20"]])
+def test_non_finite_profile_grid_exits_2(tmp_path, capsys, grid, extra):
+    # NaN passes every comparison of the grid and inf its ordering: both are refused as a malformed file
+    csv_path = tmp_path / "profile.csv"
+    csv_path.write_text(grid)
+    scene = tmp_path / "custom.scene"
+    scene.write_text(f"family = custom_profile_csv\npath = {csv_path}\n")
+    assert run(["zonal-forward", str(scene), "--t-count", "5"] + extra) == 2
+    err = capsys.readouterr().err
+    assert str(csv_path) in err and "profile grid must be finite" in err
+
+
 # A subcommand that reads each setting flag of test_out_of_range_setting_exits_2.
 READER = {"--eps": ["invert", "--n", "2", "--k", "2"], "--outer": ["invert", "--n", "2", "--k", "2"],
           "--cutoff": ["radon", "1"], "--b": ["support", "--trials", "1"]}

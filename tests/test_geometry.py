@@ -1,18 +1,26 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import sphslice.inversion as inversion
 from sphslice import (
     Dimensions,
     FlatSpec,
+    PlaneField,
+    QuadratureSpec,
     SlicePlane,
+    kplane_support_probe,
     make_flat,
+    op_B,
     random_flat,
 )
+from sphslice import cli
 from sphslice.cli import _random_planes
-from sphslice.geometry import _check_flats, _gaussian_flats, _unchecked_flat, sample_sphere_cross_section
+from sphslice.geometry import _check_flats, _distances, _gaussian_flats, _unchecked_flat, sample_sphere_cross_section
 from sphslice.quadrature import sphere_rule
+from sphslice.scenes import SceneSpec, build_field
 
 # cotangent offset 3 puts the section at distance 3/sqrt(10) from the origin
 DIST_AT_T3 = 0.9486832980505138
@@ -126,15 +134,71 @@ def test_cross_section_is_bit_identical_to_the_broadcast_formula(k):
             assert np.array_equal(weights, sigma_w * tau.radius ** (k - 1))
 
 
-def test_cross_section_reads_the_offset_norm_once(monkeypatch):
-    # radius, center and span_direction all share the cached t = |offset|
-    calls = []
-    distance = FlatSpec.distance
-    monkeypatch.setattr(FlatSpec, "distance", property(lambda self: calls.append(1) or distance.fget(self)))
-    tau = SlicePlane(random_flat(np.random.default_rng(3), 3, 1, 0.7))
-    sample_sphere_cross_section(tau, 8)
-    assert len(calls) == 1
-    assert tau.t == float(np.linalg.norm(tau.section.offset))
+def _count_plane_objects(monkeypatch) -> list:
+    """A list that gains one entry per FlatSpec or SlicePlane built from here on, by any route."""
+    built = []
+    for cls in (FlatSpec, SlicePlane):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *a, init=init, **kw: built.append(self) or init(self, *a, **kw))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sphslice") and hasattr(module, "_unchecked_flat"):
+            unchecked = module._unchecked_flat
+            monkeypatch.setattr(module, "_unchecked_flat", lambda *a, f=unchecked: built.append(a) or f(*a))
+    return built
+
+
+@pytest.mark.parametrize("form", ["sphere", "plane"])
+def test_field_rows_build_no_plane_objects(monkeypatch, form):
+    # one field-form row of the inversion's line table, 1,001 lines of one
+    # orientation at acceptance 06's settings, stays two arrays
+    line = FlatSpec(np.array([[-0.6, 0.8]]), np.array([0.8, 0.6]))
+    offsets = np.multiply.outer(np.arange(-500, 501) * 0.02, line.offset)
+    offsets.setflags(write=False)
+    spec = QuadratureSpec(sphere_order=32, radial_order=48, radial_cutoff=10.0)
+    field = build_field(SceneSpec(family="zonal_gaussian", dims=Dimensions(2, 2)))
+    if form == "sphere":
+        rows = inversion._slice_rows(field, spec)
+    else:
+        rows = inversion._line_rows(op_B(field, Dimensions(2, 2)), spec)
+    built = _count_plane_objects(monkeypatch)
+    assert len(rows(line.basis, offsets)) == 1001
+    assert len(built) == 0
+
+
+LOW_ORDERS = ["--sphere-order", "8", "--radial-order", "8"]
+STACKED_COMMANDS = {
+    "factor-check": ["factor-check", "20", *LOW_ORDERS],
+    "forward": ["forward", "20", "--sphere-order", "8"],
+    "radon": ["radon", "20", *LOW_ORDERS],
+    "support": ["support", "--trials", "20", "--sphere-order", "8"],
+    "dual": ["dual", "--grid-size", "2", *LOW_ORDERS],
+}
+
+
+@pytest.mark.parametrize("argv", STACKED_COMMANDS.values(), ids=STACKED_COMMANDS.keys())
+def test_stacked_commands_build_no_plane_objects(monkeypatch, tmp_path, argv):
+    # between the draw and the sum a stack of planes stays two arrays
+    scene = tmp_path / "scene.txt"
+    scene.write_text("family = zonal_gaussian\nn = 3\nk = 2\n")
+    command, *rest = argv
+    built = _count_plane_objects(monkeypatch)
+    assert cli.main([command, str(scene), *rest, "--out", str(tmp_path / "out.csv")]) in (0, 1)
+    assert len(built) == 0
+
+
+def test_kplane_probe_builds_no_plane_objects(monkeypatch):
+    g = PlaneField(lambda x: np.exp(-np.sum(x * x, axis=-1)))
+    built = _count_plane_objects(monkeypatch)
+    kplane_support_probe(g, 1.0, Dimensions(3, 3), QuadratureSpec(sphere_order=8, radial_order=8), 20)
+    assert len(built) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_norm_is_the_flat_distance(n):
+    rng = np.random.default_rng(n)
+    offsets = rng.standard_normal((2000, n)) * rng.choice([1e-300, 1e-3, 1.0, 25.0, 1e3, 1e150], (2000, 1))
+    assert np.array_equal(_distances(offsets), [np.linalg.norm(v) for v in offsets])
 
 
 def test_unchecked_flats_share_read_only_arrays_only():
@@ -161,15 +225,15 @@ def _random_planes_one_at_a_time(n, k, count, seed):
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (5, 3)])
 def test_stacked_draw_equals_the_per_plane_loop(seed, n, k):
-    stacked = _random_planes(Dimensions(n, k), 80, seed)
+    bases, offsets = _random_planes(Dimensions(n, k), 80, seed)
     reference = _random_planes_one_at_a_time(n, k, 80, seed)
-    assert len(stacked) == len(reference)
-    for got, want in zip(stacked, reference):
-        assert np.array_equal(got.basis, want.basis)
-        assert np.array_equal(got.offset, want.offset)
-        # the layout of FlatSpec's own copy of q[:, :dim].T, and read-only
-        assert got.basis.strides == want.basis.strides
-        assert not got.basis.flags.writeable and not got.offset.flags.writeable
+    assert len(bases) == len(offsets) == len(reference)
+    assert not bases.flags.writeable and not offsets.flags.writeable
+    for basis, offset, want in zip(bases, offsets, reference):
+        assert np.array_equal(basis, want.basis)
+        assert np.array_equal(offset, want.offset)
+        # the layout of FlatSpec's own copy of q[:, :dim].T
+        assert basis.strides == want.basis.strides
 
 
 def _valid_stack(count=6, n=4, dim=2):

@@ -209,15 +209,16 @@ def test_haar_orientations_are_the_frame_by_frame_draws(seed, flat_dim, n):
 def test_flat_through_contains_point():
     frames = np.array([[[1.0, 0.0, 0.0]], [[1.0, 2.0, 0.0]]])
     points = np.array([[2.0, 1.0, -1.0], [0.0, 0.0, 0.0], [-0.5, 3.0, 0.25]])
-    for x, flats in zip(points, flat_through(frames, points)):
-        assert len(flats) == len(frames)
-        for basis, zeta in zip(frames, flats):
+    for x, (bases, offsets) in zip(points, flat_through(frames, points)):
+        assert len(bases) == len(offsets) == len(frames)
+        assert not bases.flags.writeable and not offsets.flags.writeable
+        for frame, basis, offset in zip(frames, bases, offsets):
             # x - offset must lie in the span, and the flat has the one-frame formula's bits
-            rel = x - zeta.offset
-            assert np.allclose(rel - (rel @ zeta.basis.T) @ zeta.basis, 0.0, atol=1e-12)
-            ortho = geometry._orthonormalize(basis)
-            assert np.array_equal(zeta.basis, ortho)
-            assert np.array_equal(zeta.offset, x - (x @ ortho.T) @ ortho)
+            rel = x - offset
+            assert np.allclose(rel - (rel @ basis.T) @ basis, 0.0, atol=1e-12)
+            ortho = geometry._orthonormalize(frame)
+            assert np.array_equal(basis, ortho)
+            assert np.array_equal(offset, x - (x @ ortho.T) @ ortho)
 
 
 def test_dual_transform_center_value():
@@ -343,10 +344,10 @@ def test_block_evaluation_is_bit_identical(monkeypatch, count, which):
     # the rule of one plane, in the stacked builders' (dim, 1, m) layout
     stacked = np.ascontiguousarray(nodes.T[:, None, :])
     if which == "radon_john":
-        monkeypatch.setattr(transforms, "_shared_span", lambda basis, spec: (stacked, weights))
+        monkeypatch.setattr(transforms, "_span_of", lambda basis, shape, spec: (stacked, weights))
         got = radon_john(PlaneField(counting), make_flat(np.eye(3)[:1], np.zeros(3)), SPEC)
     else:
-        monkeypatch.setattr(transforms, "_section_nodes", lambda taus, order: (stacked, weights[None, :]))
+        monkeypatch.setattr(transforms, "_section_nodes", lambda bases, offsets, order: (stacked, weights[None, :]))
         zeta = make_flat(np.eye(3)[:2], np.zeros(3))
         got = slice_transform(SphereField(counting), section_to_plane(zeta), SPEC)
     assert max(len(b) for b in counting.batches) <= _BLOCK_POINTS
@@ -466,13 +467,15 @@ def test_stacked_sums_equal_stacks_of_one(dims, size_class, count, seed, family)
         # the flat rule of a d-flat takes a sphere rule of dimension d - 1;
         # a low order there keeps its size set by the radial order
         spec = QuadratureSpec(sphere_order=2, radial_order=radial_order, radial_cutoff=10.0)
+    # the draw's stack, whose bases are a transposed view, against FlatSpec's contiguous copies
     rng = np.random.default_rng(seed)
-    zetas = [random_flat(rng, n, k - 1, t) for t in rng.uniform(0.0, 4.0, count)]
-    taus = [section_to_plane(zeta) for zeta in zetas]
+    bases, offsets = geometry._draw_flats(rng, n, k - 1, count, lambda rng: rng.uniform(0.0, 4.0))
+    zetas = [FlatSpec(basis, offset) for basis, offset in zip(bases, offsets)]
     f = build_field(SceneSpec(family=family, dims=Dimensions(n, k)))
     g = op_B(f, Dimensions(n, k))
-    assert transforms._slice_sums(f, taus, slice_spec) == [slice_transform(f, tau, slice_spec) for tau in taus]
-    assert transforms._flat_sums(g, zetas, spec) == [radon_john(g, zeta, spec) for zeta in zetas]
+    assert transforms._slice_sums(f, bases, offsets, slice_spec) == [
+        slice_transform(f, section_to_plane(zeta), slice_spec) for zeta in zetas]
+    assert transforms._flat_sums(g, bases, offsets, spec) == [radon_john(g, zeta, spec) for zeta in zetas]
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (5, 4)])
@@ -480,26 +483,33 @@ def test_stacked_nodes_are_the_stacks_of_one_in_a_coordinate_major_view(n, k):
     spec = QuadratureSpec(sphere_order=6, radial_order=8, radial_cutoff=10.0)
     rng = np.random.default_rng(n * 10 + k)
     zetas = [random_flat(rng, n, k - 1, t) for t in (0.0, 0.4, 3.0, 250.0)]
-    taus = [section_to_plane(zeta) for zeta in zetas]
-    flat_nodes, flat_weights = transforms._flat_nodes(
-        np.array([z.basis for z in zetas]), np.array([z.offset for z in zetas]), spec)
-    section_nodes, section_weights = transforms._section_nodes(taus, spec.sphere_order)
-    for stacked, weights, singles, width in [
-        (flat_nodes, flat_weights, [transforms.flat_rule(z, spec) for z in zetas], n),
-        (section_nodes, section_weights, [transforms.sample_sphere_cross_section(t, 6) for t in taus], n + 1),
-    ]:
-        m = len(singles[0][1])
-        assert stacked.shape == (width, len(zetas), m)
-        points = stacked.reshape(width, -1).T
-        assert np.shares_memory(points, stacked) and points.flags.f_contiguous
-        for i, (nodes, w) in enumerate(singles):
-            assert np.array_equal(points[i * m : (i + 1) * m], nodes)
-            assert np.array_equal(np.broadcast_to(weights, (len(zetas), m))[i], w)
+    # and one basis broadcast (stride 0) over offsets t * unit, as the inversion's table rows stack their lines
+    unit = random_flat(rng, n, k - 1, 1.0)
+    ts = np.array([0.0, 1e-3, 25.0, 1e3])
+    stacks = [(np.array([z.basis for z in zetas]), np.array([z.offset for z in zetas])),
+              (np.broadcast_to(unit.basis, (len(ts),) + unit.basis.shape), np.multiply.outer(ts, unit.offset))]
+    assert stacks[1][0].strides[0] == 0
+    for bases, offsets in stacks:
+        flats = [FlatSpec(basis, offset) for basis, offset in zip(bases, offsets)]
+        taus = [section_to_plane(zeta) for zeta in flats]
+        flat_nodes, flat_weights = transforms._flat_nodes(bases, offsets, spec)
+        section_nodes, section_weights = transforms._section_nodes(bases, offsets, spec.sphere_order)
+        for stacked, weights, singles, width in [
+            (flat_nodes, flat_weights, [transforms.flat_rule(z, spec) for z in flats], n),
+            (section_nodes, section_weights, [transforms.sample_sphere_cross_section(t, 6) for t in taus], n + 1),
+        ]:
+            m = len(singles[0][1])
+            assert stacked.shape == (width, len(flats), m)
+            points = stacked.reshape(width, -1).T
+            assert np.shares_memory(points, stacked) and points.flags.f_contiguous
+            for i, (nodes, w) in enumerate(singles):
+                assert np.array_equal(points[i * m : (i + 1) * m], nodes)
+                assert np.array_equal(np.broadcast_to(weights, (len(flats), m))[i], w)
 
 
 def _radon_john_unshared(g, zeta, spec):
     """radon_john through the stacked builder, which keeps no span."""
-    return transforms._flat_sums(g, [zeta], spec)[0]
+    return transforms._flat_sums(g, zeta.basis[None], zeta.offset[None], spec)[0]
 
 
 def test_kept_span_gives_the_stacked_bits(monkeypatch):
@@ -515,6 +525,7 @@ def test_kept_span_gives_the_stacked_bits(monkeypatch):
     bases = [random_flat(rng, 3, d, t) for d in (1, 2) for t in (0.7, 1.5)]
     builds = []
     build = transforms._flat_span
+    transforms._span_of.cache_clear()
     monkeypatch.setattr(transforms, "_flat_span", lambda b, s: builds.append(b.shape) or build(b, s))
     for zeta in bases:
         for spec in specs:
@@ -531,14 +542,11 @@ def test_a_basis_changed_in_place_gets_a_fresh_span():
     zeta = FlatSpec(np.array([[0.6, 0.8]]), np.zeros(2))  # owns its frozen basis
     first = radon_john(g, zeta, spec)
     assert first == _radon_john_unshared(g, zeta, spec)
-    kept = transforms._last_span
     zeta.basis.setflags(write=True)
     zeta.basis[0] = [0.8, -0.6]
     turned = FlatSpec(np.array([[0.8, -0.6]]), np.zeros(2))
-    # a writable basis is integrated afresh and is not kept
+    # its new bytes miss the span kept for the old ones, writable or frozen again
     assert radon_john(g, zeta, spec) == _radon_john_unshared(g, turned, spec) != first
-    assert transforms._last_span is kept
-    # frozen again, its new bytes miss the span kept for the old ones
     zeta.basis.setflags(write=False)
     assert radon_john(g, zeta, spec) == _radon_john_unshared(g, turned, spec)
 

@@ -63,7 +63,7 @@ def test_zonal_forward_matches_slice(k):
     spec = QuadratureSpec(radial_order=64, radial_cutoff=10.0)
     dims = Dimensions(3, k)
     profile = gauss_profile()
-    field = profile_to_sphere_field(profile, dims)
+    field = profile_to_sphere_field(profile)
     rng = np.random.default_rng(23)
     for t in (0.0, 0.4, 1.1, 2.6):
         zeta = random_flat(rng, 3, k - 1, t)
@@ -78,7 +78,7 @@ def test_roundtrip_gaussian(k):
     dims = Dimensions(3, k)
     profile = gauss_profile()
 
-    recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims, spec)
+    recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims)
     s = np.geomspace(0.1, 10.0, 50)
     err = np.abs(recovered(s) - profile(s)) / (1.0 + np.abs(profile(s)))
     assert np.max(err) < 1e-3
@@ -90,7 +90,7 @@ def test_roundtrip_rational_profile():
     dims = Dimensions(3, 2)
     profile = ZonalProfile(lambda s: (1.0 + np.asarray(s, dtype=float) ** 2) ** -2)
 
-    recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims, spec)
+    recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims)
     s = np.geomspace(0.1, 10.0, 50)
     err = np.abs(recovered(s) - profile(s)) / (1.0 + np.abs(profile(s)))
     assert np.max(err) < 1e-3
@@ -113,7 +113,7 @@ def test_forward_rejects_nan_profile():
 def test_profile_field_conversions():
     dims = Dimensions(2, 2)
     profile = gauss_profile(width=0.7)
-    field = profile_to_sphere_field(profile, dims)
+    field = profile_to_sphere_field(profile)
     pts, _ = sphere_rule(2, 8)
     pts = pts[pts[:, -1] < 0.99]
     s = np.sqrt((1.0 + pts[:, -1]) / (1.0 - pts[:, -1]))
@@ -280,7 +280,7 @@ def test_invert_propagates_an_error_of_the_batched_call():
         return zonal_forward(rational, t, dims, spec)
 
     with pytest.raises(ValueError, match="existence"):
-        zonal_invert(forward, dims, spec)
+        zonal_invert(forward, dims)
     assert shapes == [(800,)]
 
 
