@@ -327,7 +327,11 @@ def _random_planes(dims: Dimensions, count: int, seed: int):
 
 
 def _read_planes(path: str, dims: Dimensions):
-    """The planes of a plane file as (bases, offsets) arrays, each row validated as a FlatSpec."""
+    """The planes of a plane file as (bases, offsets) arrays, each row validated as a FlatSpec.
+
+    A row whose offset norm overflows is refused: its plane's distance and
+    cross-section would be NaN.
+    """
     width = len(_plane_columns(dims))
     planes = []
     with _usage_errors():
@@ -336,9 +340,14 @@ def _read_planes(path: str, dims: Dimensions):
         if len(values) < width:
             raise SceneError(f"{path}:{lineno}: expected at least {width} columns, got {len(values)}")
         try:
-            planes.append(_row_to_plane(values[:width], dims))
+            with np.errstate(over="ignore"):
+                zeta = _row_to_plane(values[:width], dims)
+                distance = zeta.distance
         except ValueError as exc:
             raise SceneError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(distance):
+            raise SceneError(f"{path}:{lineno}: offset norm is not finite")
+        planes.append(zeta)
     if not planes:
         raise SceneError(f"{path}: no planes found")
     return _freeze([zeta.basis for zeta in planes]), _freeze([zeta.offset for zeta in planes])

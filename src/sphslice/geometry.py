@@ -105,8 +105,8 @@ def _unchecked_flat(basis: np.ndarray, offset: np.ndarray) -> FlatSpec:
     if basis.flags.writeable or offset.flags.writeable:
         raise ValueError("unchecked flats share read-only arrays only")
     flat = object.__new__(FlatSpec)
-    object.__setattr__(flat, "basis", basis)
-    object.__setattr__(flat, "offset", offset)
+    # the instance dictionary is where FlatSpec's frozen fields live
+    flat.__dict__.update(basis=basis, offset=offset)
     return flat
 
 

@@ -99,7 +99,7 @@ def slice_transform(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -> fl
     """Integral of f over the sphere cross-section cut by tau."""
     _warn_on_pole_growth(f, tau.section.dim + 1)
     nodes, weights = _section_nodes(tau.section.basis[None], tau.section.offset[None], spec.sphere_order)
-    return _chunk_sums(f, nodes, weights, "the cross-section")[0]
+    return _chunk_sums(f, nodes[:, 0], weights[0], "the cross-section")
 
 
 def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
@@ -107,12 +107,12 @@ def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
     _warn_on_slow_decay(g, zeta.dim)
     # span + offset is _flat_nodes' arithmetic for a stack of one: the same bits
     span, weights = _span_of(zeta.basis.tobytes(), zeta.basis.shape, spec)
-    return _chunk_sums(g, span + zeta.offset[:, None, None], weights, "the flat")[0]
+    return _chunk_sums(g, span + zeta.offset[:, None], weights, "the flat")
 
 
 @lru_cache(maxsize=1)
 def _span_of(basis: bytes, shape: tuple, spec: QuadratureSpec):
-    """_flat_span of the basis (d, n) whose bytes and shape are given: read-only (n, 1, m) nodes, and the weights.
+    """_flat_span of the basis (d, n) whose bytes and shape are given: read-only (n, m) nodes, and the weights.
 
     The lines of one orientation of the inversion's table share their basis,
     so after the first line each costs one add of its offset, one field call
@@ -120,6 +120,7 @@ def _span_of(basis: bytes, shape: tuple, spec: QuadratureSpec):
     another basis, and a basis changed in place has other bytes.
     """
     span, weights = _flat_span(np.frombuffer(basis).reshape(shape)[None], spec)
+    span = span[:, 0]
     span.setflags(write=False)
     return span, weights
 
@@ -172,30 +173,36 @@ def _stack_sums(field, bases: np.ndarray, offsets: np.ndarray, rule, size: int, 
     return totals
 
 
-def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> list[float]:
+def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> list[float] | float:
     """sum(field(nodes) * weights) of each plane of a chunk.
 
     nodes (dim, C, m) hold the C planes' rules, as the node builders lay
-    them out; the weights are (m,) or (C, m).  The field is called once on
-    all C * m nodes, or, for one plane whose rule is larger than
-    _BLOCK_POINTS, once per consecutive block of _BLOCK_POINTS nodes.  The
-    values are pointwise and each plane's sum runs over its own contiguous
-    row of values at once, so the sums depend neither on the chunk nor on the
-    blocks.
+    them out, with weights (m,) or (C, m), and give the list of C sums;
+    nodes (dim, m) hold one plane's rule, with weights (m,), and give its
+    sum.  The field is called once on all C * m nodes, or, for one plane
+    whose rule is larger than _BLOCK_POINTS, once per consecutive block of
+    _BLOCK_POINTS nodes.  The values are pointwise and each plane's sum runs
+    over its own contiguous row of values at once, so the sums depend
+    neither on the chunk nor on the blocks.
     """
-    dim, count, size = nodes.shape
-    points = nodes.reshape(dim, count * size).T
-    if count * size <= _BLOCK_POINTS:
+    one = nodes.ndim == 2
+    points = (nodes if one else nodes.reshape(len(nodes), -1)).T
+    if len(points) <= _BLOCK_POINTS:
         vals = field(points)
     else:
-        vals = np.empty(count * size)
-        for lo in range(0, count * size, _BLOCK_POINTS):
+        vals = np.empty(len(points))
+        for lo in range(0, len(points), _BLOCK_POINTS):
             vals[lo : lo + _BLOCK_POINTS] = field(points[lo : lo + _BLOCK_POINTS])
-    sums = np.add.reduce(vals.reshape(count, size) * weights, axis=1).tolist()
+    if one:
+        sums = float(np.add.reduce(vals * weights))
+        finite = math.isfinite(sums)
+    else:
+        sums = np.add.reduce(vals.reshape(nodes.shape[1:]) * weights, axis=1).tolist()
+        finite = all(map(math.isfinite, sums))
     # The weights are finite, so a non-finite value makes its plane's sum
     # non-finite: the values are scanned only then.  A sum that overflows
     # from finite values stays inf.
-    if not all(map(math.isfinite, sums)) and not np.isfinite(vals).all():
+    if not finite and not np.isfinite(vals).all():
         raise ValueError(f"integrand blowup: field is not finite on {where}")
     return sums
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from sphslice.transforms import _BLOCK_POINTS
 GAUSS = "family = zonal_gaussian\namplitude = 1.0\nwidth = 1.0\nn = 3\nk = 2\n"
 BUMP = "family = cap_bump\nb = 0.0\nsharpness = 0.1\nn = 3\nk = 2\n"
 GAUSS33 = "family = zonal_gaussian\nn = 3\nk = 3\n"
+GAUSS22 = "family = zonal_gaussian\nn = 2\nk = 2\n"
 LOW = ["--sphere-order", "16", "--radial-order", "16"]
 LOW_SPHERE = ["--sphere-order", "16"]
 LOW_RADIAL = ["--radial-order", "16"]
@@ -306,9 +308,11 @@ def _tokens(line):
 # what it is a difference of: lhs and rhs for abs_diff, and 1 for the zonal
 # round trip's errors (weighted by 1 + |reference|; far out, `recovered` is a
 # cancellation residue too) and for the support violations (fields of peak
-# O(1), see the `scale:` footer).
+# O(1), see the `scale:` footer).  A reconstruction of invert is a residue of
+# O(1) data where the field is small, so its values and errors are compared
+# to 1e-12 of 1 as well (the field's scale, see the `reference_scale:` footer).
 _FLOORS = {"max_rel_diff": 1.0, "max_weighted_err": 1.0, "weighted_err": 1.0, "recovered": 1.0,
-           "max_violation": 1.0, "max_beyond": 1.0}
+           "max_violation": 1.0, "max_beyond": 1.0, "sup_abs_err": 1.0}
 
 
 def _assert_matches_golden(got_lines, want_lines, *, csv=True):
@@ -330,6 +334,8 @@ def _assert_matches_golden(got_lines, want_lines, *, csv=True):
             names, floors = columns, dict(_FLOORS)
             if "abs_diff" in row:
                 floors["abs_diff"] = max(abs(row["lhs"]), abs(row["rhs"]))
+            if "abs_error" in row:
+                floors["value"] = floors["abs_error"] = 1.0
         for name, g, w in zip(names, got_row, want_row):
             if isinstance(w, str):
                 assert g == w
@@ -352,6 +358,8 @@ GOLDEN_RUNS = [
     ("existence_pole_power_n3k2", GAUSS, ["existence", "--mu", "0.4", "--expect", "converges"] + LOW,
      "verdict=converges"),
     ("dual_zonal_gaussian_n3k2", GAUSS, ["dual", "--grid-size", "2", "--extent", "1.5"] + LOW, ""),
+    ("invert_zonal_gaussian_n2k2", GAUSS22, ["invert", "--sphere-order", "8", "--grid-order", "4"] + LOW_RADIAL,
+     "PASS sup_abs_err=0.0023437062403123265 scale=0.92810322845670823 tol=0.050000000000000003"),
 ]
 
 
@@ -644,6 +652,38 @@ def test_plane_file_takes_one_header_line(tmp_path, gauss_scene, capsys):
     assert run(["forward", gauss_scene, str(planes), "--sphere-order", "8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{planes}:3" in err
+
+
+@pytest.mark.parametrize("command", ["forward", "radon"])
+@pytest.mark.parametrize("row", ["0.3,1e160", "0.3,-1e155", "1.0,1e300"])
+def test_plane_file_offset_whose_norm_overflows_exits_2(monkeypatch, tmp_path, capsys, command, row):
+    # |offset|^2 overflows, so the plane's distance would be inf and its
+    # cross-section NaN: the row is refused, naming its line, before any
+    # integral and without a numpy warning
+    scene = tmp_path / "gauss22.scene"
+    scene.write_text(GAUSS22)
+    planes = tmp_path / "planes.csv"
+    planes.write_text(f"theta,t\n0.3,1.0\n{row}\n")
+    for name in ("_slice_sums", "_flat_sums"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("an integral was computed"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, str(scene), str(planes), "--sphere-order", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {planes}:3: offset norm is not finite\n"
+
+
+def test_plane_file_offset_just_below_the_overflow_keeps_its_row(tmp_path, capsys):
+    # |offset|^2 = 1e300 is finite: the row is accepted, as before, and the
+    # plane lies at the pole's distance 1
+    scene = tmp_path / "gauss22.scene"
+    scene.write_text(GAUSS22)
+    planes = tmp_path / "planes.csv"
+    planes.write_text("0.3,1e150\n")
+    assert run(["forward", str(scene), str(planes), "--sphere-order", "8"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line and not line.startswith("#")]
+    assert rows == ["theta,t,dist,value", "0.29999999999999999,9.9999999999999998e+149,1,0"]
 
 
 HARMONIC22 = "family = first_harmonic_weighted\nn = 2\nk = 2\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -202,11 +203,24 @@ def test_stacked_norm_is_the_flat_distance(n):
 
 
 def test_unchecked_flats_share_read_only_arrays_only():
-    line = FlatSpec(np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="read-only"):
-        _unchecked_flat(line.basis, np.array([0.0, 2.0]))
-    flat = _unchecked_flat(line.basis, line.offset)
-    assert flat.basis is line.basis and flat.offset is line.offset
+    # An unchecked flat is a validated FlatSpec that skipped the checks: the
+    # same arrays, properties and repr.  It takes read-only arrays only.
+    for basis, offset in [([[1.0, 0.0]], [0.0, 1.0]), ([[0.6, 0.8]], [-2.4, 1.8]),
+                          ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [0.0, -0.5, 0.0])]:
+        flat_spec = FlatSpec(np.array(basis), np.array(offset))
+        writable_basis, writable_offset = np.array(basis), np.array(offset)
+        for args in [(flat_spec.basis, writable_offset), (writable_basis, flat_spec.offset),
+                     (writable_basis, writable_offset)]:
+            with pytest.raises(ValueError, match="read-only"):
+                _unchecked_flat(*args)
+        flat = _unchecked_flat(flat_spec.basis, flat_spec.offset)
+        assert type(flat) is FlatSpec and flat == flat_spec
+        assert flat.basis is flat_spec.basis and flat.offset is flat_spec.offset
+        assert (flat.dim, flat.ambient_dim, flat.distance) == (flat_spec.dim, flat_spec.ambient_dim,
+                                                               flat_spec.distance)
+        assert repr(flat) == repr(flat_spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            flat.offset = flat_spec.offset
 
 
 # -- flats drawn and validated as one stack ---------------------------------------

@@ -514,6 +514,42 @@ def test_line_table_flats_share_their_orientation_basis():
         assert np.array_equal(offsets, np.array([p * line.offset for p in field._p]))
 
 
+@pytest.mark.parametrize("form", ["invert_radon", "invert_slice"])
+def test_the_data_callback_sees_each_table_line_once_in_offset_order(monkeypatch, form):
+    # The contract a one-line callback relies on, at construction and at
+    # growth: one call per line of the table, the lines of each orientation
+    # in ascending offset, each flat read-only and holding its orientation's
+    # basis object itself.
+    seen, fills = [], []
+    fill = inversion._LineDualField._fill
+
+    def recording_fill(self, p_values):
+        fills.append((self, p_values, len(seen)))
+        return fill(self, p_values)
+
+    monkeypatch.setattr(inversion._LineDualField, "_fill", recording_fill)
+    if form == "invert_radon":
+        rec = invert_radon(lambda zeta: seen.append(zeta) or gaussian_lines(zeta), Dimensions(2, 2), PARAMS,
+                           SMALL_SPEC)
+        points = SMALL_POINTS
+    else:
+        rec = invert_slice(lambda tau: seen.append(tau.section) or gaussian_lines(tau.section), Dimensions(2, 2),
+                           PARAMS, SMALL_SPEC)
+        points = CAP_POINTS[:5]
+    assert len(fills) == 1
+    rec(points)
+    assert len(fills) == 3  # the growth fills both sides of the offset grid
+    assert len(seen) == sum(SMALL_SPEC.orientation_samples * len(p) for _, p, _ in fills)
+    for table, p_values, start in fills:
+        assert np.all(np.diff(p_values) > 0)
+        for i, line in enumerate(table._unit_lines):
+            lo = start + i * len(p_values)
+            flats = seen[lo : lo + len(p_values)]
+            assert all(zeta.basis is line.basis for zeta in flats)
+            assert not any(zeta.basis.flags.writeable or zeta.offset.flags.writeable for zeta in flats)
+            assert np.array_equal([zeta.offset for zeta in flats], np.multiply.outer(p_values, line.offset))
+
+
 # radon_john data of the plane Gaussian on a cheap rule, for the scalar and
 # the field form of the line table (its orientation count is SMALL_SPEC's)
 FIELD_SPEC = QuadratureSpec(sphere_order=8, radial_order=16, radial_cutoff=6.0, orientation_samples=16)

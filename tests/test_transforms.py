@@ -344,7 +344,8 @@ def test_block_evaluation_is_bit_identical(monkeypatch, count, which):
     # the rule of one plane, in the stacked builders' (dim, 1, m) layout
     stacked = np.ascontiguousarray(nodes.T[:, None, :])
     if which == "radon_john":
-        monkeypatch.setattr(transforms, "_span_of", lambda basis, shape, spec: (stacked, weights))
+        # the kept span's layout, (dim, m)
+        monkeypatch.setattr(transforms, "_span_of", lambda basis, shape, spec: (stacked[:, 0], weights))
         got = radon_john(PlaneField(counting), make_flat(np.eye(3)[:1], np.zeros(3)), SPEC)
     else:
         monkeypatch.setattr(transforms, "_section_nodes", lambda bases, offsets, order: (stacked, weights[None, :]))
