@@ -11,9 +11,9 @@ also takes --sphere-order, which it does not read.  Exit codes:
     0  success
     1  tolerance or expectation failure
     2  usage: a count below 1, a setting out of range (--eps, --outer,
-       --cutoff, support's --b), a malformed scene, plane file or profile
-       CSV, a file that cannot be read or written, or an unsupported case
-       (invert needs n = 2)
+       --cutoff, support's --b, zonal-forward's --t-max, dual's --extent),
+       a malformed scene, plane file or profile CSV, a file that cannot be
+       read or written, or an unsupported case (invert needs n = 2)
     3  numerical error: a non-finite integrand or a divergent integral
 
 Random planes are drawn with offset magnitude t = tan(uniform(0, pi/2 - 0.01))
@@ -281,7 +281,7 @@ def _plane_to_row(basis: np.ndarray, offset: np.ndarray, dims: Dimensions) -> li
         alpha = math.acos(max(-1.0, min(1.0, d[2])))
         beta = math.atan2(d[1], d[0])
         p, q = _complete_orthonormal(d[None, :], 3)[1:]
-        t = float(np.linalg.norm(offset))
+        t = float(_distances(offset))
         gamma = math.atan2(offset @ q, offset @ p) if t > 0 else 0.0
         return [alpha, beta, gamma, t]
     if (dims.n, dims.k) == (3, 3):
@@ -327,11 +327,7 @@ def _random_planes(dims: Dimensions, count: int, seed: int):
 
 
 def _read_planes(path: str, dims: Dimensions):
-    """The planes of a plane file as (bases, offsets) arrays, each row validated as a FlatSpec.
-
-    A row whose offset norm overflows is refused: its plane's distance and
-    cross-section would be NaN.
-    """
+    """The planes of a plane file as (bases, offsets) arrays, each row validated as a FlatSpec."""
     width = len(_plane_columns(dims))
     planes = []
     with _usage_errors():
@@ -340,14 +336,9 @@ def _read_planes(path: str, dims: Dimensions):
         if len(values) < width:
             raise SceneError(f"{path}:{lineno}: expected at least {width} columns, got {len(values)}")
         try:
-            with np.errstate(over="ignore"):
-                zeta = _row_to_plane(values[:width], dims)
-                distance = zeta.distance
+            planes.append(_row_to_plane(values[:width], dims))
         except ValueError as exc:
             raise SceneError(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(distance):
-            raise SceneError(f"{path}:{lineno}: offset norm is not finite")
-        planes.append(zeta)
     if not planes:
         raise SceneError(f"{path}: no planes found")
     return _freeze([zeta.basis for zeta in planes]), _freeze([zeta.offset for zeta in planes])
@@ -399,8 +390,8 @@ def _cmd_factor_check(args) -> int:
 def _cmd_zonal_forward(args) -> int:
     scene, spec = _load(args)
     profile = scene_profile(scene)
-    if args.t_max < 0:
-        raise SceneError("offset grid needs t-max >= 0")
+    if not 0.0 <= args.t_max < math.inf:
+        raise SceneError("offset grid needs a finite t-max >= 0")
     offsets = np.linspace(0.0, args.t_max, args.t_count)
     values = zonal_forward(profile, offsets, scene.dims, spec)
     rows = [[float(t), t / math.hypot(1.0, t), value] for t, value in zip(offsets, values)]
@@ -482,8 +473,8 @@ def _cmd_existence(args) -> int:
 
 def _cmd_dual(args) -> int:
     scene, spec = _load(args)
-    if args.extent <= 0:
-        raise SceneError("dual grid needs extent > 0")
+    if not 0.0 < args.extent < math.inf:
+        raise SceneError("dual grid needs a finite extent > 0")
     dims = scene.dims
     g = op_B(build_field(scene), dims)
     axis = np.linspace(-args.extent, args.extent, args.grid_size)

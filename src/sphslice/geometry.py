@@ -76,21 +76,26 @@ class FlatSpec:
     @property
     def distance(self) -> float:
         """Distance of the flat to the origin (equals |offset|)."""
-        return float(np.linalg.norm(self.offset))
+        return float(_distances(self.offset))
 
 
 def _check_flats(basis: np.ndarray, offset: np.ndarray):
     """FlatSpec's checks over a stack of flats: basis (..., d, n) and offset (..., n), broadcast.
 
-    Raises the ValueError of the first check that any member fails.
+    Raises the ValueError of the first check that any member fails.  An
+    offset whose norm overflows is refused: its plane's distance would be
+    infinite and its cross-section NaN.
     """
     if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(offset))):
         raise ValueError("flat specification must be finite")
+    with np.errstate(over="ignore"):
+        norms = _distances(offset)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("offset norm is not finite")
     gram = basis @ np.swapaxes(basis, -1, -2)
     if np.max(np.abs(gram - np.eye(basis.shape[-2]))) > ORTHO_TOL:
         raise ValueError("basis rows must be orthonormal")
-    scale = 1.0 + np.linalg.norm(offset, axis=-1)
-    if np.any(np.max(np.abs(basis @ offset[..., None]), axis=(-2, -1)) > ORTHO_TOL * scale):
+    if np.any(np.max(np.abs(basis @ offset[..., None]), axis=(-2, -1)) > ORTHO_TOL * (1.0 + norms)):
         raise ValueError("offset must be orthogonal to the basis")
 
 
@@ -122,8 +127,8 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     out = []
     for row in rows:
         w = _reduce(row.astype(float), out)
-        nrm = np.linalg.norm(w)
-        if nrm <= ORTHO_TOL * max(1.0, np.linalg.norm(row)):
+        nrm = _distances(w)
+        if nrm <= ORTHO_TOL * max(1.0, _distances(row)):
             raise ValueError("degenerate flat: basis vectors are linearly dependent")
         out.append(w / nrm)
     return np.asarray(out)
@@ -206,8 +211,8 @@ class SlicePlane:
 
 
 def _distances(offsets: np.ndarray) -> np.ndarray:
-    """|offset| of each row of a (C, n) stack, with the bits of FlatSpec.distance."""
-    return np.sqrt((offsets[:, None, :] @ offsets[:, :, None])[:, 0, 0])
+    """|v| of each row v of a (..., n) stack, the sqrt of its dot product: the package's one norm."""
+    return np.sqrt((offsets[..., None, :] @ offsets[..., :, None])[..., 0, 0])
 
 
 def _trace_geometry(bases: np.ndarray, offsets: np.ndarray):
@@ -233,7 +238,7 @@ def _complete_orthonormal(rows: np.ndarray, n: int) -> np.ndarray:
     out = list(rows)
     for cand in np.eye(n):
         _reduce(cand, out)
-        nrm = np.linalg.norm(cand)
+        nrm = _distances(cand)
         if nrm > 1e-8:
             out.append(cand / nrm)
         if len(out) == n:

@@ -37,8 +37,8 @@ from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, sphere_
 # unused here but stay importable as inversion.<name>: the traced benchmark
 # (bench/tracer.py) replaces them.
 from scipy.interpolate import RectBivariateSpline
-from .transforms import (_BLOCK_POINTS, PlaneField, SphereField, _flat_sums, _slice_sums, flat_through,
-                         op_B_inverse, orientation_set, section_to_plane)
+from .transforms import (PlaneField, SphereField, _blocks, _flat_sums, _slice_sums, flat_through, op_B_inverse,
+                         orientation_set, section_to_plane)
 from .zonal import sigma
 
 __all__ = [
@@ -205,13 +205,12 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     channels = h_all.shape[1:]
     out = np.empty(channels + (len(X),))
     nonconv = 0.0
-    # A chunk's stencil holds at most _BLOCK_POINTS values, unless one
+    # A block's stencils hold at most _BLOCK_POINTS values, unless one
     # point's stencil alone is larger; h_all, as many values as the result,
     # is sampled at once.
-    chunk = max(1, _BLOCK_POINTS // max(1, len(rho) * len(omega) * ell * math.prod(channels)))
-    for lo_i in range(0, len(X), chunk):
-        xs = X[lo_i : lo_i + chunk]
-        h_at_x = np.moveaxis(h_all[lo_i : lo_i + chunk], 0, -1)
+    for block in _blocks(len(X), len(rho) * len(omega) * ell * math.prod(channels)):
+        xs = X[block]
+        h_at_x = np.moveaxis(h_all[block], 0, -1)
         vals = _point_major(h, xs, offsets)
         diff = vals @ signs + h_at_x[..., None, None]
         angular = diff @ w_omega
@@ -224,7 +223,7 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
             h_at_x / k + (tail_avg @ signs) / (k + gamma)
         )
         levels = [(angular @ (radial_factor * m) + tail) / d_norm for m in level_masks]
-        out[..., lo_i : lo_i + chunk] = _richardson(levels, p)[2]
+        out[..., block] = _richardson(levels, p)[2]
         d1 = np.abs(levels[1] - levels[0])
         d2 = np.abs(levels[2] - levels[1])
         # smooth fields shrink the halving differences by 2^p or better; a

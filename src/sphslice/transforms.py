@@ -42,12 +42,14 @@ __all__ = [
 ]
 
 # The package's one block budget: fields are evaluated on blocks of at most
-# this many points.  It is read by _stack_sums and _chunk_sums here (the
-# rules of whole planes, or consecutive parts of one larger rule),
-# zonal.zonal_forward (offsets per chunk of (t, q) nodes),
-# inversion._riesz_batch (points per chunk of kernel stencil values) and
-# analysis._annulus_integral (rows of u per block of cap points).
+# this many points.  Every loop over it takes its blocks from _blocks.
 _BLOCK_POINTS = 16384
+
+
+def _blocks(count: int, size: int) -> list[slice]:
+    """Consecutive slices of count items of size values each: at most _BLOCK_POINTS values, but one item at least."""
+    step = max(1, _BLOCK_POINTS // max(1, size))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -162,14 +164,12 @@ def _stack_sums(field, bases: np.ndarray, offsets: np.ndarray, rule, size: int, 
     """The sums of a stack of planes whose rules have size nodes each, chunk by chunk.
 
     rule(bases, offsets) gives the nodes and weights of a part of the stack.
-    A chunk holds at most max(1, _BLOCK_POINTS // size) planes, so that the
-    field sees at most _BLOCK_POINTS nodes per call, unless one plane's rule
-    is larger.
+    A chunk is one of _blocks(len(bases), size), so that the field sees at
+    most _BLOCK_POINTS nodes per call, unless one plane's rule is larger.
     """
-    per_chunk = max(1, _BLOCK_POINTS // size)
     totals = []
-    for lo in range(0, len(bases), per_chunk):
-        totals += _chunk_sums(field, *rule(bases[lo : lo + per_chunk], offsets[lo : lo + per_chunk]), where)
+    for block in _blocks(len(bases), size):
+        totals += _chunk_sums(field, *rule(bases[block], offsets[block]), where)
     return totals
 
 
@@ -191,8 +191,8 @@ def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> li
         vals = field(points)
     else:
         vals = np.empty(len(points))
-        for lo in range(0, len(points), _BLOCK_POINTS):
-            vals[lo : lo + _BLOCK_POINTS] = field(points[lo : lo + _BLOCK_POINTS])
+        for block in _blocks(len(points), 1):
+            vals[block] = field(points[block])
     if one:
         sums = float(np.add.reduce(vals * weights))
         finite = math.isfinite(sums)

@@ -27,7 +27,7 @@ from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, panel_e
 # gauss_legendre, panel_edges and nu are unused here but stay importable as
 # zonal.<name>: the traced benchmark (bench/tracer.py) replaces them.
 from .stereo import nu
-from .transforms import _BLOCK_POINTS, SphereField
+from .transforms import SphereField, _blocks
 
 __all__ = [
     "ZonalProfile",
@@ -97,11 +97,10 @@ def zonal_forward(profile: ZonalProfile, t: float | np.ndarray, dims: Dimensions
     panels = list(zip(q, w, q ** (k - 2)))
     flat = offsets.ravel()
     total = np.empty(flat.shape)
-    # Offsets are taken in chunks of at most _BLOCK_POINTS (t, q) nodes per
+    # Offsets are taken in blocks of at most _BLOCK_POINTS (t, q) nodes per
     # panel, so the temporaries stay small however many offsets there are.
-    chunk = max(1, _BLOCK_POINTS // spec.radial_order)
-    for lo in range(0, len(flat), chunk):
-        total[lo : lo + chunk] = _panel_totals(profile, flat[lo : lo + chunk], panels, k)
+    for block in _blocks(len(flat), spec.radial_order):
+        total[block] = _panel_totals(profile, flat[block], panels, k)
     values = front * total
     return float(values[0]) if offsets.ndim == 0 else values.reshape(offsets.shape)
 

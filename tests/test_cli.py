@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sphslice.analysis as analysis
 import sphslice.geometry as geometry
 import sphslice.transforms as transforms
 from sphslice import (Dimensions, FlatSpec, PlaneField, QuadratureSpec, SphereField, op_B, radon_john,
@@ -213,9 +212,11 @@ def test_non_finite_profile_grid_exits_2(tmp_path, capsys, grid, extra):
     assert str(csv_path) in err and "profile grid must be finite" in err
 
 
-# A subcommand that reads each setting flag of test_out_of_range_setting_exits_2.
-READER = {"--eps": ["invert", "--n", "2", "--k", "2"], "--outer": ["invert", "--n", "2", "--k", "2"],
-          "--cutoff": ["radon", "1"], "--b": ["support", "--trials", "1"]}
+# A subcommand that reads each setting flag of test_out_of_range_setting_exits_2, at a low order.
+READER = {"--eps": ["invert", "--n", "2", "--k", "2", "--sphere-order", "8"],
+          "--outer": ["invert", "--n", "2", "--k", "2", "--sphere-order", "8"],
+          "--cutoff": ["radon", "1", "--sphere-order", "8"], "--b": ["support", "--trials", "1", "--sphere-order", "8"],
+          "--t-max": ["zonal-forward", "--radial-order", "8"], "--extent": ["dual", "--sphere-order", "8"]}
 
 
 @pytest.mark.parametrize("flags,setting", [(["--eps", "0"], "eps"),
@@ -226,11 +227,15 @@ READER = {"--eps": ["invert", "--n", "2", "--k", "2"], "--outer": ["invert", "--
                                            (["--cutoff", "nan"], "radial_cutoff"),
                                            (["--eps", "-1"], "eps must be finite and positive"),
                                            (["--cutoff", "0.5"], "radial_cutoff must be finite"),
-                                           (["--b", "1.5"], "cap height b must lie in (-1, 1)")])
+                                           (["--b", "1.5"], "cap height b must lie in (-1, 1)"),
+                                           (["--t-max", "nan"], "needs a finite t-max >= 0"),
+                                           (["--t-max", "inf"], "needs a finite t-max >= 0"),
+                                           (["--extent", "nan"], "needs a finite extent > 0"),
+                                           (["--extent", "inf"], "needs a finite extent > 0")])
 def test_out_of_range_setting_exits_2(capsys, gauss_scene, flags, setting):
     # each is refused by a subcommand that reads it, before any computation
     command = READER[flags[0]]
-    assert run([command[0], gauss_scene] + command[1:] + ["--sphere-order", "8"] + flags) == 2
+    assert run([command[0], gauss_scene] + command[1:] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and setting in err
 
@@ -713,7 +718,6 @@ def test_factor_check_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_pat
     outputs = set()
     for block in (640, 4096, 16384, 65536):
         monkeypatch.setattr(transforms, "_BLOCK_POINTS", block)
-        monkeypatch.setattr(analysis, "_BLOCK_POINTS", block)
         outputs.add((_factor_check_bytes(str(scene), tmp_path / f"block{block}.csv"),
                      _existence_bytes(str(scene), tmp_path / f"existence{block}.csv")))
     assert len(outputs) == 1

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sphslice import (
     PlaneField,
     QuadratureSpec,
     SlicePlane,
+    dual_transform,
     kplane_support_probe,
     make_flat,
     op_B,
@@ -19,7 +21,8 @@ from sphslice import (
 )
 from sphslice import cli
 from sphslice.cli import _random_planes
-from sphslice.geometry import _check_flats, _distances, _gaussian_flats, _unchecked_flat, sample_sphere_cross_section
+from sphslice.geometry import (_check_flats, _complete_orthonormal, _distances, _gaussian_flats, _unchecked_flat,
+                               sample_sphere_cross_section)
 from sphslice.quadrature import sphere_rule
 from sphslice.scenes import SceneSpec, build_field
 
@@ -199,7 +202,47 @@ def test_kplane_probe_builds_no_plane_objects(monkeypatch):
 def test_stacked_norm_is_the_flat_distance(n):
     rng = np.random.default_rng(n)
     offsets = rng.standard_normal((2000, n)) * rng.choice([1e-300, 1e-3, 1.0, 25.0, 1e3, 1e150], (2000, 1))
-    assert np.array_equal(_distances(offsets), [np.linalg.norm(v) for v in offsets])
+    distances = _distances(offsets)
+    assert np.array_equal(distances, [np.linalg.norm(v) for v in offsets])
+    # FlatSpec.distance of flats drawn at those distances reads the same norm
+    flats = [random_flat(rng, n, 1, t) for t in distances[:200]]
+    assert np.array_equal([zeta.distance for zeta in flats], _distances(np.array([zeta.offset for zeta in flats])))
+    assert np.array_equal([zeta.distance for zeta in flats], [np.linalg.norm(zeta.offset) for zeta in flats])
+
+
+def _flats_at(how, scale):
+    """The flats one library entry point builds at offset norm scale."""
+    if how == "FlatSpec":
+        return [FlatSpec([[0.6, 0.8]], [-0.8 * scale, 0.6 * scale])]
+    if how == "random_flat":
+        return [random_flat(np.random.default_rng(0), 3, 1, scale)]
+    flats = []
+    dual_transform(lambda zeta: flats.append(zeta) or 0.0, [0.0, 0.6 * scale, 0.8 * scale], 1, Dimensions(3, 2),
+                   QuadratureSpec(orientation_samples=4))
+    return flats
+
+
+@pytest.mark.parametrize("how,first", [("FlatSpec", (1e150, 1e-150)),
+                                       ("random_flat", (9.999999999999998e149, 1.0000000000000001e-150)),
+                                       ("dual_transform", (5.958490108018214e149, 1.678277519760117e-150))])
+def test_offset_norm_that_overflows_is_refused_by_every_entry_point(how, first):
+    # |offset|^2 overflows at 1e200, so the plane's distance would be inf and
+    # its cross-section NaN: the flat is refused, without a numpy warning.
+    # At 1e150, |offset|^2 = 1e300 is finite and the flat keeps its bits.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^offset norm is not finite$"):
+            _flats_at(how, 1e200)
+        zeta = _flats_at(how, 1e150)[0]
+        assert (zeta.distance, SlicePlane(zeta).radius) == first
+
+
+def test_non_orthogonal_offset_whose_norm_overflows_is_refused():
+    # its norm would make the orthogonality tolerance infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^offset norm is not finite$"):
+            FlatSpec([[1.0, 0.0]], [1e200, 1e200])
 
 
 def test_unchecked_flats_share_read_only_arrays_only():
@@ -261,11 +304,13 @@ def _spoil(member, how, basis, offset):
         basis[member, 0, 1] = np.nan
     elif how == "non-orthonormal":
         basis[member] *= 1.0 + 1e-9
+    elif how == "overflowing":
+        offset[member] = 1e200 * _complete_orthonormal(basis[member], basis.shape[-1])[-1]
     else:
         offset[member] += 1e-9 * basis[member, 0]
 
 
-@pytest.mark.parametrize("how", ["non-finite", "non-orthonormal", "non-orthogonal"])
+@pytest.mark.parametrize("how", ["non-finite", "non-orthonormal", "non-orthogonal", "overflowing"])
 @pytest.mark.parametrize("member", [0, 3, 5])
 def test_stacked_checks_raise_flatspecs_message_for_one_bad_member(how, member):
     basis, offset = _valid_stack()
@@ -277,7 +322,7 @@ def test_stacked_checks_raise_flatspecs_message_for_one_bad_member(how, member):
         _check_flats(basis, offset)
     assert str(stacked.value) == str(single.value)
     assert str(single.value) in ("flat specification must be finite", "basis rows must be orthonormal",
-                                 "offset must be orthogonal to the basis")
+                                 "offset must be orthogonal to the basis", "offset norm is not finite")
 
 
 def test_stacked_draw_refuses_a_non_finite_matrix():

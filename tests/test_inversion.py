@@ -436,7 +436,7 @@ def test_row_tail_bounds_a_slowly_decaying_row():
 def test_kernel_channels_equal_scalar_calls(monkeypatch, n):
     # a field of C channels is derived as C scalar fields would be; a small
     # block budget makes the batch run in several chunks
-    monkeypatch.setattr(inversion, "_BLOCK_POINTS", 2_000)
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", 2_000)
     widths = np.array([0.6, 1.0, 1.7])
     X = np.random.default_rng(n).uniform(-1.5, 1.5, size=(7, n))
     spec = QuadratureSpec(sphere_order=16, radial_order=64)
@@ -606,7 +606,6 @@ def test_reconstruction_agrees_across_block_budgets(monkeypatch):
     points = np.random.default_rng(3).uniform(-1.2, 1.2, size=(20, 2))
     values = []
     for block in (640, 4096, 16384, 2_000_000):
-        monkeypatch.setattr(inversion, "_BLOCK_POINTS", block)
         monkeypatch.setattr(transforms, "_BLOCK_POINTS", block)
         values.append(invert_radon(GAUSS, Dimensions(2, 2), PARAMS, FIELD_SPEC)(points))
     peak = np.max(np.abs(values[0]))
@@ -642,8 +641,8 @@ def test_kernel_calls_stay_within_the_block_budget(monkeypatch):
     assert batches == [333]
     assert {channels for _, channels in calls} == {8}
     for points, channels in calls:
-        assert points * channels <= inversion._BLOCK_POINTS or (
-            points == stencil and stencil * channels > inversion._BLOCK_POINTS)
+        assert points * channels <= transforms._BLOCK_POINTS or (
+            points == stencil and stencil * channels > transforms._BLOCK_POINTS)
 
 
 def table_line(angle):
