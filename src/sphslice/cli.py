@@ -11,7 +11,8 @@ also takes --sphere-order, which it does not read.  Exit codes:
     0  success
     1  tolerance or expectation failure
     2  usage: a count below 1, a setting out of range (--eps, --outer,
-       --cutoff, support's --b, zonal-forward's --t-max, dual's --extent),
+       --cutoff, support's --b, zonal-forward's --t-max, existence's --mu,
+       dual's --extent),
        a malformed scene, plane file or profile CSV, a file that cannot be
        read or written, or an unsupported case (invert needs n = 2)
     3  numerical error: a non-finite integrand or a divergent integral
@@ -459,6 +460,8 @@ def _cmd_support(args) -> int:
 def _cmd_existence(args) -> int:
     scene, spec = _load(args)
     if args.mu is not None:
+        if not math.isfinite(args.mu):
+            raise SceneError("existence needs a finite mu")
         field = power_growth_field(args.mu)
         subject = f"pole_power mu={_fmt(args.mu)}"
     else:
@@ -480,6 +483,10 @@ def _cmd_dual(args) -> int:
     axis = np.linspace(-args.extent, args.extent, args.grid_size)
     grids = np.meshgrid(*([axis] * dims.n), indexing="ij")
     points = np.stack([g_.ravel() for g_ in grids], axis=-1)
+    # the flats through a point carry offsets as long as the point's norm
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(_distances(points))):
+            raise SceneError("dual grid needs an extent whose grid points have a finite norm")
     values = _dual_transforms(functools.partial(_flat_sums, g, spec=spec), points, dims.k - 1, dims, spec)
     rows = [list(x) + [value] for x, value in zip(points, values)]
     return _emit(args, scene, spec, [f"x{j + 1}" for j in range(dims.n)] + ["value"], rows,

@@ -24,6 +24,7 @@ lines in the plane (n = 2) are inverted; other dimensions are refused.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,14 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
 
-from .geometry import Dimensions, FlatSpec, _unchecked_flat
+from .geometry import Dimensions, _check_flats, _freeze
 from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, sphere_rule
 # gauss_legendre, flat_through, orientation_set and RectBivariateSpline are
 # unused here but stay importable as inversion.<name>: the traced benchmark
 # (bench/tracer.py) replaces them.
 from scipy.interpolate import RectBivariateSpline
-from .transforms import (PlaneField, SphereField, _blocks, _flat_sums, _slice_sums, flat_through, op_B_inverse,
-                         orientation_set, section_to_plane)
+from .transforms import (PlaneField, SphereField, _blocks, _flat_sums, _per_flat, _slice_sums, flat_through,
+                         op_B_inverse, orientation_set, section_to_plane)
 from .zonal import sigma
 
 __all__ = [
@@ -163,16 +164,15 @@ def _richardson(levels, p: int):
     return a1, a2, a2 + (a2 - a1) / (2.0 ** (p + 2) - 1.0)
 
 
-def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
-    """Hypersingular derivative of h at a batch of points X of shape (B, n).
+def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec) -> np.ndarray:
+    """Hypersingular derivative of h at a batch of points X of shape (B, n), as (B, C) values.
 
-    h returns (B,) values or, for C channels derived at once, (B, C).
-    Returns (values, nonconv, scale): the extrapolated derivative per point,
-    the largest eps-halving difference at a point where the differences
-    failed to decrease and exceed the rounding floor (0.0 when there is no
-    such point), and the largest absolute result (for judging whether the
-    failure matters).  With channels the values gain a trailing axis of
-    length C.
+    h returns (B, C) values: C channels derived at once.  h is not called for
+    an empty batch, which gives (0, 1) values.  When the eps-halving
+    differences fail to decrease at a point, above the rounding floor and at
+    a level that matters against the largest result, the refinement is
+    reported with a "hypersingular non-convergent" warning, attributed to the
+    caller of the kernel's caller.
     """
     n = X.shape[1]
     k = params.k_order
@@ -199,18 +199,17 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     kernel_bound = surface * (4.0 / params.eps) ** k / (k * abs(d_norm))
     noise_per_h = ROUNDING_ULPS * np.finfo(float).eps * 2.0**ell * kernel_bound
 
-    # The arithmetic runs with the channel axis (if any) first, so that every
-    # product below contracts the trailing axes exactly as for scalar h.
-    h_all = np.asarray(h(X), dtype=float) if len(X) else np.empty(0)
-    channels = h_all.shape[1:]
-    out = np.empty(channels + (len(X),))
+    # The arithmetic runs with the channel axis first, so that every product
+    # below contracts the trailing axes, those of one channel.
+    h_all = np.asarray(h(X), dtype=float) if len(X) else np.empty((0, 1))
+    out = np.empty((h_all.shape[1], len(X)))
     nonconv = 0.0
     # A block's stencils hold at most _BLOCK_POINTS values, unless one
     # point's stencil alone is larger; h_all, as many values as the result,
     # is sampled at once.
-    for block in _blocks(len(X), len(rho) * len(omega) * ell * math.prod(channels)):
+    for block in _blocks(len(X), len(rho) * len(omega) * ell * h_all.shape[1]):
         xs = X[block]
-        h_at_x = np.moveaxis(h_all[block], 0, -1)
+        h_at_x = h_all[block].T
         vals = _point_major(h, xs, offsets)
         diff = vals @ signs + h_at_x[..., None, None]
         angular = diff @ w_omega
@@ -239,13 +238,17 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec):
     if not np.all(np.isfinite(out)):
         raise ValueError("integrand blowup in hypersingular integral")
     scale = float(np.max(np.abs(out))) if out.size else 0.0
-    if channels:
-        out = out.T
-    return out, nonconv, scale
+    if nonconv > NONCONV_TOL * (scale + 1e-300):
+        warnings.warn(
+            f"hypersingular non-convergent: eps-halving difference {nonconv:.3e} "
+            f"did not decrease (scale {scale:.3e}); decrease eps or smooth the field",
+            stacklevel=3,
+        )
+    return out.T
 
 
 def _point_major(h, xs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """h at xs - offsets, shaped (len(xs), *offsets.shape[:-1]), with h's channel axis (if any) first.
+    """h at xs - offsets, shaped (C, len(xs), *offsets.shape[:-1]), with h's channel axis first.
 
     h is sampled offset-major: for each offset, all of xs in order, so that a
     spline queried at ascending points resumes its interval search where the
@@ -256,9 +259,8 @@ def _point_major(h, xs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     n = xs.shape[1]
     pts = xs - offsets.reshape(-1, 1, n)
     values = np.asarray(h(pts.reshape(-1, n)), dtype=float)
-    values = values.reshape((len(pts), len(xs)) + values.shape[1:]).swapaxes(0, 1).copy()
-    values = values.reshape((len(xs),) + offsets.shape[:-1] + values.shape[2:])
-    return np.moveaxis(values, -1, 0) if values.ndim > offsets.ndim else values
+    values = values.reshape(len(pts), len(xs), -1).swapaxes(0, 1).copy()
+    return np.moveaxis(values.reshape((len(xs),) + offsets.shape[:-1] + values.shape[-1:]), -1, 0)
 
 
 def riesz_derivative(h, x, params: RieszParams, dims: Dimensions, spec: QuadratureSpec):
@@ -272,9 +274,8 @@ def riesz_derivative(h, x, params: RieszParams, dims: Dimensions, spec: Quadratu
     which usually means eps is too coarse or h is rough at the eps scale.
     """
     arr = _as_points(x, dims.n)
-    values, nonconv, scale = _riesz_batch(h, arr.reshape(-1, dims.n), params, spec)
-    _warn_if_nonconvergent(nonconv, scale)
-    return _batch_shaped(values, arr)
+    values = _riesz_batch(lambda P: np.asarray(h(P), dtype=float)[:, None], arr.reshape(-1, dims.n), params, spec)
+    return _batch_shaped(values[:, 0], arr)
 
 
 def _as_points(x, n: int) -> np.ndarray:
@@ -292,15 +293,6 @@ def _batch_shaped(values: np.ndarray, arr: np.ndarray):
     return float(values[0]) if arr.ndim == 1 else values.reshape(arr.shape[:-1])
 
 
-def _warn_if_nonconvergent(nonconv: float, scale: float):
-    if nonconv > NONCONV_TOL * (scale + 1e-300):
-        warnings.warn(
-            f"hypersingular non-convergent: eps-halving difference {nonconv:.3e} "
-            f"did not decrease (scale {scale:.3e}); decrease eps or smooth the field",
-            stacklevel=3,
-        )
-
-
 class _LineDualField:
     """Backprojection of line data in the plane, from a cached data table.
 
@@ -310,9 +302,10 @@ class _LineDualField:
     The value at a point is the average over orientations of the tabulated
     data on the line through the point, interpolated in offset.
 
-    The table is filled row by row: rows(basis, offsets) gives the data on
-    the lines of one orientation's read-only basis (1, 2) at each offset of
-    a read-only (P, 2) stack, as P values (see _line_rows and _slice_rows).
+    The table is filled through values(bases, offsets), which gives the data
+    on each line of a read-only stack of bases (P, 1, 2) and offsets (P, 2)
+    as P values (see _line_values and _slice_values): one call per
+    orientation and fill, whose lines all share the orientation's basis.
 
     The growth cannot move to construction: how far the table must reach
     depends on the points evaluated (the row filter of invert_radon samples
@@ -321,30 +314,28 @@ class _LineDualField:
     once.
     """
 
-    def __init__(self, rows, spec: QuadratureSpec):
-        self._rows = rows
+    def __init__(self, values, spec: QuadratureSpec):
+        self._values = values
         count = spec.orientation_samples
         theta = (np.arange(count) + 0.5) * (math.pi / count)
-        self._normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        directions = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        # Each orientation's line is validated once; the lines at offsets
-        # p * normal share its basis and skip the checks.
-        self._unit_lines = [
-            FlatSpec(basis=d[None, :], offset=normal) for d, normal in zip(directions, self._normals)
-        ]
+        self._directions = _freeze(np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :])
+        self._normals = _freeze(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        # The unit lines are validated once, as one stack; the lines at
+        # offsets p * normal share their orientation's basis and skip the checks.
+        _check_flats(self._directions, self._normals)
         half = round(TABLE_FINE_SPAN / TABLE_FINE_STEP)
         self._p = np.arange(-half, half + 1) * TABLE_FINE_STEP
         self._table = self._fill(self._p)
         self._filtered_radius, self._filtered_rows = -1.0, []
 
     def _fill(self, p_values: np.ndarray) -> np.ndarray:
-        block = np.empty((len(self._unit_lines), len(p_values)))
-        for i, line in enumerate(self._unit_lines):
-            # One read-only array of the offsets p * normal per orientation;
-            # every line shares it and the line's frozen basis.
-            offsets = np.multiply.outer(p_values, line.offset)
+        block = np.empty((len(self._normals), len(p_values)))
+        for i, (basis, normal) in enumerate(zip(self._directions, self._normals)):
+            # One orientation's stack at a time, so memory stays that of one
+            # row: the read-only offsets p * normal and the basis broadcast.
+            offsets = np.multiply.outer(p_values, normal)
             offsets.setflags(write=False)
-            block[i] = self._rows(line.basis, offsets)
+            block[i] = self._values(np.broadcast_to(basis, offsets.shape[:1] + basis.shape), offsets)
         return block
 
     def _ensure(self, p_needed: float):
@@ -354,10 +345,10 @@ class _LineDualField:
         step = TABLE_COARSE_STEP
         target = max(p_needed + step, 2.0 * cur)
         fresh = np.arange(cur + step, target + step, step)
-        right = self._fill(fresh)
-        left = self._fill(-fresh[::-1])
+        # both sides in one fill, in ascending offset
+        sides = self._fill(np.concatenate([-fresh[::-1], fresh]))
         self._p = np.concatenate([-fresh[::-1], self._p, fresh])
-        self._table = np.concatenate([left, self._table, right], axis=1)
+        self._table = np.concatenate([sides[:, :len(fresh)], self._table, sides[:, len(fresh):]], axis=1)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = _as_points(X, 2)
@@ -376,8 +367,7 @@ class _LineDualField:
             self._ensure(reach + params.ell * params.outer_R)
             rows = make_interp_spline(self._p, self._table.T, k=5)
             nodes = self._p[np.abs(self._p) <= reach]
-            values, nonconv, scale = _riesz_batch(lambda P: rows(P[:, 0]), nodes[:, None], params, spec)
-            _warn_if_nonconvergent(nonconv, scale)
+            values = _riesz_batch(lambda P: rows(P[:, 0]), nodes[:, None], params, spec)
             fit = make_interp_spline(nodes, values, k=5)
             self._filtered_rows = [BSpline(fit.t, fit.c[:, i], fit.k) for i in range(len(self._normals))]
             self._filtered_radius = radius
@@ -399,32 +389,29 @@ def _require_lines_in_plane(flat_dim: int, n: int):
         )
 
 
-def _line_rows(phi, spec: QuadratureSpec):
-    """The table's rows(basis, offsets) for line data phi.
+def _line_values(phi, spec: QuadratureSpec):
+    """The table's values(bases, offsets) for line data phi.
 
-    phi is a PlaneField, whose rows are the radon_john integrals of one
-    _flat_sums stack per orientation, or a callable taking a FlatSpec,
-    called once per line in offset order.  Both give the bits of one
-    radon_john call per line.
+    phi is a PlaneField, whose values are the radon_john integrals of one
+    _flat_sums stack, or a callable taking a FlatSpec, called once per line
+    in stack order.  Both give the bits of one radon_john call per line.
     """
     if isinstance(phi, PlaneField):
-        return lambda basis, offsets: _flat_sums(
-            phi, np.broadcast_to(basis, offsets.shape[:1] + basis.shape), offsets, spec)
-    return lambda basis, offsets: [phi(_unchecked_flat(basis, offset)) for offset in offsets]
+        return functools.partial(_flat_sums, phi, spec=spec)
+    return _per_flat(phi)
 
 
-def _slice_rows(F, spec: QuadratureSpec):
-    """The table's rows(basis, offsets) for slice data F, on the planes whose traces are the lines.
+def _slice_values(F, spec: QuadratureSpec):
+    """The table's values(bases, offsets) for slice data F, on the planes whose traces are the lines.
 
-    F is a SphereField, whose rows are the slice_transform integrals of one
-    _slice_sums stack per orientation, or a callable taking a SlicePlane,
-    called once per line in offset order.  Both give the bits of one
-    slice_transform call per plane.
+    F is a SphereField, whose values are the slice_transform integrals of one
+    _slice_sums stack, or a callable taking a SlicePlane, called once per
+    line in stack order.  Both give the bits of one slice_transform call per
+    plane.
     """
     if isinstance(F, SphereField):
-        return lambda basis, offsets: _slice_sums(
-            F, np.broadcast_to(basis, offsets.shape[:1] + basis.shape), offsets, spec)
-    return _line_rows(lambda zeta: F(section_to_plane(zeta)), spec)
+        return functools.partial(_slice_sums, F, spec=spec)
+    return _per_flat(lambda zeta: F(section_to_plane(zeta)))
 
 
 def make_dual_field(phi, flat_dim: int, dims: Dimensions, spec: QuadratureSpec):
@@ -439,7 +426,7 @@ def make_dual_field(phi, flat_dim: int, dims: Dimensions, spec: QuadratureSpec):
     is called.
     """
     _require_lines_in_plane(flat_dim, dims.n)
-    return _LineDualField(_line_rows(phi, spec), spec)
+    return _LineDualField(_line_values(phi, spec), spec)
 
 
 def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> PlaneField:
@@ -456,15 +443,15 @@ def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpe
     in the plane (dims.n 2, k_order 1) are supported; other dimensions raise
     NotImplementedError here, before any data is computed.
     """
-    return _backprojected(_line_rows(phi, spec), dims, params, spec)
+    return _backprojected(_line_values(phi, spec), dims, params, spec)
 
 
-def _backprojected(rows, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> PlaneField:
-    """invert_radon of the line data whose table rows are rows(basis, offsets)."""
+def _backprojected(values, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> PlaneField:
+    """invert_radon of the line data that values(bases, offsets) gives (see _LineDualField)."""
     if not 1 <= params.k_order < dims.n:
         raise ValueError("flat order must satisfy 1 <= k_order < n")
     _require_lines_in_plane(params.k_order, dims.n)
-    table = _LineDualField(rows, spec)
+    table = _LineDualField(values, spec)
     constant = coeff_c(params.k_order, dims.n)
 
     def eval_field(x):
@@ -489,4 +476,4 @@ def invert_slice(F, dims: Dimensions, params: RieszParams, spec: QuadratureSpec)
     """
     if params.k_order != dims.k - 1:
         raise ValueError("params.k_order must equal dims.k - 1 for slice inversion")
-    return op_B_inverse(_backprojected(_slice_rows(F, spec), dims, params, spec), dims)
+    return op_B_inverse(_backprojected(_slice_values(F, spec), dims, params, spec), dims)

@@ -312,8 +312,12 @@ def dual_transform(phi, x, flat_dim: int, dims: Dimensions, spec: QuadratureSpec
     x = np.asarray(x, dtype=float)
     if x.shape != (dims.n,):
         raise ValueError("dimension mismatch between point and dims")
-    return _dual_transforms(lambda bases, offsets: [phi(_unchecked_flat(b, v)) for b, v in zip(bases, offsets)],
-                            [x], flat_dim, dims, spec)[0]
+    return _dual_transforms(_per_flat(phi), [x], flat_dim, dims, spec)[0]
+
+
+def _per_flat(phi):
+    """values(bases, offsets) of a callable phi taking a FlatSpec: one call per flat of the read-only stack."""
+    return lambda bases, offsets: [phi(_unchecked_flat(b, v)) for b, v in zip(bases, offsets)]
 
 
 def _dual_transforms(values, points, flat_dim: int, dims: Dimensions, spec: QuadratureSpec) -> list[float]:

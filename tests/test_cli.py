@@ -216,7 +216,8 @@ def test_non_finite_profile_grid_exits_2(tmp_path, capsys, grid, extra):
 READER = {"--eps": ["invert", "--n", "2", "--k", "2", "--sphere-order", "8"],
           "--outer": ["invert", "--n", "2", "--k", "2", "--sphere-order", "8"],
           "--cutoff": ["radon", "1", "--sphere-order", "8"], "--b": ["support", "--trials", "1", "--sphere-order", "8"],
-          "--t-max": ["zonal-forward", "--radial-order", "8"], "--extent": ["dual", "--sphere-order", "8"]}
+          "--t-max": ["zonal-forward", "--radial-order", "8"], "--extent": ["dual", "--sphere-order", "8"],
+          "--mu": ["existence", "--sphere-order", "8", "--radial-order", "8"]}
 
 
 @pytest.mark.parametrize("flags,setting", [(["--eps", "0"], "eps"),
@@ -231,7 +232,10 @@ READER = {"--eps": ["invert", "--n", "2", "--k", "2", "--sphere-order", "8"],
                                            (["--t-max", "nan"], "needs a finite t-max >= 0"),
                                            (["--t-max", "inf"], "needs a finite t-max >= 0"),
                                            (["--extent", "nan"], "needs a finite extent > 0"),
-                                           (["--extent", "inf"], "needs a finite extent > 0")])
+                                           (["--extent", "inf"], "needs a finite extent > 0"),
+                                           (["--extent", "1e200"], "grid points have a finite norm"),
+                                           (["--mu", "nan"], "existence needs a finite mu"),
+                                           (["--mu", "inf"], "existence needs a finite mu")])
 def test_out_of_range_setting_exits_2(capsys, gauss_scene, flags, setting):
     # each is refused by a subcommand that reads it, before any computation
     command = READER[flags[0]]

@@ -162,11 +162,11 @@ def test_field_rows_build_no_plane_objects(monkeypatch, form):
     spec = QuadratureSpec(sphere_order=32, radial_order=48, radial_cutoff=10.0)
     field = build_field(SceneSpec(family="zonal_gaussian", dims=Dimensions(2, 2)))
     if form == "sphere":
-        rows = inversion._slice_rows(field, spec)
+        values = inversion._slice_values(field, spec)
     else:
-        rows = inversion._line_rows(op_B(field, Dimensions(2, 2)), spec)
+        values = inversion._line_values(op_B(field, Dimensions(2, 2)), spec)
     built = _count_plane_objects(monkeypatch)
-    assert len(rows(line.basis, offsets)) == 1001
+    assert len(values(np.broadcast_to(line.basis, (1001, 1, 2)), offsets)) == 1001
     assert len(built) == 0
 
 

@@ -215,8 +215,10 @@ def test_nonconvergence_warning():
         X = np.asarray(X, dtype=float)
         return np.sqrt(np.sum(X**2, axis=-1))
 
-    with pytest.warns(UserWarning, match="hypersingular non-convergent"):
+    with pytest.warns(UserWarning, match="hypersingular non-convergent") as record:
         riesz_derivative(cone, np.zeros(2), PARAMS, Dimensions(2, 2), SPEC)
+    # the kernel warns on behalf of riesz_derivative's caller
+    assert {w.filename for w in record} == {__file__}
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e6])
@@ -403,10 +405,10 @@ ROW_OFFSETS = np.linspace(-3.0, 3.0, 61)
 
 def row_derivative(row, params):
     """The kernel at n = 1 applied to a row given as a function of the offset."""
-    values, *_ = inversion._riesz_batch(
-        lambda P: row(P[:, 0]), ROW_OFFSETS[:, None], params, QuadratureSpec()
+    values = inversion._riesz_batch(
+        lambda P: row(P[:, 0])[:, None], ROW_OFFSETS[:, None], params, QuadratureSpec()
     )
-    return values
+    return values[:, 0]
 
 
 def test_row_filter_of_the_gaussian_row():
@@ -444,12 +446,12 @@ def test_kernel_channels_equal_scalar_calls(monkeypatch, n):
     def channels(P):
         return np.exp(-np.sum(P**2, axis=-1)[:, None] / widths**2)
 
-    values, _, _ = inversion._riesz_batch(channels, X, PARAMS, spec)
+    values = inversion._riesz_batch(channels, X, PARAMS, spec)
     assert values.shape == (len(X), len(widths))
     for c, width in enumerate(widths):
-        want, _, _ = inversion._riesz_batch(
-            lambda P: np.exp(-np.sum(P**2, axis=-1) / width**2), X, PARAMS, spec
-        )
+        want = inversion._riesz_batch(
+            lambda P: np.exp(-np.sum(P**2, axis=-1) / width**2)[:, None], X, PARAMS, spec
+        )[:, 0]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(values[:, c] - want)) <= 1e-13 * scale
 
@@ -462,6 +464,11 @@ def test_empty_batch_gives_empty_result(shape):
     assert field(np.zeros((0, 2))).shape == (0,)
     sphere = invert_slice(lambda tau: 1.0, Dimensions(2, 2), RieszParams(k_order=1), SMALL_SPEC)
     assert sphere(np.zeros(shape[:-1] + (3,))).shape == shape[:-1]
+
+    def h(P):
+        raise AssertionError("h was called on an empty batch")
+
+    assert riesz_derivative(h, np.zeros(shape), PARAMS, Dimensions(2, 2), SPEC).shape == shape[:-1]
 
 
 def test_one_evaluation_grows_the_line_table_once(monkeypatch):
@@ -476,9 +483,9 @@ def test_one_evaluation_grows_the_line_table_once(monkeypatch):
     rec = small_reconstruction()
     assert len(fills) == 1
     rec(SMALL_POINTS)
-    assert len(fills) == 3  # one growth fills both sides of the offset grid
+    assert len(fills) == 2  # one growth is one fill, of both sides of the offset grid
     rec(SMALL_POINTS)
-    assert len(fills) == 3
+    assert len(fills) == 2
 
 
 def test_line_table_flats_are_valid_and_read_only():
@@ -506,20 +513,20 @@ def test_line_table_flats_share_their_orientation_basis():
     field = make_dual_field(data, 1, Dimensions(2, 2), QuadratureSpec(orientation_samples=3))
     per_line = len(field._p)
     assert len(seen) == 3 * per_line
-    for i, line in enumerate(field._unit_lines):
+    for i, normal in enumerate(field._normals):
         flats = seen[i * per_line : (i + 1) * per_line]
-        assert all(zeta.basis is line.basis for zeta in flats)
+        assert all(np.shares_memory(zeta.basis, field._directions[i]) for zeta in flats)
         # the offsets are the products p * normal of one flat per offset
         offsets = np.array([zeta.offset for zeta in flats])
-        assert np.array_equal(offsets, np.array([p * line.offset for p in field._p]))
+        assert np.array_equal(offsets, np.array([p * normal for p in field._p]))
 
 
 @pytest.mark.parametrize("form", ["invert_radon", "invert_slice"])
 def test_the_data_callback_sees_each_table_line_once_in_offset_order(monkeypatch, form):
     # The contract a one-line callback relies on, at construction and at
     # growth: one call per line of the table, the lines of each orientation
-    # in ascending offset, each flat read-only and holding its orientation's
-    # basis object itself.
+    # in ascending offset, each flat read-only and sharing its orientation's
+    # basis array.
     seen, fills = [], []
     fill = inversion._LineDualField._fill
 
@@ -538,16 +545,16 @@ def test_the_data_callback_sees_each_table_line_once_in_offset_order(monkeypatch
         points = CAP_POINTS[:5]
     assert len(fills) == 1
     rec(points)
-    assert len(fills) == 3  # the growth fills both sides of the offset grid
+    assert len(fills) == 2  # one growth is one fill, of both sides of the offset grid
     assert len(seen) == sum(SMALL_SPEC.orientation_samples * len(p) for _, p, _ in fills)
     for table, p_values, start in fills:
         assert np.all(np.diff(p_values) > 0)
-        for i, line in enumerate(table._unit_lines):
+        for i, normal in enumerate(table._normals):
             lo = start + i * len(p_values)
             flats = seen[lo : lo + len(p_values)]
-            assert all(zeta.basis is line.basis for zeta in flats)
+            assert all(np.shares_memory(zeta.basis, table._directions[i]) for zeta in flats)
             assert not any(zeta.basis.flags.writeable or zeta.offset.flags.writeable for zeta in flats)
-            assert np.array_equal([zeta.offset for zeta in flats], np.multiply.outer(p_values, line.offset))
+            assert np.array_equal([zeta.offset for zeta in flats], np.multiply.outer(p_values, normal))
 
 
 # radon_john data of the plane Gaussian on a cheap rule, for the scalar and
@@ -576,7 +583,7 @@ def test_the_table_builds_one_span_per_orientation_and_fill(monkeypatch):
     monkeypatch.setattr(inversion._LineDualField, "_fill", lambda self, p: fills.append(len(p)) or fill(self, p))
     rec = invert_radon(lambda zeta: radon_john(GAUSS, zeta, FIELD_SPEC), Dimensions(2, 2), PARAMS, FIELD_SPEC)
     values = rec(SMALL_POINTS)
-    assert len(fills) == 3
+    assert len(fills) == 2
     assert 0 < len(builds) <= FIELD_SPEC.orientation_samples * len(fills)
     assert np.array_equal(invert_radon(GAUSS, Dimensions(2, 2), PARAMS, FIELD_SPEC)(SMALL_POINTS), values)
 
@@ -594,9 +601,9 @@ def test_one_evaluation_grows_the_field_table_once(monkeypatch, form):
         points = CAP_POINTS[:5]
     assert len(fills) == 1
     rec(points)
-    assert len(fills) == 3  # one growth fills both sides of the offset grid
+    assert len(fills) == 2  # one growth is one fill, of both sides of the offset grid
     rec(points)
-    assert len(fills) == 3
+    assert len(fills) == 2
 
 
 def test_reconstruction_agrees_across_block_budgets(monkeypatch):
@@ -651,10 +658,11 @@ def table_line(angle):
     return FlatSpec(basis=np.array([[-normal[1], normal[0]]]), offset=normal)
 
 
-def table_offsets(line, p):
+def table_stack(line, p):
+    """The table's read-only stack of one orientation's lines at offsets p: the basis broadcast, and p * normal."""
     offsets = np.multiply.outer(np.asarray(p, dtype=float), line.offset)
     offsets.setflags(write=False)
-    return offsets
+    return np.broadcast_to(line.basis, offsets.shape[:1] + line.basis.shape), offsets
 
 
 angles = st.floats(0.0, math.pi, exclude_max=True)
@@ -665,8 +673,8 @@ angles = st.floats(0.0, math.pi, exclude_max=True)
 def test_field_rows_equal_the_scalar_lines(angle, p):
     # 300 lines of 128 nodes take three chunks
     line = table_line(angle)
-    offsets = table_offsets(line, p)
-    rows = inversion._line_rows(GAUSS, FIELD_SPEC)(line.basis, offsets)
+    bases, offsets = table_stack(line, p)
+    rows = inversion._line_values(GAUSS, FIELD_SPEC)(bases, offsets)
     want = [radon_john(GAUSS, _unchecked_flat(line.basis, offset), FIELD_SPEC) for offset in offsets]
     assert np.array_equal(rows, want)
 
@@ -677,8 +685,8 @@ def test_field_rows_equal_the_scalar_sections(family, angle, p):
     # 600 sections of 32 nodes take two chunks
     f = sphere_scene_field(family)
     line = table_line(angle)
-    offsets = table_offsets(line, p)
-    rows = inversion._slice_rows(f, SECTION_SPEC)(line.basis, offsets)
+    bases, offsets = table_stack(line, p)
+    rows = inversion._slice_values(f, SECTION_SPEC)(bases, offsets)
     want = [slice_transform(f, section_to_plane(_unchecked_flat(line.basis, offset)), SECTION_SPEC)
             for offset in offsets]
     assert np.array_equal(rows, want)
@@ -726,12 +734,12 @@ def test_kernel_ladder_equals_the_hand_built_one(monkeypatch, eps, outer_R, n):
 
     def h(P):
         r2 = np.sum(P**2, axis=-1)
-        return np.exp(-r2) / (1.0 + r2)
+        return (np.exp(-r2) / (1.0 + r2))[:, None]
 
     X = np.random.default_rng(n).uniform(-1.0, 1.0, size=(6, n))
-    values, _, _ = inversion._riesz_batch(h, X, params, spec)
+    values = inversion._riesz_batch(h, X, params, spec)
     monkeypatch.setattr(inversion, "composite_gauss", lambda lo, hi, m: _reference_ladder(4.0 * lo, hi, m)[:2])
-    reference, _, _ = inversion._riesz_batch(h, X, params, spec)
+    reference = inversion._riesz_batch(h, X, params, spec)
     assert np.array_equal(values, reference)
 
 
@@ -747,7 +755,7 @@ def test_kernel_ladder_closes_at_outer_R():
 
     def h(P):
         seen.append(P[:, 0].copy())
-        return np.exp(-P[:, 0] ** 2)
+        return np.exp(-P[:, 0] ** 2)[:, None]
 
     inversion._riesz_batch(h, np.zeros((1, 1)), params, spec)
     # at x = 0 the points are -rho * omega for omega = +1, -1, node by node
