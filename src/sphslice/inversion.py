@@ -31,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Dimensions, _check_flats, _freeze
-from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, sphere_rule
+from .quadrature import QuadratureSpec, _interp_spline, composite_gauss, gauss_legendre, sphere_rule
 # gauss_legendre, flat_through and orientation_set are unused here but stay
 # importable as inversion.<name>: the traced benchmark (bench/tracer.py)
 # replaces them.  So does RectBivariateSpline, which module __getattr__ below
 # gives, so that importing this module does not load scipy.interpolate.
 from .transforms import (PlaneField, SphereField, _blocks, _flat_sums, _per_flat, _slice_sums, _warn,
-                         flat_through, op_B_inverse, orientation_set, section_to_plane)
+                         _warn_on_pole_growth, _warn_on_slow_decay, flat_through, op_B_inverse,
+                         orientation_set, section_to_plane)
 from .zonal import sigma
 
 __all__ = [
@@ -368,15 +369,14 @@ class _LineDualField:
         """
         radius = float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else -1.0
         if radius > self._filtered_radius:
-            from scipy.interpolate import BSpline, make_interp_spline
-
             reach = radius + ROW_PAD
             self._ensure(reach + params.ell * params.outer_R)
-            rows = make_interp_spline(self._p, self._table.T, k=5)
+            rows = _interp_spline(self._p, self._table.T, 5)
             nodes = self._p[np.abs(self._p) <= reach]
             values = _riesz_batch(lambda P: rows(P[:, 0]), nodes[:, None], params, spec)
-            fit = make_interp_spline(nodes, values, k=5)
-            self._filtered_rows = [BSpline(fit.t, fit.c[:, i], fit.k) for i in range(len(self._normals))]
+            del rows  # one spline's coefficients at a time
+            fit = _interp_spline(nodes, values, 5)
+            self._filtered_rows = [fit.channel(i) for i in range(len(self._normals))]
             self._filtered_radius = radius
         return self._mean(X, self._filtered_rows)
 
@@ -401,10 +401,13 @@ def _line_values(phi, spec: QuadratureSpec):
 
     phi is a PlaneField, whose values are the radon_john integrals of one
     _flat_sums stack, or a callable taking a FlatSpec, called once per line
-    in stack order.  Both give the bits of one radon_john call per line.
+    in stack order.  Both give the bits of one radon_john call per line.  A
+    PlaneField's decay is checked here, once for the whole table, and not
+    by each fill.
     """
     if isinstance(phi, PlaneField):
-        return functools.partial(_flat_sums, phi, spec=spec)
+        _warn_on_slow_decay(phi, 1)
+        return functools.partial(_flat_sums, phi, spec=spec, check=False)
     return _per_flat(phi)
 
 
@@ -414,10 +417,12 @@ def _slice_values(F, spec: QuadratureSpec):
     F is a SphereField, whose values are the slice_transform integrals of one
     _slice_sums stack, or a callable taking a SlicePlane, called once per
     line in stack order.  Both give the bits of one slice_transform call per
-    plane.
+    plane.  A SphereField's pole growth is checked here, once for the whole
+    table, and not by each fill.
     """
     if isinstance(F, SphereField):
-        return functools.partial(_slice_sums, F, spec=spec)
+        _warn_on_pole_growth(F, 2)
+        return functools.partial(_slice_sums, F, spec=spec, check=False)
     return _per_flat(lambda zeta: F(section_to_plane(zeta)))
 
 
@@ -450,15 +455,19 @@ def invert_radon(phi, dims: Dimensions, params: RieszParams, spec: QuadratureSpe
     in the plane (dims.n 2, k_order 1) are supported; other dimensions raise
     NotImplementedError here, before any data is computed.
     """
-    return _backprojected(_line_values(phi, spec), dims, params, spec)
+    return _backprojected(_line_values, phi, dims, params, spec)
 
 
-def _backprojected(values, dims: Dimensions, params: RieszParams, spec: QuadratureSpec) -> PlaneField:
-    """invert_radon of the line data that values(bases, offsets) gives (see _LineDualField)."""
+def _backprojected(table_values, data, dims: Dimensions, params: RieszParams,
+                   spec: QuadratureSpec) -> PlaneField:
+    """invert_radon of the line data that table_values(data, spec) gives (see _LineDualField).
+
+    The dimensions are checked before table_values checks the data.
+    """
     if not 1 <= params.k_order < dims.n:
         raise ValueError("flat order must satisfy 1 <= k_order < n")
     _require_lines_in_plane(params.k_order, dims.n)
-    table = _LineDualField(values, spec)
+    table = _LineDualField(table_values(data, spec), spec)
     constant = coeff_c(params.k_order, dims.n)
 
     def eval_field(x):
@@ -483,4 +492,4 @@ def invert_slice(F, dims: Dimensions, params: RieszParams, spec: QuadratureSpec)
     """
     if params.k_order != dims.k - 1:
         raise ValueError("params.k_order must equal dims.k - 1 for slice inversion")
-    return op_B_inverse(_backprojected(_slice_values(F, spec), dims, params, spec), dims)
+    return op_B_inverse(_backprojected(_slice_values, F, dims, params, spec), dims)

@@ -5,6 +5,10 @@ dyadically widening panels.  That keeps nodes dense near the origin (where
 integrands vary on scale one) while reaching very large truncation radii with
 a node count that grows only logarithmically in the cutoff, which matters for
 slowly decaying integrands pulled back from the sphere.
+
+The module also holds the package's one interpolating spline (_interp_spline),
+which the inversion fits to its line-data rows and zonal_invert to its
+profile grid.
 """
 
 from __future__ import annotations
@@ -217,3 +221,151 @@ def _flat_template(d: int, radial_cutoff: float, radial_order: int, sphere_order
     intrinsic = np.asfortranarray((rho[:, None, None] * dirs[None, :, :]).reshape(-1, d))
     weights = (w_rho * rho ** (d - 1))[:, None] * w_dir[None, :]
     return _read_only(intrinsic, weights.ravel())
+
+
+# Rows per diagonal block of the spline systems (see _banded_solve).
+_SOLVE_BLOCK = 32
+
+
+class _Spline:
+    """A piecewise polynomial on the breakpoints x (n,), with coefficients c (k + 1, n - 1, ...).
+
+    Piece j is sum_r c[r, j] (s - x[j])^(k - r), highest power first; the
+    axes after the second are channels.  Calls evaluate every channel at once
+    and extend the end pieces beyond [x[0], x[-1]].
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
+
+    def __call__(self, s) -> np.ndarray:
+        """Values at s, shaped s.shape + the channel shape."""
+        s = np.asarray(s, dtype=float)
+        piece = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, len(self.x) - 2)
+        channels = self.c.shape[2:]
+        # ds is repeated over the channels and each power's coefficients are
+        # gathered row by row, so that Horner's rule runs over contiguous arrays
+        ds = np.repeat(s - self.x[piece], math.prod(channels)).reshape(s.shape + channels)
+        acc = self.c[0].take(piece, axis=0)
+        for cr in self.c[1:]:
+            acc *= ds
+            acc += cr.take(piece, axis=0)
+        return acc
+
+    def channel(self, i: int) -> _Spline:
+        """Channel i alone, sharing this spline's memory."""
+        return _Spline(self.x, self.c[:, :, i])
+
+
+def _interp_spline(x: np.ndarray, y: np.ndarray, k: int) -> _Spline:
+    """The not-a-knot interpolating spline of odd degree k through (x, y), y of shape (n, ...).
+
+    The knots are scipy's for make_interp_spline(x, y, k) (de Boor, A
+    Practical Guide to Splines, XIII(12)): x[0] k + 1 times, x[m + 1:-m - 1]
+    with m = (k - 1) / 2, then x[-1] k + 1 times; at k = 3 this is
+    CubicSpline's not-a-knot spline.  x must be strictly increasing with
+    n >= k + 1 points.  The B-spline collocation matrix is totally positive,
+    so it is solved without pivoting between blocks (see _banded_solve), and
+    the spline is returned in piecewise-polynomial form on the pieces
+    [x[j], x[j + 1]].
+    """
+    n = len(x)
+    m = (k - 1) // 2
+    t = np.concatenate([np.full(k + 1, x[0]), x[m + 1:n - m - 1], np.full(k + 1, x[-1])])
+    # interval l of each point, t[l] <= x < t[l + 1], the last point in the last one
+    left = np.minimum(np.searchsorted(t, x, side="right") - 1, n - 1)
+    basis = _bspline_basis(t, left, x, k)
+    y2 = y.reshape(n, -1)
+    pieces = np.empty((k + 1, n - 1, y2.shape[1]))
+    # Piece j's Taylor coefficients at x[j]: the value there is y[j], and the
+    # r-th derivative, divided by r!, follows from the derivative's B-spline
+    # coefficients (degree p = k - r, held from index r on); those of the
+    # p + 1 B-splines nonzero at x[j] sit at left[j] - k + a, a = 0, ..., p.
+    pieces[k] = y2[:-1]
+    coef = _banded_solve(left - k, basis[k], y2)
+    first = left[:-1] - k
+    scale = 1.0
+    for r in range(1, k + 1):
+        p = k - r
+        coef = (p + 1) * (coef[1:] - coef[:-1]) / (t[r + p + 1:n + p + 1] - t[r:n])[:, None]
+        scale *= r
+        acc = pieces[k - r]
+        np.multiply(basis[p][:-1, :1], coef[first], out=acc)
+        for a in range(1, p + 1):
+            acc += basis[p][:-1, a:a + 1] * coef[first + a]
+        acc /= scale
+    return _Spline(x, pieces.reshape((k + 1, n - 1) + y.shape[1:]))
+
+
+def _bspline_basis(t: np.ndarray, left: np.ndarray, x: np.ndarray, k: int) -> list[np.ndarray]:
+    """The B-splines of each degree p <= k nonzero at x: p + 1 values (len(x), p + 1) per degree.
+
+    Point i lies in the knot interval left[i]; its values are those of the
+    B-splines with first knots left[i] - p, ..., left[i] (Cox-de Boor).
+    """
+    values = [np.ones((len(x), 1))]
+    right = [t[left + 1 + r] - x for r in range(k)]
+    below = [x - t[left - r] for r in range(k)]
+    for p in range(1, k + 1):
+        prev = values[-1]
+        cur = np.zeros((len(x), p + 1))
+        for r in range(p):
+            term = prev[:, r] / (right[r] + below[p - 1 - r])
+            cur[:, r] += right[r] * term
+            cur[:, r + 1] = below[p - 1 - r] * term
+        values.append(cur)
+    return values
+
+
+def _banded_solve(start: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A z = rhs (n, C), where row i of A holds rows[i] at columns start[i], start[i] + 1, ...
+
+    Entries that are zero may lie outside the matrix.  Up to 4 * _SOLVE_BLOCK
+    rows are one dense system.  More are cut into blocks of _SOLVE_BLOCK
+    rows, and every diagonal block is solved in one batched call, together
+    with its couplings to the first wu unknowns of the next block and to the
+    last wl of the previous one (the spikes).  Those wu + wl unknowns per
+    block form a banded system of their own, solved the same way, and the
+    rest follow from them.  LAPACK pivots within a block, nothing between
+    blocks: a collocation matrix is totally positive, so its diagonal blocks
+    are nonsingular and elimination without pivoting is stable (de Boor).
+    """
+    n, width = rows.shape
+    i = np.repeat(np.arange(n), width)
+    j = (start[:, None] + np.arange(width)).ravel()
+    vals = rows.ravel()
+    nonzero = vals != 0.0
+    i, j, vals = i[nonzero], j[nonzero], vals[nonzero]
+    b = _SOLVE_BLOCK if n > 4 * _SOLVE_BLOCK else n
+    nb = -(-n // b)
+    blk, ri = np.divmod(i, b)
+    cj = j - blk * b
+    after, before = cj >= b, cj < 0
+    wu = int(cj[after].max()) - b + 1 if after.any() else 0
+    wl = -int(cj[before].min()) if before.any() else 0
+    C = rhs.shape[1]
+    D = np.zeros((nb, b, b))
+    D[nb - 1].flat[np.arange(n - (nb - 1) * b, b) * (b + 1)] = 1.0  # the padding's identity
+    # right-hand sides: the data, then the columns of the next block's first
+    # wu unknowns, then those of the previous block's last wl
+    sides = np.zeros((nb, b, C + wu + wl))
+    sides.reshape(nb * b, -1)[:n, :C] = rhs
+    inside = ~(after | before)
+    D[blk[inside], ri[inside], cj[inside]] = vals[inside]
+    sides[blk[after], ri[after], C + cj[after] - b] = vals[after]
+    sides[blk[before], ri[before], C + wu + wl + cj[before]] = vals[before]
+    sol = np.linalg.solve(D, sides)
+    g, V, W = sol[..., :C], sol[..., C:C + wu], sol[..., C + wu:]
+    if nb > 1:
+        # The row of an end unknown holds W's row on the previous block's
+        # last wl ends, its own 1, and V's row on the next block's first wu;
+        # the first block's W and the last one's V are zero.
+        e = wu + wl
+        ends = np.r_[:wu, b - wl:b]
+        reduced = np.concatenate([W[:, ends], np.broadcast_to(np.eye(e), (nb, e, e)), V[:, ends]], axis=2)
+        starts = np.repeat(np.arange(nb) * e - wl, e)
+        z = _banded_solve(starts, reduced.reshape(nb * e, -1), g[:, ends].reshape(nb * e, C)).reshape(nb, e, C)
+        g = g.copy()
+        g[:-1] -= V[:-1] @ z[1:, :wu]
+        g[1:] -= W[1:] @ z[:-1, wu:]
+    return g.reshape(nb * b, -1)[:n]

@@ -129,19 +129,29 @@ def _span_of(basis: bytes, shape: tuple, spec: QuadratureSpec):
     return span, weights
 
 
-def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec) -> list[float]:
-    """slice_transform of f over each plane whose trace is a flat of the (C, d, n), (C, n) stack."""
+def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec, *,
+                check: bool = True) -> list[float]:
+    """slice_transform of f over each plane whose trace is a flat of the (C, d, n), (C, n) stack.
+
+    check=False skips the pole-growth warning, for a caller that checked once for all its stacks.
+    """
     k = bases.shape[1] + 1
-    _warn_on_pole_growth(f, k)
+    if check:
+        _warn_on_pole_growth(f, k)
     size = len(sphere_rule(k - 1, spec.sphere_order)[1])
     return _stack_sums(f, bases, offsets, lambda b, v: _section_nodes(b, v, spec.sphere_order), size,
                        "the cross-section")
 
 
-def _flat_sums(g: PlaneField, bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec) -> list[float]:
-    """radon_john of g over each flat of the (C, d, n), (C, n) stack."""
+def _flat_sums(g: PlaneField, bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec, *,
+               check: bool = True) -> list[float]:
+    """radon_john of g over each flat of the (C, d, n), (C, n) stack.
+
+    check=False skips the decay warning, for a caller that checked once for all its stacks.
+    """
     d = bases.shape[1]
-    _warn_on_slow_decay(g, d)
+    if check:
+        _warn_on_slow_decay(g, d)
     size = len(_flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)[1])
     return _stack_sums(g, bases, offsets, lambda b, v: _flat_nodes(b, v, spec), size, "the flat")
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Dimensions
-from .quadrature import QuadratureSpec, composite_gauss, gauss_legendre, panel_edges
+from .quadrature import QuadratureSpec, _interp_spline, composite_gauss, gauss_legendre, panel_edges
 # gauss_legendre, panel_edges and nu are unused here but stay importable as
 # zonal.<name>: the traced benchmark (bench/tracer.py) replaces them.
 from .stereo import nu
@@ -221,9 +221,7 @@ def zonal_invert(F0: Callable[[float], float], dims: Dimensions) -> ZonalProfile
         H = W / math.gamma(beta)
     values = H * (1.0 + u) ** (k - 1) / (2.0 ** (k - 2) * sigma(k - 2))
 
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(xi, values)
+    spline = _interp_spline(xi, values, 3)
     lo, hi = float(s[0]), float(s[-1])
 
     def f0(sq: np.ndarray) -> np.ndarray:

@@ -741,6 +741,18 @@ def test_factor_check_on_lines_loads_no_scipy(tmp_path, capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+def test_invert_on_lines_loads_no_scipy_interpolate(tmp_path):
+    # the golden invert run: its evaluation grid, a rule on S^2, loads
+    # scipy.special, but the inversion's splines are numpy's
+    scene = tmp_path / "gauss22.scene"
+    scene.write_text(GAUSS22)
+    argv = ["invert", str(scene), "--sphere-order", "8", "--grid-order", "4", "--radial-order", "16"]
+    code = ("import sys\nfrom sphslice.cli import main\ncode = main(%r)\n"
+            "print('scipy.interpolate' in sys.modules, code, file=sys.stderr)" % argv)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stderr == "False 0\n"
+
+
 def test_factor_check_bytes_do_not_depend_on_the_blas_threads(tmp_path):
     # (3, 3) builds its 2-flat rules with a stacked matrix product
     scene = tmp_path / "scene.txt"

@@ -22,6 +22,7 @@ from sphslice import (
     invert_slice,
     radon_john,
     riesz_derivative,
+    SphereField,
     section_to_plane,
     slice_transform,
     sphere_rule,
@@ -234,8 +235,8 @@ def test_reconstruction_warns_at_the_callers_line():
 
 
 def test_slow_decay_warns_at_the_callers_line():
-    # the table fill checks the decay once per orientation, and the growth
-    # during evaluation again: every warning names a line of this test
+    # the table checks the decay once, before its first fill: every warning
+    # names a line of this test
     g = PlaneField(lambda x: (1.0 + np.sum(np.asarray(x) ** 2, axis=-1)) ** -0.25, decay_exponent=0.5)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
@@ -243,6 +244,32 @@ def test_slow_decay_warns_at_the_callers_line():
         F(np.zeros(2))
     assert any("decay exponent does not exceed" in str(w.message) for w in record)
     assert {w.filename for w in record} == {__file__}
+
+
+@pytest.mark.parametrize("field_form", ["plane", "sphere"])
+def test_field_table_checks_its_field_once(field_form):
+    # one decay or pole-growth warning across construction and the first
+    # evaluation, whose growth fills the table again, at any orientation count
+    if field_form == "plane":
+        g = PlaneField(lambda x: (1.0 + np.sum(np.asarray(x) ** 2, axis=-1)) ** -0.25, decay_exponent=0.5)
+        invert, point, message = invert_radon, np.zeros(2), "decay exponent does not exceed"
+    else:
+        g = SphereField(lambda eta: np.ones(np.shape(eta)[:-1]), pole_exponent=0.5)
+        invert, point, message = invert_slice, np.array([0.0, 0.0, -1.0]), "pole growth exponent"
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        F = invert(g, Dimensions(2, 2), RieszParams(1), SMALL_TABLE)
+        F(point)
+    assert [message in str(w.message) for w in record] == [True]
+    assert record[0].filename == __file__
+
+
+def test_unsupported_dimensions_raise_before_the_field_check():
+    g = PlaneField(lambda x: np.ones(np.shape(x)[:-1]), decay_exponent=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotImplementedError):
+            invert_radon(g, Dimensions(3, 2), RieszParams(1), SMALL_TABLE)
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e6])

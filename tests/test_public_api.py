@@ -63,9 +63,9 @@ def test_readme_api_section_names_every_export():
     assert not undocumented
 
 
-# Cold start: scipy loads only inside the calls that use it (sphere rules of
-# dimension >= 2, the inversion's splines and zonal_invert), so each check
-# runs in a fresh interpreter.
+# Cold start: scipy loads only inside the calls that use it, sphere rules of
+# dimension >= 2 (roots_gegenbauer); the inversion's and zonal_invert's
+# splines are numpy's.  Each check runs in a fresh interpreter.
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
@@ -79,6 +79,28 @@ def _fresh(code: str) -> str:
 @pytest.mark.parametrize("module", ["sphslice", "sphslice.cli"])
 def test_import_loads_no_scipy(module):
     assert _fresh(f"import {module}\nprint({SCIPY_MODULES})") == "[]\n"
+
+
+def test_field_form_line_inversion_loads_no_scipy():
+    out = _fresh("import numpy as np\n"
+                 "from sphslice import Dimensions, PlaneField, QuadratureSpec, RieszParams, invert_radon\n"
+                 "g = PlaneField(lambda x: np.exp(-np.sum(x * x, axis=-1)))\n"
+                 "spec = QuadratureSpec(sphere_order=16, radial_order=32, orientation_samples=4)\n"
+                 "F = invert_radon(g, Dimensions(2, 2), RieszParams(1), spec)\n"
+                 "assert abs(F(np.zeros(2)) - 1.0) < 0.1\n"
+                 f"print({SCIPY_MODULES})")
+    assert out == "[]\n"
+
+
+def test_zonal_invert_on_lines_loads_no_scipy():
+    out = _fresh("import numpy as np\n"
+                 "from sphslice import Dimensions, QuadratureSpec, ZonalProfile, zonal_forward, zonal_invert\n"
+                 "dims, spec = Dimensions(3, 2), QuadratureSpec(radial_order=32)\n"
+                 "profile = ZonalProfile(lambda s: np.exp(-s * s))\n"
+                 "recovered = zonal_invert(lambda t: zonal_forward(profile, t, dims, spec), dims)\n"
+                 "assert abs(recovered(1.0) - np.exp(-1.0)) < 1e-3\n"
+                 f"print({SCIPY_MODULES})")
+    assert out == "[]\n"
 
 
 def test_tracer_spline_name_is_scipys_and_loads_it_on_access():

@@ -195,3 +195,84 @@ def test_flat_rule_is_bit_identical_to_the_broadcast_formula(flat_dim):
             assert nodes.shape == (len(intrinsic), n)
             assert nodes.flags.f_contiguous
             assert np.array_equal(nodes, zeta.offset[None, :] + intrinsic @ zeta.basis)
+
+
+# The inversion's and zonal_invert's splines: quadrature._interp_spline, a
+# numpy not-a-knot interpolant, against scipy's (imported by the tests only).
+def _assert_agrees(spline, reference, s):
+    want = reference(s)
+    got = spline(s)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _beyond_both_ends(x, reach):
+    """Points from reach spacings before x[0] to reach spacings after x[-1], and every node and midpoint."""
+    lo, hi = x[0] - reach * (x[1] - x[0]), x[-1] + reach * (x[-1] - x[-2])
+    return np.concatenate([np.linspace(lo, hi, 4001), x, 0.5 * (x[1:] + x[:-1])])
+
+
+def _table_offsets():
+    """The offsets of a line table grown as the benchmark's reconstruction grows it: 0.02 to 10, then 0.2 steps."""
+    from sphslice.inversion import _LineDualField
+
+    table = _LineDualField(lambda bases, offsets: np.zeros(len(offsets)), QuadratureSpec(orientation_samples=2))
+    table._ensure(2.0 * math.sqrt(2.0) + 0.5 + 30.0)
+    return table._p
+
+
+def test_quintic_agrees_with_scipy_on_the_table_offsets():
+    from scipy.interpolate import make_interp_spline
+
+    p = _table_offsets()
+    steps = np.round(np.diff(p), 12)
+    assert set(steps) == {0.02, 0.2}
+    rng = np.random.default_rng(5)
+    y = np.exp(-np.outer(p * p, rng.uniform(0.2, 2.0, 8))) + 1e-3 * rng.standard_normal((len(p), 8))
+    _assert_agrees(quadrature._interp_spline(p, y, 5), make_interp_spline(p, y, k=5), _beyond_both_ends(p, 2))
+
+
+def test_cubic_agrees_with_cubic_spline_on_the_zonal_grid():
+    from scipy.interpolate import CubicSpline
+
+    from sphslice.zonal import GRID_POINTS, S_MAX, S_MIN
+
+    xi = np.log(np.geomspace(S_MIN, S_MAX, GRID_POINTS))
+    values = np.exp(-0.25 * xi * xi) * np.cos(xi)
+    _assert_agrees(quadrature._interp_spline(xi, values, 3), CubicSpline(xi, values), _beyond_both_ends(xi, 2))
+
+
+@given(st.sampled_from([3, 5]), st.integers(0, 60), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_agrees_with_scipy_on_nonuniform_grids(k, extra, channels, seed):
+    from scipy.interpolate import make_interp_spline
+
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.1, 1.0, k + 1 + extra)) - 3.0
+    y = rng.uniform(-1.0, 1.0, (len(x), channels))
+    _assert_agrees(quadrature._interp_spline(x, y, k), make_interp_spline(x, y, k=k), _beyond_both_ends(x, 1))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("n_extra", [0, 1, 200])
+def test_polynomials_of_degree_up_to_k_are_reproduced(k, n_extra):
+    x = np.cumsum(np.random.default_rng(k + n_extra).uniform(0.05, 0.3, k + 1 + n_extra))
+    s = _beyond_both_ends(x, 1)
+    for degree in range(k + 1):
+        coefs = np.arange(1.0, degree + 2.0) * (-1.0) ** np.arange(degree + 1)
+        y = np.polynomial.polynomial.polyval(x, coefs)
+        want = np.polynomial.polynomial.polyval(s, coefs)
+        assert np.max(np.abs(quadrature._interp_spline(x, y, k)(s) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_spline_evaluates_every_channel_and_one_at_a_time():
+    x = np.linspace(-1.0, 2.0, 30)
+    y = np.stack([np.sin(x), np.cos(x), x**2], axis=1).reshape(30, 3, 1)
+    spline = quadrature._interp_spline(x, y, 5)
+    s = np.array([[-1.5, 0.3], [1.99, 2.5]])
+    values = spline(s)
+    assert values.shape == (2, 2, 3, 1)
+    row = quadrature._interp_spline(x, y[:, :, 0], 5)
+    for i in range(3):
+        assert np.array_equal(row.channel(i)(s), row(s)[..., i])
+    assert np.array_equal(values[..., 0], row(s))
