@@ -3,7 +3,7 @@
 Every subcommand reads a scene file (key = value lines, see scenes.py),
 computes with fixed seeds, and writes comma-separated output with a
 #-prefixed provenance header, so identical configurations give byte-identical
-files within one environment (the same Python, numpy and scipy); across
+files within one environment (the same Python, numpy and BLAS build); across
 environments the last printed digits may differ.  A subcommand accepts, and
 its header prints, only the settings its computation reads; zonal-invert
 also takes --sphere-order, which it does not read.  Exit codes:

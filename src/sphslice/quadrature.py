@@ -1,5 +1,9 @@
 """Quadrature rules: Gauss-Legendre segments, product rules on spheres, truncated flats.
 
+Every 1-D Gauss rule comes from one numpy builder, _gauss_gegenbauer: the
+Gauss-Legendre rules are its alpha = 1/2 case, and the polar factors of the
+sphere rules its alpha = (d - 1)/2 cases.
+
 Radial integrals over half-lines are handled by composite Gauss-Legendre on
 dyadically widening panels.  That keeps nodes dense near the origin (where
 integrands vary on scale one) while reaching very large truncation radii with
@@ -14,11 +18,11 @@ profile grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureSpec",
@@ -40,6 +44,9 @@ class QuadratureSpec:
                         that invert_radon and invert_slice filter and
                         backproject
     seed                seeds orientation sampling and random plane draws
+
+    The orders, the sample count and the seed must be Python or numpy
+    integers; any float, even 8.0, is refused rather than truncated.
     """
 
     sphere_order: int = 64
@@ -49,6 +56,11 @@ class QuadratureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("sphere_order", "radial_order", "orientation_samples", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if min(self.sphere_order, self.radial_order, self.orientation_samples) < 1:
             raise ValueError("orders and sample counts must be positive")
         if not math.isfinite(self.radial_cutoff) or self.radial_cutoff < 1.0:
@@ -68,19 +80,71 @@ def _read_only(*arrays):
     return arrays
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order: int):
-    # Cached reference rule on [-1, 1]; callers rescale, never mutate.
-    return _read_only(*leggauss(order))
+def _rule_order(order) -> int:
+    """order as an int: a Python or numpy integer of at least 1, never a truncated float."""
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise TypeError(f"order must be an integer, got {order!r}") from None
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return order
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: the order 8.0 misses 8's entry and is refused
+def _gauss_gegenbauer(order: int, alpha: float):
+    """Gauss-Gegenbauer nodes and weights on [-1, 1] for the weight (1 - x^2)^(alpha - 1/2), alpha > 0.
+
+    Cached and read-only; callers rescale, never mutate.  The nodes are the
+    eigenvalues of the Jacobi matrix (Golub and Welsch 1969), refined by two
+    Newton steps on the Gegenbauer polynomial C of degree order.  The
+    weights are 1/((1 - x^2) C'(x)^2), symmetrized with the nodes and scaled
+    to sum to the weight's integral sqrt(pi) Gamma(alpha + 1/2) / Gamma(alpha + 1).
+    """
+    m = _rule_order(order)
+    n = np.arange(1.0, m)
+    # the Jacobi matrix's subdiagonal: the orthonormal polynomials' recurrence coefficients
+    subdiagonal = np.sqrt(n * (n + 2.0 * alpha - 1.0) / (4.0 * (n + alpha) * (n + alpha - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(subdiagonal, -1))
+    for _ in range(2):
+        c, dc = _gegenbauer_values(x, m, alpha)
+        x = x - c / dc
+    c, dc = _gegenbauer_values(x, m, alpha)
+    # The Newton step left, -c / dc, is below the nodes' resolution.  By the
+    # Gegenbauer equation, (1 - x^2) C'(x)^2 has the logarithmic derivative
+    # 4 alpha x / (1 - x^2) at a root, so the weights take that step to
+    # first order.
+    sin2 = 1.0 - x * x
+    w = (1.0 + 4.0 * alpha * x * (c / dc) / sin2) / (sin2 * dc * dc)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    w *= math.sqrt(math.pi) * math.gamma(alpha + 0.5) / math.gamma(alpha + 1.0) / w.sum()
+    return _read_only(x, w)
+
+
+def _gegenbauer_values(x: np.ndarray, m: int, alpha: float):
+    """C and C' at x, C the Gegenbauer polynomial of degree m and parameter alpha.
+
+    The three-term recurrence (j + 1) C_{j+1} = 2 (j + alpha) x C_j - (j + 2 alpha - 1) C_{j-1}
+    has coefficients that are exact in floating point for the half-integer
+    alpha of the sphere rules, which is what keeps the Newton steps' roots
+    within about an ulp of the true nodes.
+    """
+    c_prev, c = np.zeros_like(x), np.ones_like(x)
+    dc_prev, dc = np.zeros_like(x), np.zeros_like(x)
+    for j in range(m):
+        a, b = 2.0 * (j + alpha), j + 2.0 * alpha - 1.0
+        c_prev, c = c, (a * x * c - b * c_prev) / (j + 1.0)
+        dc_prev, dc = dc, (a * (c_prev + x * dc) - b * dc_prev) / (j + 1.0)
+    return c, dc
 
 
 def gauss_legendre(order: int, a: float, b: float):
     """Gauss-Legendre nodes and weights on [a, b], exact through degree 2*order - 1."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _rule_order(order)
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    x, w = _leggauss(int(order))
+    x, w = _gauss_gegenbauer(order, 0.5)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w
@@ -121,15 +185,14 @@ def sphere_rule(d: int, order: int):
     Returns (nodes, weights) with nodes of shape (m, d+1) and positive weights
     summing to the sphere area.  d = 0 is the two-point set {+1, -1}; d = 1 is
     the uniform circle rule; d >= 2 is a product of a Gauss-Gegenbauer rule in
-    the polar cosine with a recursive rule on the equatorial sphere.  Exact for
-    spherical polynomials of degree up to the requested order.  The arrays are
-    cached per (d, order) and read-only.
+    the polar cosine (_gauss_gegenbauer, alpha = (d - 1)/2) with a recursive
+    rule on the equatorial sphere.  Exact for spherical polynomials of degree
+    up to the requested order.  The arrays are cached per (d, order) and
+    read-only.
     """
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _sphere_rule(d, order)
+    return _sphere_rule(d, _rule_order(order))
 
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
@@ -142,11 +205,7 @@ def _sphere_rule(d: int, order: int):
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
         return _read_only(nodes, np.full(m, 2.0 * np.pi / m))
     # Polar weight (1 - z^2)^{(d-2)/2} corresponds to Gegenbauer alpha = (d-1)/2.
-    # scipy.special loads here, on the first rule of dimension >= 2, so that
-    # circles and lines never pay for it.
-    from scipy.special import roots_gegenbauer
-
-    z, wz = roots_gegenbauer(order, 0.5 * (d - 1))
+    z, wz = _gauss_gegenbauer(order, 0.5 * (d - 1))
     sub_nodes, sub_w = _sphere_rule(d - 1, order)
     sin_pol = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
     nodes = np.concatenate(
@@ -260,10 +319,10 @@ class _Spline:
 def _interp_spline(x: np.ndarray, y: np.ndarray, k: int) -> _Spline:
     """The not-a-knot interpolating spline of odd degree k through (x, y), y of shape (n, ...).
 
-    The knots are scipy's for make_interp_spline(x, y, k) (de Boor, A
-    Practical Guide to Splines, XIII(12)): x[0] k + 1 times, x[m + 1:-m - 1]
-    with m = (k - 1) / 2, then x[-1] k + 1 times; at k = 3 this is
-    CubicSpline's not-a-knot spline.  x must be strictly increasing with
+    The knots are the not-a-knot choice (de Boor, A Practical Guide to
+    Splines, XIII(12)): x[0] k + 1 times, x[m + 1:-m - 1] with
+    m = (k - 1) / 2, then x[-1] k + 1 times; at k = 3 this is the cubic
+    not-a-knot spline.  x must be strictly increasing with
     n >= k + 1 points.  The B-spline collocation matrix is totally positive,
     so it is solved without pivoting between blocks (see _banded_solve), and
     the spline is returned in piecewise-polynomial form on the pieces

@@ -63,9 +63,10 @@ def test_readme_api_section_names_every_export():
     assert not undocumented
 
 
-# Cold start: scipy loads only inside the calls that use it, sphere rules of
-# dimension >= 2 (roots_gegenbauer); the inversion's and zonal_invert's
-# splines are numpy's.  Each check runs in a fresh interpreter.
+# Cold start: no computation loads scipy.  Every quadrature rule and both
+# splines are the package's numpy code; only the traced benchmark's
+# inversion.RectBivariateSpline imports it, on access.  Each check runs in a
+# fresh interpreter.
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 

@@ -551,7 +551,9 @@ def test_kept_span_gives_the_stacked_bits(monkeypatch):
 
 
 def test_a_basis_changed_in_place_gets_a_fresh_span():
-    g = PlaneField(lambda x: np.exp(-np.sum(x * x, axis=-1)) * (1.0 + 0.5 * x[..., 1]))
+    # even in x[1], so the two lines through the origin below have different
+    # integrals, not only different rounding
+    g = PlaneField(lambda x: np.exp(-np.sum(x * x, axis=-1)) * (1.0 + 0.5 * x[..., 1] ** 2))
     spec = QuadratureSpec(sphere_order=8, radial_order=16, radial_cutoff=6.0)
     zeta = FlatSpec(np.array([[0.6, 0.8]]), np.zeros(2))  # owns its frozen basis
     first = radon_john(g, zeta, spec)
