@@ -727,29 +727,42 @@ def test_factor_check_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_pat
     assert len(outputs) == 1
 
 
-def test_invert_and_a_3_3_factor_check_load_no_scipy(tmp_path, capsys):
-    # Every rule and spline is the package's own numpy code: the golden
-    # (2, 2) invert run (its evaluation grid is a rule on S^2) and a (3, 3)
-    # factor-check (section rules on S^2) load no scipy module at all.  The
-    # fresh process writes the golden CSV and prints what an in-process run
-    # prints.
-    gauss22, gauss33, out = tmp_path / "gauss22.scene", tmp_path / "gauss33.scene", tmp_path / "invert.csv"
+def _run_fresh_loading_no_scipy(*argvs):
+    # Every rule and spline is the package's own numpy code: runs the CLI on
+    # each argv in one fresh interpreter, asserts that every exit code is 0
+    # and that no scipy module was loaded, and returns the process's stdout.
+    code = ("import sys\nfrom sphslice.cli import main\ncodes = [main(a) for a in %r]\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), codes, file=sys.stderr)"
+            % (list(argvs),))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stderr == "[] %r\n" % ([0] * len(argvs),)
+    return proc.stdout
+
+
+def test_factor_check_on_lines_loads_no_scipy(tmp_path, capsys):
+    # k = 2 needs only circle and line rules, and (3, 3) section rules on
+    # S^2; neither loads any scipy module, and the fresh process prints what
+    # an in-process run prints
+    gauss22, gauss33 = tmp_path / "gauss22.scene", tmp_path / "gauss33.scene"
     gauss22.write_text(GAUSS22)
     gauss33.write_text(GAUSS33)
-    invert = ["invert", str(gauss22), "--sphere-order", "8", "--grid-order", "4", "--radial-order", "16",
-              "--out", str(out)]
-    factor = ["factor-check", str(gauss33), "5", "--seed", "3", "--sphere-order", "32", "--radial-order", "32"]
-    code = ("import sys\nfrom sphslice.cli import main\ncodes = [main(%r), main(%r)]\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), codes, file=sys.stderr)"
-            % (invert, factor))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stderr == "[] [0, 0]\n"
+    argvs = [["factor-check", str(scene), "5", "--seed", "3", "--sphere-order", "32", "--radial-order", "32"]
+             for scene in (gauss22, gauss33)]
+    stdout = _run_fresh_loading_no_scipy(*argvs)
+    assert all(run(argv) == 0 for argv in argvs)
+    assert stdout == capsys.readouterr().out
+
+
+def test_invert_on_lines_loads_no_scipy_interpolate(tmp_path):
+    # the golden invert run (its evaluation grid is a rule on S^2) loads no
+    # scipy module at all, interpolate or otherwise, and writes the golden CSV
+    scene, out = tmp_path / "gauss22.scene", tmp_path / "invert.csv"
+    scene.write_text(GAUSS22)
+    stdout = _run_fresh_loading_no_scipy(["invert", str(scene), "--sphere-order", "8", "--grid-order", "4",
+                                          "--radial-order", "16", "--out", str(out)])
+    assert stdout.startswith("PASS sup_abs_err=")
     _assert_matches_golden(out.read_text().splitlines(),
                            (DATA / "invert_zonal_gaussian_n2k2.csv").read_text().splitlines())
-    invert_summary, factor_out = proc.stdout.split("\n", 1)
-    assert invert_summary.startswith("PASS sup_abs_err=")
-    assert run(factor) == 0
-    assert factor_out == capsys.readouterr().out
 
 
 def test_factor_check_bytes_do_not_depend_on_the_blas_threads(tmp_path):
