@@ -327,15 +327,47 @@ def _section_nodes(bases: np.ndarray, offsets: np.ndarray, order: int):
     radius are SlicePlane's (_trace_geometry), so plane i's values are the
     stack of one's bits.
     """
-    count, d, n = bases.shape
-    k = d + 1
+    sigma_nodes, sigma_w = _cross_section_rule(bases.shape[1] + 1, order, sphere_rule)
+    frames = _section_frames(bases, offsets)
+    return _section_points(frames, sigma_nodes), _section_weights(frames, sigma_w)
+
+
+def _cross_section_rule(k: int, order: int, build):
+    """build(k - 1, order): the rule on the unit (k-1)-sphere that the cross-sections of k-planes carry."""
     if order < k:
         raise ValueError("cross-section rule needs order >= k")
+    return build(k - 1, order)
+
+
+def _section_frames(bases: np.ndarray, offsets: np.ndarray):
+    """The cross-sections' geometry for _section_points and _section_weights, from _trace_geometry.
+
+    Returns the direction frames (C, n + 1, k), as the columns of each
+    plane's frame, the centers (n + 1, C, 1) and the radii (C, 1).
+    """
     dirs, centers, radii = _trace_geometry(bases, offsets)
-    sigma_nodes, sigma_w = sphere_rule(k - 1, order)
-    # center + r * (sigma_nodes @ dirs), built coordinate-major as in flat_rule.
-    nodes = np.empty((n + 1, count, len(sigma_w)))
-    np.matmul(np.array(dirs).transpose(0, 2, 1), sigma_nodes.T, out=nodes.transpose(1, 0, 2))
-    nodes *= np.array(radii)[:, None]
-    nodes += np.array(centers).T[:, :, None]
-    return nodes, sigma_w * np.array([r ** (k - 1) for r in radii])[:, None]
+    return np.array(dirs).transpose(0, 2, 1), np.array(centers).T[:, :, None], np.array(radii)[:, None]
+
+
+def _section_points(frames, sigma_nodes: np.ndarray) -> np.ndarray:
+    """center + r * (sigma_nodes @ dirs) on each plane of frames, for unit-sphere nodes (m, k): (n + 1, C, m).
+
+    Built coordinate-major as in flat_rule.  sigma_nodes may be a run of a
+    rule's nodes: each node's coordinates take the same products, with the
+    same BLAS call, as in the whole rule, unless the run is a single node,
+    which numpy hands to gemv instead of gemm.
+    """
+    dirs, centers, radii = frames
+    nodes = np.empty((dirs.shape[1], len(dirs), len(sigma_nodes)))
+    np.matmul(dirs, sigma_nodes.T, out=nodes.transpose(1, 0, 2))
+    nodes *= radii
+    nodes += centers
+    return nodes
+
+
+def _section_weights(frames, sigma_w: np.ndarray) -> np.ndarray:
+    """The unit-sphere weights sigma_w (m,) scaled by each plane's radius^(k-1): (C, m)."""
+    dirs, _, radii = frames
+    k = dirs.shape[2]
+    # Python's pow on each radius: numpy's powers of arrays differ in the last bit on some planes
+    return sigma_w * np.array([r ** (k - 1) for r in radii[:, 0].tolist()])[:, None]

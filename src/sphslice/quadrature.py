@@ -46,7 +46,8 @@ class QuadratureSpec:
     seed                seeds orientation sampling and random plane draws
 
     The orders, the sample count and the seed must be Python or numpy
-    integers; any float, even 8.0, is refused rather than truncated.
+    integers; any float, even 8.0, is refused rather than truncated, and so
+    is a bool.  The seed must not be negative.
     """
 
     sphere_order: int = 64
@@ -57,12 +58,12 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("sphere_order", "radial_order", "orientation_samples", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.sphere_order, self.radial_order, self.orientation_samples) < 1:
             raise ValueError("orders and sample counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not math.isfinite(self.radial_cutoff) or self.radial_cutoff < 1.0:
             raise ValueError("radial_cutoff must be finite and at least 1")
 
@@ -70,6 +71,10 @@ class QuadratureSpec:
 # Rules are built once per process for each key and returned read-only, so
 # every caller shares one copy.  The flat templates are the largest entries
 # (one node per pair of radial and angular nodes), hence their smaller cache.
+# A stack of planes shares one rule across all its planes without a cache, so
+# it builds its product rules (sphere rules and flat templates of dimension
+# >= 2) itself, from the cached 1-D rules, and drops them on return: see
+# _stack_sphere_rule and _stack_flat_template.
 _RULE_CACHE_SIZE = 64
 _TEMPLATE_CACHE_SIZE = 16
 
@@ -80,12 +85,22 @@ def _read_only(*arrays):
     return arrays
 
 
-def _rule_order(order) -> int:
-    """order as an int: a Python or numpy integer of at least 1, never a truncated float."""
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer: not a float, even 8.0, and not a bool."""
+    if isinstance(value, bool):
+        return False
     try:
-        order = operator.index(order)
+        operator.index(value)
     except TypeError:
-        raise TypeError(f"order must be an integer, got {order!r}") from None
+        return False
+    return True
+
+
+def _rule_order(order) -> int:
+    """order as an int: a Python or numpy integer of at least 1, never a truncated float or a bool."""
+    if not _is_integer(order):
+        raise TypeError(f"order must be an integer, got {order!r}")
+    order = operator.index(order)
     if order < 1:
         raise ValueError("order must be >= 1")
     return order
@@ -195,8 +210,12 @@ def sphere_rule(d: int, order: int):
     return _sphere_rule(d, _rule_order(order))
 
 
-@lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _sphere_rule(d: int, order: int):
+def _build_sphere_rule(d: int, order: int):
+    """sphere_rule's arrays, read-only, built anew; only the 1-D rules they are made of come from caches.
+
+    A product rule's nodes are written into one preallocated array: the
+    equatorial nodes scaled by each polar sine, then the polar cosine.
+    """
     if d == 0:
         return _read_only(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     if d == 1:
@@ -206,17 +225,22 @@ def _sphere_rule(d: int, order: int):
         return _read_only(nodes, np.full(m, 2.0 * np.pi / m))
     # Polar weight (1 - z^2)^{(d-2)/2} corresponds to Gegenbauer alpha = (d-1)/2.
     z, wz = _gauss_gegenbauer(order, 0.5 * (d - 1))
-    sub_nodes, sub_w = _sphere_rule(d - 1, order)
+    sub_nodes, sub_w = _stack_sphere_rule(d - 1, order)
     sin_pol = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
-    nodes = np.concatenate(
-        [
-            (sin_pol[:, None, None] * sub_nodes[None, :, :]).reshape(-1, d),
-            np.repeat(z, len(sub_nodes))[:, None],
-        ],
-        axis=1,
-    )
+    nodes = np.empty((len(z), len(sub_w), d + 1))
+    for c in range(d):
+        np.multiply(sin_pol[:, None], sub_nodes[:, c], out=nodes[:, :, c])
+    nodes[:, :, d] = z[:, None]
     weights = (wz[:, None] * sub_w[None, :]).ravel()
-    return _read_only(nodes, weights)
+    return _read_only(nodes.reshape(-1, d + 1), weights)
+
+
+_sphere_rule = lru_cache(maxsize=_RULE_CACHE_SIZE)(_build_sphere_rule)
+
+
+def _stack_sphere_rule(d: int, order: int):
+    """The sphere rule of a stack of planes: the cached rule for d <= 1, a new one it owns for d >= 2."""
+    return (_sphere_rule if d < 2 else _build_sphere_rule)(d, _rule_order(order))
 
 
 def flat_rule(zeta, spec: QuadratureSpec):
@@ -245,11 +269,19 @@ def _flat_nodes(bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec):
     that every flat of the stack shares.  Flat i's values are the stack of
     one's bits.
     """
-    nodes, weights = _flat_span(bases, spec)
-    # offset + intrinsic @ basis: the offset is added in one contiguous pass
-    # per coordinate.
+    intrinsic, weights = _flat_template(*_template_key(bases.shape[1], spec))
+    return _flat_points(bases, offsets, intrinsic), weights
+
+
+def _flat_points(bases: np.ndarray, offsets: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
+    """offset + intrinsic @ basis on each flat of a (C, d, n), (C, n) stack, for template nodes (m, d): (n, C, m).
+
+    intrinsic may be a run of a template's rows (see _spanned).
+    """
+    nodes = _spanned(bases, intrinsic)
+    # the offset is added in one contiguous pass per coordinate
     nodes += offsets.T[:, :, None]
-    return nodes, weights
+    return nodes
 
 
 def _flat_span(bases: np.ndarray, spec: QuadratureSpec):
@@ -258,28 +290,53 @@ def _flat_span(bases: np.ndarray, spec: QuadratureSpec):
     Returns nodes of shape (n, C, m), one contiguous row per coordinate and
     flat, and the weights (m,) that every flat shares.
     """
-    d = bases.shape[1]
+    intrinsic, weights = _flat_template(*_template_key(bases.shape[1], spec))
+    return _spanned(bases, intrinsic), weights
+
+
+def _template_key(d: int, spec: QuadratureSpec) -> tuple:
+    """The arguments of the d-flat template under spec."""
     if d < 1:
         raise ValueError("flat must have dimension >= 1")
-    intrinsic, weights = _flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)
+    return d, spec.radial_cutoff, spec.radial_order, spec.sphere_order
+
+
+def _spanned(bases: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
+    """intrinsic @ basis for each basis of a (C, d, n) stack and template nodes (m, d): nodes (n, C, m).
+
+    intrinsic may be a run of a template's rows: each node's coordinates
+    are the same products, with the same BLAS call, as in the whole template
+    unless the run is a single node, which numpy hands to gemv instead of
+    gemm.
+    """
     # A line's product has one term: a broadcast product gives the matmul's
     # values without a BLAS call.
-    nodes = np.empty((bases.shape[2], len(bases), len(weights)))
-    if d == 1:
+    nodes = np.empty((bases.shape[2], len(bases), len(intrinsic)))
+    if bases.shape[1] == 1:
         np.multiply(bases.transpose(2, 0, 1), intrinsic[:, 0], out=nodes)
     else:
         np.matmul(bases.transpose(0, 2, 1), intrinsic.T, out=nodes.transpose(1, 0, 2))
-    return nodes, weights
+    return nodes
 
 
-@lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
-def _flat_template(d: int, radial_cutoff: float, radial_order: int, sphere_order: int):
-    """Intrinsic nodes rho * omega, (m, d) coordinate-major, and weights of every d-flat's rule."""
+def _build_flat_template(d: int, radial_cutoff: float, radial_order: int, sphere_order: int):
+    """Intrinsic nodes rho * omega, (m, d) coordinate-major, and weights of every d-flat's rule, built anew."""
     rho, w_rho = composite_gauss(0.0, radial_cutoff, radial_order)
-    dirs, w_dir = sphere_rule(d - 1, sphere_order)
-    intrinsic = np.asfortranarray((rho[:, None, None] * dirs[None, :, :]).reshape(-1, d))
+    dirs, w_dir = _stack_sphere_rule(d - 1, sphere_order)
+    # written straight into its coordinate-major layout, one contiguous (radius, direction) block per coordinate
+    intrinsic = np.empty((len(rho) * len(dirs), d), order="F")
+    for c in range(d):
+        np.multiply(rho[:, None], dirs[:, c], out=intrinsic[:, c].reshape(len(rho), len(dirs)))
     weights = (w_rho * rho ** (d - 1))[:, None] * w_dir[None, :]
     return _read_only(intrinsic, weights.ravel())
+
+
+_flat_template = lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)(_build_flat_template)
+
+
+def _stack_flat_template(d: int, spec: QuadratureSpec):
+    """The d-flat template of a stack of flats: the cached one for lines, a new one it owns for d >= 2."""
+    return (_flat_template if d < 2 else _build_flat_template)(*_template_key(d, spec))
 
 
 # Rows per diagonal block of the spline systems (see _banded_solve).

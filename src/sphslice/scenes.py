@@ -215,12 +215,16 @@ def _cap_bump(scene: SceneSpec, last: np.ndarray) -> np.ndarray:
     """The cap_bump field at points of last coordinate `last`.
 
     amplitude * exp(-sharpness / (b - last)) below the cap height b, and zero
-    on the cap.
+    on the cap.  The masked ufuncs compute in place what gathering the
+    points below the cap and scattering their values back would, with the
+    same bits.
     """
-    gap = scene["b"] - last
-    out = np.zeros(last.shape)
+    gap = np.asarray(scene["b"] - last)
+    out = np.zeros(gap.shape)
     inside = gap > 0.0
-    out[inside] = scene["amplitude"] * np.exp(-scene["sharpness"] / gap[inside])
+    np.divide(-scene["sharpness"], gap, out=gap, where=inside)
+    np.exp(gap, out=out, where=inside)
+    np.multiply(scene["amplitude"], out, out=out, where=inside)
     return out
 
 

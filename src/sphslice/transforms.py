@@ -23,12 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-# flat_rule, make_flat and sample_sphere_cross_section are unused here but
-# stay importable as transforms.<name>: the traced benchmark (bench/tracer.py)
-# replaces them.
-from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_nodes,
-                       _unchecked_flat, flat_through, make_flat, sample_sphere_cross_section)
-from .quadrature import QuadratureSpec, _flat_nodes, _flat_span, _flat_template, flat_rule, sphere_rule
+# flat_rule, sphere_rule, make_flat and sample_sphere_cross_section are unused
+# here but stay importable as transforms.<name>: the traced benchmark
+# (bench/tracer.py) replaces them.
+from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _cross_section_rule, _haar_frames,
+                       _section_frames, _section_nodes, _section_points, _section_weights, _unchecked_flat,
+                       flat_through, make_flat, sample_sphere_cross_section)
+from .quadrature import (QuadratureSpec, _flat_nodes, _flat_points, _flat_span, _stack_flat_template, _stack_sphere_rule,
+                         flat_rule, sphere_rule)
 from .stereo import _nu_and_denominator as nu, nu_inverse, plane_to_sphere_weight
 
 __all__ = [
@@ -133,27 +135,39 @@ def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: Qu
                 check: bool = True) -> list[float]:
     """slice_transform of f over each plane whose trace is a flat of the (C, d, n), (C, n) stack.
 
-    check=False skips the pole-growth warning, for a caller that checked once for all its stacks.
+    The stack builds its cross-section rule once (_stack_sphere_rule) and
+    drops it on return.  check=False skips the pole-growth warning, for a
+    caller that checked once for all its stacks.
     """
     k = bases.shape[1] + 1
     if check:
         _warn_on_pole_growth(f, k)
-    size = len(sphere_rule(k - 1, spec.sphere_order)[1])
-    return _stack_sums(f, bases, offsets, lambda b, v: _section_nodes(b, v, spec.sphere_order), size,
-                       "the cross-section")
+    sigma_nodes, sigma_w = _cross_section_rule(k, spec.sphere_order, _stack_sphere_rule)
+
+    def place(b, v):
+        frames = _section_frames(b, v)
+        return (lambda run: _section_points(frames, sigma_nodes[run])), _section_weights(frames, sigma_w)
+
+    return _stack_sums(f, bases, offsets, place, len(sigma_w), "the cross-section")
 
 
 def _flat_sums(g: PlaneField, bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec, *,
                check: bool = True) -> list[float]:
     """radon_john of g over each flat of the (C, d, n), (C, n) stack.
 
-    check=False skips the decay warning, for a caller that checked once for all its stacks.
+    The stack builds its flat template once (_stack_flat_template) and
+    drops it on return.  check=False skips the decay warning, for a caller
+    that checked once for all its stacks.
     """
     d = bases.shape[1]
     if check:
         _warn_on_slow_decay(g, d)
-    size = len(_flat_template(d, spec.radial_cutoff, spec.radial_order, spec.sphere_order)[1])
-    return _stack_sums(g, bases, offsets, lambda b, v: _flat_nodes(b, v, spec), size, "the flat")
+    intrinsic, weights = _stack_flat_template(d, spec)
+
+    def place(b, v):
+        return (lambda run: _flat_points(b, v, intrinsic[run])), weights
+
+    return _stack_sums(g, bases, offsets, place, len(weights), "the flat")
 
 
 def _warn(message: str):
@@ -175,17 +189,49 @@ def _warn_on_slow_decay(g: PlaneField, d: int):
         _warn("decay exponent does not exceed the flat dimension; the integral may diverge")
 
 
-def _stack_sums(field, bases: np.ndarray, offsets: np.ndarray, rule, size: int, where: str) -> list[float]:
-    """The sums of a stack of planes whose rules have size nodes each, chunk by chunk.
+def _stack_sums(field, bases: np.ndarray, offsets: np.ndarray, place, size: int, where: str) -> list[float]:
+    """The sums of a stack of planes whose rules have size nodes each.
 
-    rule(bases, offsets) gives the nodes and weights of a part of the stack.
-    A chunk is one of _blocks(len(bases), size), so that the field sees at
-    most _BLOCK_POINTS nodes per call, unless one plane's rule is larger.
+    place(bases, offsets) takes a part of the stack and gives a function
+    nodes(run), the nodes of a run (a slice) of the rule on each of its
+    planes, (dim, C, len), and their weights.  Rules of at most
+    _BLOCK_POINTS nodes are summed one chunk of _blocks(len(bases), size)
+    at a time, with one field call per chunk.  A larger rule is summed one
+    plane at a time, its nodes built and evaluated one run at a time
+    (_streamed_sum).  So the field sees at most _BLOCK_POINTS nodes per
+    call.
     """
+    if size > _BLOCK_POINTS:
+        return [_streamed_sum(field, *place(bases[i:i + 1], offsets[i:i + 1]), size, where)
+                for i in range(len(bases))]
     totals = []
     for block in _blocks(len(bases), size):
-        totals += _chunk_sums(field, *rule(bases[block], offsets[block]), where)
+        nodes, weights = place(bases[block], offsets[block])
+        totals += _chunk_sums(field, nodes(slice(None)), weights, where)
     return totals
+
+
+def _streamed_sum(field, nodes, weights: np.ndarray, size: int, where: str) -> float:
+    """The sum of one plane whose rule of size nodes is larger than _BLOCK_POINTS, built run by run.
+
+    nodes(run) gives the plane's nodes of a run of its rule, (dim, 1, len).
+    The field's values on every run go into one array of the plane's
+    values, which is weighted in place and summed as _chunk_sums sums a
+    plane: the same values, products and np.add.reduce, so the same bits.
+    The runs are _blocks(size, 1).  Every rule has an even node count (its
+    circle or 0-sphere factor) and _BLOCK_POINTS is even, so no run holds a
+    single node, whose coordinates numpy's matmul would compute with gemv
+    instead of gemm, and other bits.
+    """
+    vals = np.empty(size)
+    for run in _blocks(size, 1):
+        points = nodes(run)
+        vals[run] = field(points.reshape(len(points), -1).T)
+        # the values are checked here, before the weights overwrite them
+        if not np.isfinite(vals[run]).all():
+            raise ValueError(f"integrand blowup: field is not finite on {where}")
+    vals *= weights.ravel()
+    return float(np.add.reduce(vals))
 
 
 def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> list[float] | float:
@@ -194,10 +240,11 @@ def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> li
     nodes (dim, C, m) hold the C planes' rules, as the node builders lay
     them out, with weights (m,) or (C, m), and give the list of C sums;
     nodes (dim, m) hold one plane's rule, with weights (m,), and give its
-    sum.  The field is called once on all C * m nodes, or, for one plane
-    whose rule is larger than _BLOCK_POINTS, once per consecutive block of
-    _BLOCK_POINTS nodes.  The values are pointwise and each plane's sum runs
-    over its own contiguous row of values at once, so the sums depend
+    sum.  The field is called once on all C * m nodes, or, for the one
+    plane of a per-call integral (slice_transform, radon_john) whose rule
+    is larger than _BLOCK_POINTS, once per consecutive block of
+    _BLOCK_POINTS nodes.  The values are pointwise and each plane's sum
+    runs over its own contiguous row of values at once, so the sums depend
     neither on the chunk nor on the blocks.
     """
     one = nodes.ndim == 2
@@ -265,7 +312,13 @@ def factorization_check(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -
     trace flat.  Agreement is evidence that geometry, projection and both
     transforms are consistent; the report never collapses the two routes.
     """
-    return _factorization_checks(f, tau.section.basis[None], tau.section.offset[None], spec)[0]
+    lhs = slice_transform(f, tau, spec)
+    g = op_B(f, tau.dims)
+    _warn_on_slow_decay(g, tau.section.dim)
+    # radon_john's arithmetic, on the cached flat rule but without its kept span
+    nodes, weights = _flat_nodes(tau.section.basis[None], tau.section.offset[None], spec)
+    rhs = _chunk_sums(g, nodes[:, 0], weights, "the flat")
+    return FactorizationReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
 
 
 def _factorization_checks(f: SphereField, bases: np.ndarray, offsets: np.ndarray,

@@ -118,11 +118,17 @@ def test_spec_is_frozen():
 
 
 @pytest.mark.parametrize("name", ["sphere_order", "radial_order", "orientation_samples", "seed"])
-@pytest.mark.parametrize("value", [4.5, 8.0, np.float64(8.0), "8", None])
+@pytest.mark.parametrize("value", [4.5, 8.0, np.float64(8.0), "8", None, True, False, -1])
 def test_spec_refuses_a_count_that_is_not_an_integer(name, value):
     # orientation_samples=4.5 built 5 orientations spaced pi/4.5, an
-    # anisotropic table; radial_order=8.5 was truncated to 8 on lines
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    # anisotropic table; radial_order=8.5 was truncated to 8 on lines.  A
+    # bool is refused although operator.index(True) is 1.  A negative seed
+    # failed only inside dual_transform, in numpy's default_rng, without
+    # naming the seed.
+    message = f"{name} must be an integer"
+    if value == -1 and not isinstance(value, bool):
+        message = "seed must be a non-negative integer" if name == "seed" else "must be positive"
+    with pytest.raises(ValueError, match=message):
         QuadratureSpec(**{name: value})
 
 
@@ -140,7 +146,7 @@ def test_spec_takes_numpy_integers():
                          ids=["gauss_legendre", "circle", "sphere", "gauss_gegenbauer"])
 def test_rules_refuse_an_order_that_is_not_an_integer(build):
     nodes = build(8)[0]  # 8.0 must not reach the cached rule of 8
-    for order in (8.5, 7.5, 8.0):
+    for order in (8.5, 7.5, 8.0, True, False):  # sphere_rule(2, True) gave the 2-node rule of order 1
         with pytest.raises(TypeError, match="order must be an integer"):
             build(order)
     with pytest.raises(ValueError, match="order must be >= 1"):
@@ -255,7 +261,7 @@ def _assert_cached(first, second, fresh):
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_sphere_rule_is_cached_read_only(d):
-    sphere_rule(d + 1, 13)  # the recursion fills the d-dimensional entry first
+    sphere_rule(d + 1, 13)  # at d = 1 the recursion fills the circle's entry first
     first = sphere_rule(d, 13)
     second = sphere_rule(d, 13)
     quadrature._sphere_rule.cache_clear()

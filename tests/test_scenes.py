@@ -157,3 +157,29 @@ def test_suggested_cutoffs():
     assert 4.0 < suggested_cutoff(gauss) < 20.0
     bump = SceneSpec(family="cap_bump", parameters={})
     assert suggested_cutoff(bump) < 10.0
+
+
+def _cap_bump_by_gather(scene, last):
+    """cap_bump as a gather of the points below the cap and a scatter of their values."""
+    gap = scene["b"] - last
+    out = np.zeros(last.shape)
+    inside = gap > 0.0
+    out[inside] = scene["amplitude"] * np.exp(-scene["sharpness"] / gap[inside])
+    return out
+
+
+@pytest.mark.parametrize("b", [-0.4, 0.0, 0.5])
+def test_cap_bump_keeps_the_gathered_bits(b):
+    # below the cap, on its rim, above it, at NaN, and just below the rim
+    # (where -sharpness / gap overflows for b = 0), in contiguous and strided
+    # arrays and at a scalar point
+    scene = SceneSpec(family="cap_bump", parameters={"b": b, "sharpness": 0.3, "amplitude": -1.7})
+    last = np.random.default_rng(1).uniform(-1.0, 1.0, 1001)
+    last[:4] = [b, np.nan, np.nextafter(b, -2.0), np.nextafter(b, 2.0)]
+    field = build_field(scene)
+    with np.errstate(over="ignore"):
+        for points in (last, last[::3]):
+            eta = np.zeros(points.shape + (3,))
+            eta[..., -1] = points
+            assert np.array_equal(field(eta), _cap_bump_by_gather(scene, points))
+            assert np.array_equal(field(eta[5]), _cap_bump_by_gather(scene, points[5:6])[0])

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sphslice.cli as cli
 import sphslice.geometry as geometry
+import sphslice.quadrature as quadrature
 import sphslice.stereo as stereo
 import sphslice.transforms as transforms
 from sphslice import (
@@ -28,7 +31,7 @@ from sphslice import (
     sigma,
     slice_transform,
 )
-from sphslice.scenes import SceneSpec, build_field
+from sphslice.scenes import SceneSpec, build_field, suggested_cutoff
 from sphslice.transforms import _BLOCK_POINTS, flat_through, orientation_set
 from test_inversion import dual_of_gaussian_2d, dual_of_gaussian_3d
 
@@ -519,6 +522,154 @@ def test_stacked_nodes_are_the_stacks_of_one_in_a_coordinate_major_view(n, k):
             for i, (nodes, w) in enumerate(singles):
                 assert np.array_equal(points[i * m : (i + 1) * m], nodes)
                 assert np.array_equal(np.broadcast_to(weights, (len(flats), m))[i], w)
+
+
+# -- planes whose rule is larger than a block -------------------------------------
+
+# (n, k) -> (sphere order, radial order).  With a block budget of 64 nodes
+# every cross-section and flat rule here is larger than a block, so the
+# stacked sums stream each plane run by run.
+STREAMED_ORDERS = {(2, 2): (70, 24), (3, 2): (70, 24), (3, 3): (33, 12), (4, 3): (33, 12)}
+
+
+def _factor_rows(path):
+    """The lhs and rhs columns of a factor-check CSV, as floats."""
+    rows = [line.split(",") for line in path.read_text().splitlines() if line and not line.startswith("#")]
+    header = rows[0]
+    return ([float(r[header.index("lhs")]) for r in rows[1:]], [float(r[header.index("rhs")]) for r in rows[1:]])
+
+
+@pytest.mark.parametrize("family", ["cap_bump", "first_harmonic_weighted"])
+@pytest.mark.parametrize("n,k", list(STREAMED_ORDERS))
+def test_streamed_planes_keep_the_per_call_bits(monkeypatch, tmp_path, family, n, k):
+    # The per-call integrals, at the package's block budget, against the
+    # stacked sums and the factor-check rows at a budget of 64 nodes: the
+    # same bits, and no field call on more than 64 points.
+    sphere_order, radial_order = STREAMED_ORDERS[n, k]
+    scene = SceneSpec(family=family, dims=Dimensions(n, k))
+    spec = QuadratureSpec(sphere_order=sphere_order, radial_order=radial_order,
+                          radial_cutoff=suggested_cutoff(scene))
+    f = build_field(scene)
+    g = op_B(f, scene.dims)
+    bases, offsets = cli._random_planes(scene.dims, 3, 7)
+    taus = [section_to_plane(FlatSpec(basis, offset)) for basis, offset in zip(bases, offsets)]
+    lhs = [slice_transform(f, tau, spec) for tau in taus]
+    rhs = [radon_john(g, tau.section, spec) for tau in taus]
+    assert min(len(transforms.sample_sphere_cross_section(taus[0], sphere_order)[1]),
+               len(transforms.flat_rule(taus[0].section, spec)[1])) > 64
+
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", 64)
+    sizes = []
+    counted_f = SphereField(lambda eta: sizes.append(len(eta)) or f(eta), f.pole_exponent)
+    counted_g = PlaneField(lambda x: sizes.append(len(x)) or g(x), g.decay_exponent)
+    assert transforms._slice_sums(counted_f, bases, offsets, spec) == lhs
+    assert transforms._flat_sums(counted_g, bases, offsets, spec) == rhs
+    assert max(sizes) <= 64
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text(f"family = {family}\nn = {n}\nk = {k}\n")
+    out = tmp_path / "factor.csv"
+    # low orders: cap_bump misses the default tolerance, which is not what is checked here
+    assert cli.main(["factor-check", str(scene_file), "3", "--seed", "7", "--sphere-order", str(sphere_order),
+                     "--radial-order", str(radial_order), "--tol", "1", "--out", str(out)]) == 0
+    assert _factor_rows(out) == (lhs, rhs)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_streamed_runs_rebuild_the_whole_rules_nodes(monkeypatch, n):
+    # Node coordinates built run by run are the whole rule's, bit for bit,
+    # on 20 planes.  A run of a single node would not be: numpy's matmul
+    # computes it with gemv, and its last bits differ in about half of the
+    # planes.  Every rule has an even node count and the block budget is
+    # even, so no run is a single node.
+    spec = QuadratureSpec(sphere_order=33, radial_order=12, radial_cutoff=5.0)
+    bases, offsets = cli._random_planes(Dimensions(n, 3), 20, 8)
+    frames = geometry._section_frames(bases, offsets)
+    sigma = quadrature.sphere_rule(2, spec.sphere_order)[0]
+    intrinsic = quadrature._flat_template(*quadrature._template_key(2, spec))[0]
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", 64)
+    for whole, part in [(geometry._section_points(frames, sigma),
+                         lambda run: geometry._section_points(frames, sigma[run])),
+                        (quadrature._flat_points(bases, offsets, intrinsic),
+                         lambda run: quadrature._flat_points(bases, offsets, intrinsic[run]))]:
+        m = whole.shape[2]
+        assert m % 2 == 0 and _BLOCK_POINTS % 2 == 0
+        assert np.array_equal(np.concatenate([part(run) for run in transforms._blocks(m, 1)], axis=2), whole)
+
+
+def test_a_streamed_plane_refuses_non_finite_values_and_keeps_an_overflow(monkeypatch):
+    # The values are checked before they are weighted in place: a NaN is
+    # refused, finite values whose weighted sum overflows give inf.
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", 64)
+    spec = QuadratureSpec(sphere_order=8, radial_order=16, radial_cutoff=40.0)
+    bases, offsets = cli._random_planes(Dimensions(3, 3), 2, 3)
+
+    def last_node_nan(x):
+        out = np.ones(len(x))
+        out[-1] = np.nan
+        return out
+
+    huge = lambda x: np.full(len(x), 1e308)  # noqa: E731
+    with np.errstate(over="ignore"):
+        assert transforms._flat_sums(PlaneField(huge), bases, offsets, spec) == [math.inf, math.inf]
+        assert transforms._slice_sums(SphereField(huge), bases, offsets, spec) == [math.inf, math.inf]
+    with pytest.raises(ValueError, match="integrand blowup: field is not finite on the flat"):
+        transforms._flat_sums(PlaneField(last_node_nan), bases, offsets, spec)
+    with pytest.raises(ValueError, match="integrand blowup: field is not finite on the cross-section"):
+        transforms._slice_sums(SphereField(last_node_nan), bases, offsets, spec)
+
+
+def _clear_rule_caches():
+    quadrature._sphere_rule.cache_clear()
+    quadrature._flat_template.cache_clear()
+    transforms._span_of.cache_clear()
+
+
+def test_a_streamed_factorization_keeps_no_rule_and_one_plane_at_a_time():
+    # forward_sweep's largest run, cap_bump (3, 3) at orders 320/192, on 4
+    # planes: the S^2 rule has 102,400 nodes, the flat template 122,880.
+    # The stacked call keeps nothing it built (the 1-D rules it caches are a
+    # few kB), and at its peak it holds the S^2 rule, arrays of one plane's
+    # values and weights and one block's nodes and temporaries.  Before
+    # streaming it kept 6.25 MB and peaked at 11.4 MB.
+    scene = SceneSpec(family="cap_bump", dims=Dimensions(3, 3))
+    spec = QuadratureSpec(sphere_order=320, radial_order=192, radial_cutoff=suggested_cutoff(scene))
+    bases, offsets = cli._random_planes(scene.dims, 4, 330)
+    f = build_field(scene)
+    _clear_rule_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = transforms._factorization_checks(f, bases, offsets, spec)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 4
+    rule, plane, block = 320**2 * 4 * 8, 320**2 * 8, _BLOCK_POINTS * 8
+    assert after - before <= 100_000
+    assert peak - before <= rule + 3 * plane + 8 * block
+
+
+@pytest.mark.parametrize("n,k,orders", [(3, 3, (9, 8)), (4, 4, (5, 4))])
+def test_stacks_own_their_product_rules(n, k, orders):
+    # A stack builds its sphere rules of dimension >= 2 and its flat
+    # templates of dimension >= 2 anew and caches none of them; the 1-D
+    # rules (here the circle) come from the cache.  The per-call integrals
+    # still cache theirs.
+    scene = SceneSpec(family="zonal_gaussian", dims=Dimensions(n, k))
+    spec = QuadratureSpec(sphere_order=orders[0], radial_order=orders[1], radial_cutoff=suggested_cutoff(scene))
+    f = build_field(scene)
+    bases, offsets = cli._random_planes(scene.dims, 3, 1)
+    _clear_rule_caches()
+    stacked = transforms._factorization_checks(f, bases, offsets, spec)
+    assert quadrature._sphere_rule.cache_info().currsize == 1
+    assert quadrature._flat_template.cache_info().currsize == 0
+    hits = quadrature._sphere_rule.cache_info().hits
+    quadrature.sphere_rule(1, spec.sphere_order)
+    assert quadrature._sphere_rule.cache_info().hits == hits + 1
+    tau = section_to_plane(FlatSpec(bases[0], offsets[0]))
+    assert factorization_check(f, tau, spec) == stacked[0]
+    assert quadrature._sphere_rule.cache_info().currsize >= 2
+    assert quadrature._flat_template.cache_info().currsize == 1
 
 
 def _radon_john_unshared(g, zeta, spec):
