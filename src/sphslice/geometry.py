@@ -328,8 +328,8 @@ def _section_nodes(bases: np.ndarray, offsets: np.ndarray, order: int):
     stack of one's bits.
     """
     sigma_nodes, sigma_w = _cross_section_rule(bases.shape[1] + 1, order, sphere_rule)
-    frames = _section_frames(bases, offsets)
-    return _section_points(frames, sigma_nodes), _section_weights(frames, sigma_w)
+    frames, scales = _section_frames(bases, offsets)
+    return _section_points(frames, sigma_nodes), sigma_w * scales
 
 
 def _cross_section_rule(k: int, order: int, build):
@@ -340,13 +340,18 @@ def _cross_section_rule(k: int, order: int, build):
 
 
 def _section_frames(bases: np.ndarray, offsets: np.ndarray):
-    """The cross-sections' geometry for _section_points and _section_weights, from _trace_geometry.
+    """The cross-sections' geometry, from _trace_geometry: the frames for _section_points, and the weights' scales.
 
-    Returns the direction frames (C, n + 1, k), as the columns of each
-    plane's frame, the centers (n + 1, C, 1) and the radii (C, 1).
+    The frames are the direction frames (C, n + 1, k), as the columns of
+    each plane's frame, the centers (n + 1, C, 1) and the radii (C, 1); the
+    scales are the radii^(k-1) (C, 1) by which each plane's weights are the
+    unit sphere's.
     """
     dirs, centers, radii = _trace_geometry(bases, offsets)
-    return np.array(dirs).transpose(0, 2, 1), np.array(centers).T[:, :, None], np.array(radii)[:, None]
+    k = bases.shape[1] + 1
+    # Python's pow on each radius: numpy's powers of arrays differ in the last bit on some planes
+    scales = np.array([r ** (k - 1) for r in radii])[:, None]
+    return (np.array(dirs).transpose(0, 2, 1), np.array(centers).T[:, :, None], np.array(radii)[:, None]), scales
 
 
 def _section_points(frames, sigma_nodes: np.ndarray) -> np.ndarray:
@@ -363,11 +368,3 @@ def _section_points(frames, sigma_nodes: np.ndarray) -> np.ndarray:
     nodes *= radii
     nodes += centers
     return nodes
-
-
-def _section_weights(frames, sigma_w: np.ndarray) -> np.ndarray:
-    """The unit-sphere weights sigma_w (m,) scaled by each plane's radius^(k-1): (C, m)."""
-    dirs, _, radii = frames
-    k = dirs.shape[2]
-    # Python's pow on each radius: numpy's powers of arrays differ in the last bit on some planes
-    return sigma_w * np.array([r ** (k - 1) for r in radii[:, 0].tolist()])[:, None]

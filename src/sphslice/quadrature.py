@@ -58,7 +58,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("sphere_order", "radial_order", "orientation_samples", "seed"):
-            if not _is_integer(getattr(self, name)):
+            if _as_integer(getattr(self, name)) is None:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.sphere_order, self.radial_order, self.orientation_samples) < 1:
             raise ValueError("orders and sample counts must be positive")
@@ -85,25 +85,24 @@ def _read_only(*arrays):
     return arrays
 
 
-def _is_integer(value) -> bool:
-    """Whether value is a Python or numpy integer: not a float, even 8.0, and not a bool."""
+def _as_integer(value) -> int | None:
+    """value as an int if it is a Python or numpy integer, else None: a float, even 8.0, or a bool is not."""
     if isinstance(value, bool):
-        return False
+        return None
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
-        return False
-    return True
+        return None
 
 
 def _rule_order(order) -> int:
     """order as an int: a Python or numpy integer of at least 1, never a truncated float or a bool."""
-    if not _is_integer(order):
+    index = _as_integer(order)
+    if index is None:
         raise TypeError(f"order must be an integer, got {order!r}")
-    order = operator.index(order)
-    if order < 1:
+    if index < 1:
         raise ValueError("order must be >= 1")
-    return order
+    return index
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: the order 8.0 misses 8's entry and is refused

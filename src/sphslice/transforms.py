@@ -27,8 +27,8 @@ import numpy as np
 # here but stay importable as transforms.<name>: the traced benchmark
 # (bench/tracer.py) replaces them.
 from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _cross_section_rule, _haar_frames,
-                       _section_frames, _section_nodes, _section_points, _section_weights, _unchecked_flat,
-                       flat_through, make_flat, sample_sphere_cross_section)
+                       _section_frames, _section_nodes, _section_points, _unchecked_flat, flat_through, make_flat,
+                       sample_sphere_cross_section)
 from .quadrature import (QuadratureSpec, _flat_nodes, _flat_points, _flat_span, _stack_flat_template, _stack_sphere_rule,
                          flat_rule, sphere_rule)
 from .stereo import _nu_and_denominator as nu, nu_inverse, plane_to_sphere_weight
@@ -145,8 +145,8 @@ def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: Qu
     sigma_nodes, sigma_w = _cross_section_rule(k, spec.sphere_order, _stack_sphere_rule)
 
     def place(b, v):
-        frames = _section_frames(b, v)
-        return (lambda run: _section_points(frames, sigma_nodes[run])), _section_weights(frames, sigma_w)
+        frames, scales = _section_frames(b, v)
+        return (lambda run: _section_points(frames, sigma_nodes[run])), sigma_w * scales
 
     return _stack_sums(f, bases, offsets, place, len(sigma_w), "the cross-section")
 

@@ -583,7 +583,7 @@ def test_streamed_runs_rebuild_the_whole_rules_nodes(monkeypatch, n):
     # even, so no run is a single node.
     spec = QuadratureSpec(sphere_order=33, radial_order=12, radial_cutoff=5.0)
     bases, offsets = cli._random_planes(Dimensions(n, 3), 20, 8)
-    frames = geometry._section_frames(bases, offsets)
+    frames, _ = geometry._section_frames(bases, offsets)
     sigma = quadrature.sphere_rule(2, spec.sphere_order)[0]
     intrinsic = quadrature._flat_template(*quadrature._template_key(2, spec))[0]
     monkeypatch.setattr(transforms, "_BLOCK_POINTS", 64)
