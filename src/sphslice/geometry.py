@@ -327,16 +327,12 @@ def _section_nodes(bases: np.ndarray, offsets: np.ndarray, order: int):
     radius are SlicePlane's (_trace_geometry), so plane i's values are the
     stack of one's bits.
     """
-    sigma_nodes, sigma_w = _cross_section_rule(bases.shape[1] + 1, order, sphere_rule)
-    frames, scales = _section_frames(bases, offsets)
-    return _section_points(frames, sigma_nodes), sigma_w * scales
-
-
-def _cross_section_rule(k: int, order: int, build):
-    """build(k - 1, order): the rule on the unit (k-1)-sphere that the cross-sections of k-planes carry."""
+    k = bases.shape[1] + 1
     if order < k:
         raise ValueError("cross-section rule needs order >= k")
-    return build(k - 1, order)
+    sigma_nodes, sigma_w = sphere_rule(k - 1, order)
+    frames, scales = _section_frames(bases, offsets)
+    return _section_points(frames, sigma_nodes), sigma_w * scales
 
 
 def _section_frames(bases: np.ndarray, offsets: np.ndarray):

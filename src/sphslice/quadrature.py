@@ -71,10 +71,10 @@ class QuadratureSpec:
 # Rules are built once per process for each key and returned read-only, so
 # every caller shares one copy.  The flat templates are the largest entries
 # (one node per pair of radial and angular nodes), hence their smaller cache.
-# A stack of planes shares one rule across all its planes without a cache, so
-# it builds its product rules (sphere rules and flat templates of dimension
-# >= 2) itself, from the cached 1-D rules, and drops them on return: see
-# _stack_sphere_rule and _stack_flat_template.
+# A stack of planes whose rule is larger than a block of the field (the
+# stacked integrals stream it) shares the rule across its planes without a
+# cache: it builds the rule itself, from the cached rules it is a product of,
+# and drops it on return.  See _stack_sphere_rule and _stack_flat_template.
 _RULE_CACHE_SIZE = 64
 _TEMPLATE_CACHE_SIZE = 16
 
@@ -210,7 +210,7 @@ def sphere_rule(d: int, order: int):
 
 
 def _build_sphere_rule(d: int, order: int):
-    """sphere_rule's arrays, read-only, built anew; only the 1-D rules they are made of come from caches.
+    """sphere_rule's arrays, read-only, built anew; only the rules they are a product of come from caches.
 
     A product rule's nodes are written into one preallocated array: the
     equatorial nodes scaled by each polar sine, then the polar cosine.
@@ -224,7 +224,7 @@ def _build_sphere_rule(d: int, order: int):
         return _read_only(nodes, np.full(m, 2.0 * np.pi / m))
     # Polar weight (1 - z^2)^{(d-2)/2} corresponds to Gegenbauer alpha = (d-1)/2.
     z, wz = _gauss_gegenbauer(order, 0.5 * (d - 1))
-    sub_nodes, sub_w = _stack_sphere_rule(d - 1, order)
+    sub_nodes, sub_w = _sphere_rule(d - 1, order)
     sin_pol = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
     nodes = np.empty((len(z), len(sub_w), d + 1))
     for c in range(d):
@@ -237,9 +237,15 @@ def _build_sphere_rule(d: int, order: int):
 _sphere_rule = lru_cache(maxsize=_RULE_CACHE_SIZE)(_build_sphere_rule)
 
 
-def _stack_sphere_rule(d: int, order: int):
-    """The sphere rule of a stack of planes: the cached rule for d <= 1, a new one it owns for d >= 2."""
-    return (_sphere_rule if d < 2 else _build_sphere_rule)(d, _rule_order(order))
+def _sphere_rule_size(d: int, order: int) -> int:
+    """The node count of sphere_rule(d, order): the circle's even count times order per further dimension."""
+    return 2 if d == 0 else (order + order % 2) * order ** (d - 1)
+
+
+def _stack_sphere_rule(d: int, order: int, limit: int):
+    """The sphere rule of a stack of planes: the cached rule if it has at most limit nodes, else a new one it owns."""
+    order = _rule_order(order)
+    return (_sphere_rule if _sphere_rule_size(d, order) <= limit else _build_sphere_rule)(d, order)
 
 
 def flat_rule(zeta, spec: QuadratureSpec):
@@ -256,41 +262,22 @@ def flat_rule(zeta, spec: QuadratureSpec):
     The nodes have shape (m, n) and are coordinate-major (Fortran order):
     each coordinate is one contiguous column.
     """
-    nodes, weights = _flat_nodes(zeta.basis[None], zeta.offset[None], spec)
-    return nodes[:, 0].T, weights
-
-
-def _flat_nodes(bases: np.ndarray, offsets: np.ndarray, spec: QuadratureSpec):
-    """flat_rule for a stack of flats: bases (C, d, n) and offsets (C, n).
-
-    Returns nodes of shape (n, C, m), so that reshape(n, C * m).T holds flat
-    i's nodes in rows i*m to (i+1)*m, coordinate-major, and the weights (m,)
-    that every flat of the stack shares.  Flat i's values are the stack of
-    one's bits.
-    """
-    intrinsic, weights = _flat_template(*_template_key(bases.shape[1], spec))
-    return _flat_points(bases, offsets, intrinsic), weights
+    intrinsic, weights = _flat_template(*_template_key(zeta.dim, spec))
+    return _flat_points(zeta.basis[None], zeta.offset[None], intrinsic)[:, 0].T, weights
 
 
 def _flat_points(bases: np.ndarray, offsets: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
-    """offset + intrinsic @ basis on each flat of a (C, d, n), (C, n) stack, for template nodes (m, d): (n, C, m).
+    """offset + intrinsic @ basis on each flat of a (C, d, n), (C, n) stack, for template nodes (m, d).
 
-    intrinsic may be a run of a template's rows (see _spanned).
+    Returns nodes of shape (n, C, m), so that reshape(n, C * m).T holds flat
+    i's nodes in rows i*m to (i+1)*m, coordinate-major; flat i's values are
+    the stack of one's bits.  intrinsic may be a run of a template's rows
+    (see _flat_span).
     """
-    nodes = _spanned(bases, intrinsic)
+    nodes = _flat_span(bases, intrinsic)
     # the offset is added in one contiguous pass per coordinate
     nodes += offsets.T[:, :, None]
     return nodes
-
-
-def _flat_span(bases: np.ndarray, spec: QuadratureSpec):
-    """The rule's nodes intrinsic @ basis for a stack of bases (C, d, n), before any offset.
-
-    Returns nodes of shape (n, C, m), one contiguous row per coordinate and
-    flat, and the weights (m,) that every flat shares.
-    """
-    intrinsic, weights = _flat_template(*_template_key(bases.shape[1], spec))
-    return _spanned(bases, intrinsic), weights
 
 
 def _template_key(d: int, spec: QuadratureSpec) -> tuple:
@@ -300,9 +287,10 @@ def _template_key(d: int, spec: QuadratureSpec) -> tuple:
     return d, spec.radial_cutoff, spec.radial_order, spec.sphere_order
 
 
-def _spanned(bases: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
-    """intrinsic @ basis for each basis of a (C, d, n) stack and template nodes (m, d): nodes (n, C, m).
+def _flat_span(bases: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
+    """intrinsic @ basis for each basis of a (C, d, n) stack and template nodes (m, d), before any offset.
 
+    Returns nodes (n, C, m), one contiguous row per coordinate and flat.
     intrinsic may be a run of a template's rows: each node's coordinates
     are the same products, with the same BLAS call, as in the whole template
     unless the run is a single node, which numpy hands to gemv instead of
@@ -321,7 +309,7 @@ def _spanned(bases: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
 def _build_flat_template(d: int, radial_cutoff: float, radial_order: int, sphere_order: int):
     """Intrinsic nodes rho * omega, (m, d) coordinate-major, and weights of every d-flat's rule, built anew."""
     rho, w_rho = composite_gauss(0.0, radial_cutoff, radial_order)
-    dirs, w_dir = _stack_sphere_rule(d - 1, sphere_order)
+    dirs, w_dir = sphere_rule(d - 1, sphere_order)
     # written straight into its coordinate-major layout, one contiguous (radius, direction) block per coordinate
     intrinsic = np.empty((len(rho) * len(dirs), d), order="F")
     for c in range(d):
@@ -333,9 +321,12 @@ def _build_flat_template(d: int, radial_cutoff: float, radial_order: int, sphere
 _flat_template = lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)(_build_flat_template)
 
 
-def _stack_flat_template(d: int, spec: QuadratureSpec):
-    """The d-flat template of a stack of flats: the cached one for lines, a new one it owns for d >= 2."""
-    return (_flat_template if d < 2 else _build_flat_template)(*_template_key(d, spec))
+def _stack_flat_template(d: int, spec: QuadratureSpec, limit: int):
+    """The d-flat template of a stack of flats: the cached one if it has at most limit nodes, else a new one it owns."""
+    key = _template_key(d, spec)
+    radii = len(composite_gauss(0.0, spec.radial_cutoff, spec.radial_order)[1])
+    cached = radii * _sphere_rule_size(d - 1, spec.sphere_order) <= limit
+    return (_flat_template if cached else _build_flat_template)(*key)
 
 
 # Rows per diagonal block of the spline systems (see _banded_solve).

@@ -26,11 +26,11 @@ import numpy as np
 # flat_rule, sphere_rule, make_flat and sample_sphere_cross_section are unused
 # here but stay importable as transforms.<name>: the traced benchmark
 # (bench/tracer.py) replaces them.
-from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _cross_section_rule, _haar_frames,
-                       _section_frames, _section_nodes, _section_points, _unchecked_flat, flat_through, make_flat,
+from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_frames,
+                       _section_nodes, _section_points, _unchecked_flat, flat_through, make_flat,
                        sample_sphere_cross_section)
-from .quadrature import (QuadratureSpec, _flat_nodes, _flat_points, _flat_span, _stack_flat_template, _stack_sphere_rule,
-                         flat_rule, sphere_rule)
+from .quadrature import (QuadratureSpec, _flat_points, _flat_span, _flat_template, _stack_flat_template,
+                         _stack_sphere_rule, _template_key, flat_rule, sphere_rule)
 from .stereo import _nu_and_denominator as nu, nu_inverse, plane_to_sphere_weight
 
 __all__ = [
@@ -111,7 +111,7 @@ def slice_transform(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -> fl
 def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
     """Integral of g over the affine flat zeta, truncated at spec.radial_cutoff."""
     _warn_on_slow_decay(g, zeta.dim)
-    # span + offset is _flat_nodes' arithmetic for a stack of one: the same bits
+    # span + offset is _flat_points' arithmetic for a stack of one: the same bits
     span, weights = _span_of(zeta.basis.tobytes(), zeta.basis.shape, spec)
     return _chunk_sums(g, span + zeta.offset[:, None], weights, "the flat")
 
@@ -125,8 +125,8 @@ def _span_of(basis: bytes, shape: tuple, spec: QuadratureSpec):
     and one sum.  The span is built from its own key, so it cannot belong to
     another basis, and a basis changed in place has other bytes.
     """
-    span, weights = _flat_span(np.frombuffer(basis).reshape(shape)[None], spec)
-    span = span[:, 0]
+    intrinsic, weights = _flat_template(*_template_key(shape[0], spec))
+    span = _flat_span(np.frombuffer(basis).reshape(shape)[None], intrinsic)[:, 0]
     span.setflags(write=False)
     return span, weights
 
@@ -135,14 +135,16 @@ def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: Qu
                 check: bool = True) -> list[float]:
     """slice_transform of f over each plane whose trace is a flat of the (C, d, n), (C, n) stack.
 
-    The stack builds its cross-section rule once (_stack_sphere_rule) and
-    drops it on return.  check=False skips the pole-growth warning, for a
-    caller that checked once for all its stacks.
+    A cross-section rule larger than _BLOCK_POINTS is built for the stack
+    and dropped on return (_stack_sphere_rule).  check=False skips the
+    pole-growth warning, for a caller that checked once for all its stacks.
     """
     k = bases.shape[1] + 1
     if check:
         _warn_on_pole_growth(f, k)
-    sigma_nodes, sigma_w = _cross_section_rule(k, spec.sphere_order, _stack_sphere_rule)
+    if spec.sphere_order < k:
+        raise ValueError("cross-section rule needs order >= k")
+    sigma_nodes, sigma_w = _stack_sphere_rule(k - 1, spec.sphere_order, _BLOCK_POINTS)
 
     def place(b, v):
         frames, scales = _section_frames(b, v)
@@ -155,14 +157,14 @@ def _flat_sums(g: PlaneField, bases: np.ndarray, offsets: np.ndarray, spec: Quad
                check: bool = True) -> list[float]:
     """radon_john of g over each flat of the (C, d, n), (C, n) stack.
 
-    The stack builds its flat template once (_stack_flat_template) and
-    drops it on return.  check=False skips the decay warning, for a caller
-    that checked once for all its stacks.
+    A flat template larger than _BLOCK_POINTS is built for the stack and
+    dropped on return (_stack_flat_template).  check=False skips the decay
+    warning, for a caller that checked once for all its stacks.
     """
     d = bases.shape[1]
     if check:
         _warn_on_slow_decay(g, d)
-    intrinsic, weights = _stack_flat_template(d, spec)
+    intrinsic, weights = _stack_flat_template(d, spec, _BLOCK_POINTS)
 
     def place(b, v):
         return (lambda run: _flat_points(b, v, intrinsic[run])), weights
@@ -214,10 +216,11 @@ def _stack_sums(field, bases: np.ndarray, offsets: np.ndarray, place, size: int,
 def _streamed_sum(field, nodes, weights: np.ndarray, size: int, where: str) -> float:
     """The sum of one plane whose rule of size nodes is larger than _BLOCK_POINTS, built run by run.
 
-    nodes(run) gives the plane's nodes of a run of its rule, (dim, 1, len).
-    The field's values on every run go into one array of the plane's
-    values, which is weighted in place and summed as _chunk_sums sums a
-    plane: the same values, products and np.add.reduce, so the same bits.
+    nodes(run) gives the plane's nodes of a run of its rule, (dim, len) or
+    (dim, 1, len).  The field's values on every run go into one array of
+    the plane's values, which is weighted in place and summed as
+    _chunk_sums sums a plane that fits a block: the same values, products
+    and np.add.reduce, so the same bits.
     The runs are _blocks(size, 1).  Every rule has an even node count (its
     circle or 0-sphere factor) and _BLOCK_POINTS is even, so no run holds a
     single node, whose coordinates numpy's matmul would compute with gemv
@@ -240,21 +243,17 @@ def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> li
     nodes (dim, C, m) hold the C planes' rules, as the node builders lay
     them out, with weights (m,) or (C, m), and give the list of C sums;
     nodes (dim, m) hold one plane's rule, with weights (m,), and give its
-    sum.  The field is called once on all C * m nodes, or, for the one
-    plane of a per-call integral (slice_transform, radon_john) whose rule
-    is larger than _BLOCK_POINTS, once per consecutive block of
-    _BLOCK_POINTS nodes.  The values are pointwise and each plane's sum
-    runs over its own contiguous row of values at once, so the sums depend
-    neither on the chunk nor on the blocks.
+    sum.  The field is called once on all C * m nodes; one plane whose
+    rule is larger than _BLOCK_POINTS is summed by _streamed_sum, run by
+    run.  The values are pointwise and each plane's sum runs over its own
+    contiguous row of values at once, so the sums depend neither on the
+    chunk nor on the runs.
     """
     one = nodes.ndim == 2
+    if one and nodes.shape[1] > _BLOCK_POINTS:
+        return _streamed_sum(field, lambda run: nodes[:, run], weights, nodes.shape[1], where)
     points = (nodes if one else nodes.reshape(len(nodes), -1)).T
-    if len(points) <= _BLOCK_POINTS:
-        vals = field(points)
-    else:
-        vals = np.empty(len(points))
-        for block in _blocks(len(points), 1):
-            vals[block] = field(points[block])
+    vals = field(points)
     if one:
         sums = float(np.add.reduce(vals * weights))
         finite = math.isfinite(sums)
@@ -313,11 +312,7 @@ def factorization_check(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -
     transforms are consistent; the report never collapses the two routes.
     """
     lhs = slice_transform(f, tau, spec)
-    g = op_B(f, tau.dims)
-    _warn_on_slow_decay(g, tau.section.dim)
-    # radon_john's arithmetic, on the cached flat rule but without its kept span
-    nodes, weights = _flat_nodes(tau.section.basis[None], tau.section.offset[None], spec)
-    rhs = _chunk_sums(g, nodes[:, 0], weights, "the flat")
+    rhs = radon_john(op_B(f, tau.dims), tau.section, spec)
     return FactorizationReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
 
 

@@ -509,7 +509,8 @@ def test_stacked_nodes_are_the_stacks_of_one_in_a_coordinate_major_view(n, k):
     for bases, offsets in stacks:
         flats = [FlatSpec(basis, offset) for basis, offset in zip(bases, offsets)]
         taus = [section_to_plane(zeta) for zeta in flats]
-        flat_nodes, flat_weights = transforms._flat_nodes(bases, offsets, spec)
+        intrinsic, flat_weights = quadrature._flat_template(*quadrature._template_key(k - 1, spec))
+        flat_nodes = quadrature._flat_points(bases, offsets, intrinsic)
         section_nodes, section_weights = transforms._section_nodes(bases, offsets, spec.sphere_order)
         for stacked, weights, singles, width in [
             (flat_nodes, flat_weights, [transforms.flat_rule(z, spec) for z in flats], n),
@@ -650,25 +651,35 @@ def test_a_streamed_factorization_keeps_no_rule_and_one_plane_at_a_time():
 
 
 @pytest.mark.parametrize("n,k,orders", [(3, 3, (9, 8)), (4, 4, (5, 4))])
-def test_stacks_own_their_product_rules(n, k, orders):
-    # A stack builds its sphere rules of dimension >= 2 and its flat
-    # templates of dimension >= 2 anew and caches none of them; the 1-D
-    # rules (here the circle) come from the cache.  The per-call integrals
-    # still cache theirs.
+def test_stacks_cache_only_the_rules_that_fit_a_block(monkeypatch, n, k, orders):
+    # At the package's block budget the stack's cross-section rule and flat
+    # template fit a block and come from the caches, as the per-call
+    # integrals' do.  At a budget of 64 nodes they are larger than a block:
+    # the stack builds them anew, caches neither and gives the same bits;
+    # only the smaller rules they are products of are cached.
     scene = SceneSpec(family="zonal_gaussian", dims=Dimensions(n, k))
     spec = QuadratureSpec(sphere_order=orders[0], radial_order=orders[1], radial_cutoff=suggested_cutoff(scene))
     f = build_field(scene)
     bases, offsets = cli._random_planes(scene.dims, 3, 1)
-    _clear_rule_caches()
-    stacked = transforms._factorization_checks(f, bases, offsets, spec)
-    assert quadrature._sphere_rule.cache_info().currsize == 1
-    assert quadrature._flat_template.cache_info().currsize == 0
-    hits = quadrature._sphere_rule.cache_info().hits
-    quadrature.sphere_rule(1, spec.sphere_order)
-    assert quadrature._sphere_rule.cache_info().hits == hits + 1
     tau = section_to_plane(FlatSpec(bases[0], offsets[0]))
-    assert factorization_check(f, tau, spec) == stacked[0]
-    assert quadrature._sphere_rule.cache_info().currsize >= 2
+    assert 64 < min(len(transforms.sample_sphere_cross_section(tau, spec.sphere_order)[1]),
+                    len(transforms.flat_rule(tau.section, spec)[1]))
+
+    def cached_sphere_rule():
+        misses = quadrature._sphere_rule.cache_info().misses
+        quadrature.sphere_rule(k - 1, spec.sphere_order)
+        return quadrature._sphere_rule.cache_info().misses == misses
+
+    _clear_rule_caches()
+    in_blocks = transforms._factorization_checks(f, bases, offsets, spec)
+    assert quadrature._flat_template.cache_info().currsize == 1
+    assert cached_sphere_rule()
+    _clear_rule_caches()
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", 64)
+    assert transforms._factorization_checks(f, bases, offsets, spec) == in_blocks
+    assert quadrature._flat_template.cache_info().currsize == 0
+    assert not cached_sphere_rule()
+    assert factorization_check(f, tau, spec) == in_blocks[0]
     assert quadrature._flat_template.cache_info().currsize == 1
 
 
