@@ -111,9 +111,15 @@ def slice_transform(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -> fl
 def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
     """Integral of g over the affine flat zeta, truncated at spec.radial_cutoff."""
     _warn_on_slow_decay(g, zeta.dim)
-    # span + offset is _flat_points' arithmetic for a stack of one: the same bits
     span, weights = _span_of(zeta.basis.tobytes(), zeta.basis.shape, spec)
-    return _chunk_sums(g, span + zeta.offset[:, None], weights, "the flat")
+    if span is None:
+        # no span kept: the offset is added in place, as in a stack's nodes
+        intrinsic = _flat_template(*_template_key(zeta.dim, spec))[0]
+        nodes = _flat_points(zeta.basis[None], zeta.offset[None], intrinsic)[:, 0]
+    else:
+        # span + offset is _flat_points' arithmetic for a stack of one: the same bits
+        nodes = span + zeta.offset[:, None]
+    return _chunk_sums(g, nodes, weights, "the flat")
 
 
 @lru_cache(maxsize=1)
@@ -123,9 +129,13 @@ def _span_of(basis: bytes, shape: tuple, spec: QuadratureSpec):
     The lines of one orientation of the inversion's table share their basis,
     so after the first line each costs one add of its offset, one field call
     and one sum.  The span is built from its own key, so it cannot belong to
-    another basis, and a basis changed in place has other bytes.
+    another basis, and a basis changed in place has other bytes.  A rule
+    larger than _BLOCK_POINTS keeps no span, as a stack keeps no such rule:
+    the span is None.
     """
     intrinsic, weights = _flat_template(*_template_key(shape[0], spec))
+    if len(weights) > _BLOCK_POINTS:
+        return None, weights
     span = _flat_span(np.frombuffer(basis).reshape(shape)[None], intrinsic)[:, 0]
     span.setflags(write=False)
     return span, weights

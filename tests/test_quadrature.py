@@ -261,7 +261,7 @@ def _assert_cached(first, second, fresh):
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_sphere_rule_is_cached_read_only(d):
-    sphere_rule(d + 1, 13)  # at d = 1 the recursion fills the circle's entry first
+    sphere_rule(d + 1, 13)  # the recursion fills the d-dimensional entry first
     first = sphere_rule(d, 13)
     second = sphere_rule(d, 13)
     quadrature._sphere_rule.cache_clear()
