@@ -259,6 +259,13 @@ def _assert_cached(first, second, fresh):
             a[0] = 0.0
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_sphere_rule_size_is_the_rules_node_count(d):
+    # a stack decides from this count, without building the rule, whether the rule is cached
+    for order in range(1, 12):
+        assert quadrature._sphere_rule_size(d, order) == len(sphere_rule(d, order)[1])
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_sphere_rule_is_cached_read_only(d):
     sphere_rule(d + 1, 13)  # the recursion fills the d-dimensional entry first

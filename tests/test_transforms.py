@@ -565,6 +565,13 @@ def test_streamed_planes_keep_the_per_call_bits(monkeypatch, tmp_path, family, n
     counted_g = PlaneField(lambda x: sizes.append(len(x)) or g(x), g.decay_exponent)
     assert transforms._slice_sums(counted_f, bases, offsets, spec) == lhs
     assert transforms._flat_sums(counted_g, bases, offsets, spec) == rhs
+    # the per-call integrals sum through the same streamed loop, and
+    # radon_john keeps no span of a rule larger than a block
+    transforms._span_of.cache_clear()
+    assert [slice_transform(counted_f, tau, spec) for tau in taus] == lhs
+    assert [radon_john(counted_g, tau.section, spec) for tau in taus] == rhs
+    last = taus[-1].section.basis
+    assert transforms._span_of(last.tobytes(), last.shape, spec)[0] is None
     assert max(sizes) <= 64
     scene_file = tmp_path / "scene.txt"
     scene_file.write_text(f"family = {family}\nn = {n}\nk = {k}\n")
