@@ -287,7 +287,7 @@ def _plane_to_row(basis: np.ndarray, offset: np.ndarray, dims: Dimensions) -> li
         return [alpha, beta, gamma, t]
     if (dims.n, dims.k) == (3, 3):
         normal = np.cross(basis[0], basis[1])
-        normal = _canonical_direction(normal / np.linalg.norm(normal))
+        normal = _canonical_direction(normal / _distances(normal))
         alpha = math.acos(max(-1.0, min(1.0, normal[2])))
         beta = math.atan2(normal[1], normal[0])
         return [alpha, beta, float(offset @ normal)]

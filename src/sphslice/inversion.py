@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Dimensions, _check_flats, _freeze
-from .quadrature import QuadratureSpec, _interp_spline, composite_gauss, gauss_legendre, sphere_rule
+from .quadrature import QuadratureSpec, _as_integer, _interp_spline, composite_gauss, gauss_legendre, sphere_rule
 # gauss_legendre, flat_through and orientation_set are unused here but stay
 # importable as inversion.<name>: the traced benchmark (bench/tracer.py)
 # replaces them.  So does RectBivariateSpline, which module __getattr__ below
@@ -100,7 +100,7 @@ class RieszParams:
     outer_R: float = 30.0
 
     def __post_init__(self):
-        if not isinstance(self.k_order, int) or self.k_order < 1:
+        if _as_integer(self.k_order) is None or self.k_order < 1:
             raise ValueError("k_order must be an integer >= 1")
         if not math.isfinite(self.eps) or self.eps <= 0.0:
             raise ValueError("eps must be finite and positive")
@@ -358,6 +358,7 @@ class _LineDualField:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = _as_points(X, 2)
+        # not _distances: its last bit differs on 8 % of points, and this radius decides how far the table grows
         self._ensure(float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else 0.0)
         return self._mean(X, [lambda p, row=row: np.interp(p, self._p, row) for row in self._table])
 
@@ -367,7 +368,7 @@ class _LineDualField:
         The rows are filtered for one params and spec, kept, and filtered
         again only when X reaches farther than every earlier call.
         """
-        radius = float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else -1.0
+        radius = float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else -1.0  # not _distances, as in __call__
         if radius > self._filtered_radius:
             reach = radius + ROW_PAD
             self._ensure(reach + params.ell * params.outer_R)

@@ -88,6 +88,8 @@ class SceneSpec:
                 raise SceneError(f"family {self.family} does not take parameter {name!r}")
             merged[name] = value
         for name, value in merged.items():
+            if name != "path" and not math.isfinite(value):
+                raise SceneError(f"{self.family}: {name} must be finite, got {value!r}")
             check = allowed[name][1]
             if check is not None:
                 verdict = check(value)

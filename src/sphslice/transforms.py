@@ -23,12 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-# flat_rule, sphere_rule, make_flat and sample_sphere_cross_section are unused
-# here but stay importable as transforms.<name>: the traced benchmark
-# (bench/tracer.py) replaces them.
+# sphere_rule and make_flat are unused here but stay importable as
+# transforms.<name>: the traced benchmark (bench/tracer.py) replaces them.
 from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_frames,
-                       _section_nodes, _section_points, _unchecked_flat, flat_through, make_flat,
-                       sample_sphere_cross_section)
+                       _section_points, _unchecked_flat, flat_through, make_flat, sample_sphere_cross_section)
 from .quadrature import (QuadratureSpec, _flat_points, _flat_span, _flat_template, _stack_flat_template,
                          _stack_sphere_rule, _template_key, flat_rule, sphere_rule)
 from .stereo import _nu_and_denominator as nu, nu_inverse, plane_to_sphere_weight
@@ -101,11 +99,14 @@ class FactorizationReport:
         return self.abs_diff / (1.0 + abs(self.lhs))
 
 
+# The per-call integrals sum their public rules, not stacks of one: through
+# _slice_sums and _flat_sums one line of the inversion's table took 18.8
+# instead of 15.4 us, with the same bits.
 def slice_transform(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -> float:
     """Integral of f over the sphere cross-section cut by tau."""
     _warn_on_pole_growth(f, tau.section.dim + 1)
-    nodes, weights = _section_nodes(tau.section.basis[None], tau.section.offset[None], spec.sphere_order)
-    return _chunk_sums(f, nodes[:, 0], weights[0], "the cross-section")
+    nodes, weights = sample_sphere_cross_section(tau, spec.sphere_order)
+    return _chunk_sums(f, nodes.T, weights, "the cross-section")
 
 
 def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
@@ -113,13 +114,10 @@ def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
     _warn_on_slow_decay(g, zeta.dim)
     span, weights = _span_of(zeta.basis.tobytes(), zeta.basis.shape, spec)
     if span is None:
-        # no span kept: the offset is added in place, as in a stack's nodes
-        intrinsic = _flat_template(*_template_key(zeta.dim, spec))[0]
-        nodes = _flat_points(zeta.basis[None], zeta.offset[None], intrinsic)[:, 0]
-    else:
-        # span + offset is _flat_points' arithmetic for a stack of one: the same bits
-        nodes = span + zeta.offset[:, None]
-    return _chunk_sums(g, nodes, weights, "the flat")
+        nodes, weights = flat_rule(zeta, spec)
+        return _chunk_sums(g, nodes.T, weights, "the flat")
+    # span + offset is _flat_points' arithmetic for a stack of one: the same bits
+    return _chunk_sums(g, span + zeta.offset[:, None], weights, "the flat")
 
 
 @lru_cache(maxsize=1)
@@ -154,6 +152,10 @@ def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: Qu
         _warn_on_pole_growth(f, k)
     if spec.sphere_order < k:
         raise ValueError("cross-section rule needs order >= k")
+    # A large rule taken from the cache instead slowed forward_sweep's
+    # operations by 25-30 %: freeing a cached rule of several MB raises
+    # glibc's dynamic mmap threshold, and the block-sized temporaries then
+    # fault their pages in anew (82,727 minor faults against 2,765).
     sigma_nodes, sigma_w = _stack_sphere_rule(k - 1, spec.sphere_order, _BLOCK_POINTS)
 
     def place(b, v):
@@ -174,6 +176,7 @@ def _flat_sums(g: PlaneField, bases: np.ndarray, offsets: np.ndarray, spec: Quad
     d = bases.shape[1]
     if check:
         _warn_on_slow_decay(g, d)
+    # not cached when larger than a block, for _slice_sums' reason
     intrinsic, weights = _stack_flat_template(d, spec, _BLOCK_POINTS)
 
     def place(b, v):

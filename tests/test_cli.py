@@ -146,6 +146,14 @@ def test_bad_parameter_exits_2(tmp_path, capsys):
     assert "width" in capsys.readouterr().err
 
 
+def test_non_finite_parameter_exits_2(tmp_path, capsys):
+    # amplitude = nan exited 3, as an integrand blowup on the cross-section
+    path = tmp_path / "bad.scene"
+    path.write_text("family = constant\namplitude = nan\n")
+    assert run(["forward", str(path), "1"]) == 2
+    assert "amplitude must be finite" in capsys.readouterr().err
+
+
 def test_parse_error_reports_lineno(tmp_path, capsys):
     path = tmp_path / "bad.scene"
     path.write_text("family = constant\nnot an assignment\n")

@@ -39,6 +39,15 @@ def test_dimensions_validation():
         Dimensions(2, 3)
 
 
+@pytest.mark.parametrize("field", ["n", "k"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_dimensions_are_integers(field, value):
+    # Dimensions(3, 2.5) was accepted and gave a zonal transform of a 2.5-plane
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        Dimensions(**{"n": 3, "k": 3, field: value})
+    assert Dimensions(**{"n": 3, "k": 3, field: np.int64(3)}) == Dimensions(3, 3)
+
+
 def test_make_flat_orthonormalizes():
     basis = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     zeta = make_flat(basis, np.array([0.0, 0.0, 4.0]))

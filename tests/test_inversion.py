@@ -122,6 +122,12 @@ class TestRieszParams:
         with pytest.raises(dataclasses.FrozenInstanceError):
             params.ell = 3
 
+    @pytest.mark.parametrize("k_order", [2.5, 3.0, True])
+    def test_order_is_an_integer(self, k_order):
+        with pytest.raises(ValueError, match="k_order must be an integer >= 1"):
+            RieszParams(k_order=k_order)
+        assert RieszParams(k_order=np.int64(3)).ell == 3
+
     def test_truncation_window(self):
         with pytest.raises(ValueError):
             RieszParams(k_order=1, eps=1.0, outer_R=2.0)

@@ -79,6 +79,14 @@ def test_scene_validators():
         SceneSpec(family="custom_profile_csv", parameters={})
 
 
+@pytest.mark.parametrize("line", ["family = constant\namplitude = nan\n",
+                                  "family = cap_bump\nsharpness = inf\n",
+                                  "family = zonal_gaussian\nwidth = -inf\n"])
+def test_parse_scene_refuses_non_finite_parameters(tmp_path, line):
+    with pytest.raises(SceneError, match="must be finite"):
+        parse_scene(write(tmp_path, line))
+
+
 def sphere_sample():
     pts, _ = sphere_rule(3, 8)
     return pts[np.abs(pts[:, -1]) < 0.999]

@@ -357,19 +357,43 @@ def test_block_evaluation_is_bit_identical(monkeypatch, count, which):
     nodes = rng.standard_normal((count, width))
     weights = rng.uniform(0.1, 1.0, count)
     counting = CountingField()
-    # the rule of one plane, in the stacked builders' (dim, 1, m) layout
-    stacked = np.ascontiguousarray(nodes.T[:, None, :])
     if which == "radon_john":
         # the kept span's layout, (dim, m)
-        monkeypatch.setattr(transforms, "_span_of", lambda basis, shape, spec: (stacked[:, 0], weights))
+        span = np.ascontiguousarray(nodes.T)
+        monkeypatch.setattr(transforms, "_span_of", lambda basis, shape, spec: (span, weights))
         got = radon_john(PlaneField(counting), make_flat(np.eye(3)[:1], np.zeros(3)), SPEC)
     else:
-        monkeypatch.setattr(transforms, "_section_nodes", lambda bases, offsets, order: (stacked, weights[None, :]))
+        # sample_sphere_cross_section's layout, (m, dim) coordinate-major
+        rule = np.asfortranarray(nodes), weights
+        monkeypatch.setattr(transforms, "sample_sphere_cross_section", lambda tau, order: rule)
         zeta = make_flat(np.eye(3)[:2], np.zeros(3))
         got = slice_transform(SphereField(counting), section_to_plane(zeta), SPEC)
     assert max(len(b) for b in counting.batches) <= _BLOCK_POINTS
     assert np.array_equal(np.concatenate(counting.batches), nodes)
     assert got == float(np.sum(CountingField()(nodes) * weights))
+
+
+@pytest.mark.parametrize("sphere_order,radial_order", [(8, 16), (160, 64)])
+def test_per_call_integrals_sum_the_public_rules(sphere_order, radial_order):
+    # slice_transform and radon_john integrate the nodes and weights that
+    # sample_sphere_cross_section and flat_rule return, bit for bit.  At
+    # orders 160/64 both rules are larger than a block: the slice and flat
+    # are summed run by run, and radon_john keeps no span.
+    scene = SceneSpec(family="cap_bump", dims=Dimensions(3, 3))
+    spec = QuadratureSpec(sphere_order=sphere_order, radial_order=radial_order,
+                          radial_cutoff=suggested_cutoff(scene))
+    f = build_field(scene)
+    g = op_B(f, scene.dims)
+    bases, offsets = cli._random_planes(scene.dims, 3, 5)
+    large = sphere_order > 100
+    for basis, offset in zip(bases, offsets):
+        tau = section_to_plane(FlatSpec(basis, offset))
+        nodes, weights = transforms.sample_sphere_cross_section(tau, spec.sphere_order)
+        assert (len(weights) > _BLOCK_POINTS) == large
+        assert slice_transform(f, tau, spec) == float(np.add.reduce(f(nodes) * weights))
+        nodes, weights = transforms.flat_rule(tau.section, spec)
+        assert (len(weights) > _BLOCK_POINTS) == large
+        assert radon_john(g, tau.section, spec) == float(np.add.reduce(g(nodes) * weights))
 
 
 @given(
@@ -511,7 +535,9 @@ def test_stacked_nodes_are_the_stacks_of_one_in_a_coordinate_major_view(n, k):
         taus = [section_to_plane(zeta) for zeta in flats]
         intrinsic, flat_weights = quadrature._flat_template(*quadrature._template_key(k - 1, spec))
         flat_nodes = quadrature._flat_points(bases, offsets, intrinsic)
-        section_nodes, section_weights = transforms._section_nodes(bases, offsets, spec.sphere_order)
+        frames, scales = geometry._section_frames(bases, offsets)
+        sigma_nodes, sigma_weights = quadrature.sphere_rule(k - 1, spec.sphere_order)
+        section_nodes, section_weights = geometry._section_points(frames, sigma_nodes), sigma_weights * scales
         for stacked, weights, singles, width in [
             (flat_nodes, flat_weights, [transforms.flat_rule(z, spec) for z in flats], n),
             (section_nodes, section_weights, [transforms.sample_sphere_cross_section(t, 6) for t in taus], n + 1),
