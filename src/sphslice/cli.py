@@ -12,7 +12,7 @@ also takes --sphere-order, which it does not read.  Exit codes:
     1  tolerance or expectation failure
     2  usage: a count below 1, a setting out of range (--eps, --outer,
        --cutoff, support's --b, zonal-forward's --t-max, existence's --mu,
-       dual's --extent),
+       dual's --extent), a NaN or negative --tol,
        a malformed scene, plane file or profile CSV, a file that cannot be
        read or written, or an unsupported case (invert needs n = 2)
     3  numerical error: a non-finite integrand or a divergent integral
@@ -68,6 +68,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: zero, positive or inf; NaN and negative values are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"invalid tolerance value: {text!r} (need a number >= 0)")
     return value
 
 
@@ -133,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("factor-check", _cmd_factor_check, "sphere_order radial_order cutoff seed",
             "slice transform vs the conjugated flat route, plane by plane")
     p.add_argument("count", type=_positive_int, help="number of random planes")
-    p.add_argument("--tol", type=float, default=1e-6, help="largest relative difference that passes")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="largest relative difference that passes")
 
     p = add("zonal-forward", _cmd_zonal_forward, "radial_order cutoff",
             "profile of the transform of a zonal scene over plane offsets")
@@ -144,14 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # because existing command lines pass it.
     p = add("zonal-invert", _cmd_zonal_invert, "sphere_order radial_order cutoff",
             "round-trip a zonal scene through the offset-profile inversion")
-    p.add_argument("--tol", type=float, default=1e-3, help="largest weighted profile error that passes")
+    p.add_argument("--tol", type=_tolerance, default=1e-3, help="largest weighted profile error that passes")
 
     p = add("invert", _cmd_invert, "sphere_order radial_order orientation_samples eps outer",
             "full reconstruction of a scene from its slice data (n = 2 only)")
     p.add_argument("--grid-order", type=_positive_int, default=8, help="order of the evaluation grid on the sphere")
     p.add_argument("--cap-limit", type=float, default=0.9,
                    help="exclude evaluation points with last coordinate above this")
-    p.add_argument("--tol", type=float, default=0.05,
+    p.add_argument("--tol", type=_tolerance, default=0.05,
                    help="largest error, relative to the reference's peak, that passes")
 
     p = add("support", _cmd_support, "sphere_order seed", "vanishing of the transform beyond the cap threshold")

@@ -426,52 +426,31 @@ def _bspline_basis(t: np.ndarray, left: np.ndarray, x: np.ndarray, k: int) -> li
 def _banded_solve(start: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A z = rhs (n, C), where row i of A holds rows[i] at columns start[i], start[i] + 1, ...
 
-    Entries that are zero may lie outside the matrix.  Up to 4 * _SOLVE_BLOCK
-    rows are one dense system.  More are cut into blocks of _SOLVE_BLOCK
-    rows, and every diagonal block is solved in one batched call, together
-    with its couplings to the first wu unknowns of the next block and to the
-    last wl of the previous one (the spikes).  Those wu + wl unknowns per
-    block form a banded system of their own, solved the same way, and the
-    rest follow from them.  LAPACK pivots within a block, nothing between
-    blocks: a collocation matrix is totally positive, so its diagonal blocks
-    are nonsingular and elimination without pivoting is stable (de Boor).
+    The band must be narrower than _SOLVE_BLOCK.  The rows are cut into
+    blocks of _SOLVE_BLOCK, so A is block tridiagonal, and block elimination
+    runs down it: each diagonal block, less the previous block's coupling,
+    is solved against its coupling to the next block and its data, and the
+    unknowns then follow upwards by matmuls alone.  LAPACK pivots within a
+    block, nothing between blocks: a collocation matrix is totally positive,
+    so elimination without pivoting is stable (de Boor).
     """
     n, width = rows.shape
-    i = np.repeat(np.arange(n), width)
-    j = (start[:, None] + np.arange(width)).ravel()
-    vals = rows.ravel()
-    nonzero = vals != 0.0
-    i, j, vals = i[nonzero], j[nonzero], vals[nonzero]
-    b = _SOLVE_BLOCK if n > 4 * _SOLVE_BLOCK else n
+    b = _SOLVE_BLOCK
     nb = -(-n // b)
-    blk, ri = np.divmod(i, b)
-    cj = j - blk * b
-    after, before = cj >= b, cj < 0
-    wu = int(cj[after].max()) - b + 1 if after.any() else 0
-    wl = -int(cj[before].min()) if before.any() else 0
-    C = rhs.shape[1]
-    D = np.zeros((nb, b, b))
-    D[nb - 1].flat[np.arange(n - (nb - 1) * b, b) * (b + 1)] = 1.0  # the padding's identity
-    # right-hand sides: the data, then the columns of the next block's first
-    # wu unknowns, then those of the previous block's last wl
-    sides = np.zeros((nb, b, C + wu + wl))
-    sides.reshape(nb * b, -1)[:n, :C] = rhs
-    inside = ~(after | before)
-    D[blk[inside], ri[inside], cj[inside]] = vals[inside]
-    sides[blk[after], ri[after], C + cj[after] - b] = vals[after]
-    sides[blk[before], ri[before], C + wu + wl + cj[before]] = vals[before]
-    sol = np.linalg.solve(D, sides)
-    g, V, W = sol[..., :C], sol[..., C:C + wu], sol[..., C + wu:]
-    if nb > 1:
-        # The row of an end unknown holds W's row on the previous block's
-        # last wl ends, its own 1, and V's row on the next block's first wu;
-        # the first block's W and the last one's V are zero.
-        e = wu + wl
-        ends = np.r_[:wu, b - wl:b]
-        reduced = np.concatenate([W[:, ends], np.broadcast_to(np.eye(e), (nb, e, e)), V[:, ends]], axis=2)
-        starts = np.repeat(np.arange(nb) * e - wl, e)
-        z = _banded_solve(starts, reduced.reshape(nb * e, -1), g[:, ends].reshape(nb * e, C)).reshape(nb, e, C)
-        g = g.copy()
-        g[:-1] -= V[:-1] @ z[1:, :wu]
-        g[1:] -= W[1:] @ z[:-1, wu:]
-    return g.reshape(nb * b, -1)[:n]
+    blk, ri = np.divmod(np.arange(n)[:, None], b)
+    # each block's rows: their columns in blocks p - 1, p and p + 1, then their data
+    a = np.zeros((nb, b, 3 * b + rhs.shape[1]))
+    a[blk, ri, start[:, None] + np.arange(width) - (blk - 1) * b] = rows
+    pad = np.arange(n - (nb - 1) * b, b)
+    a[nb - 1, pad, b + pad] = 1.0  # the padding's identity
+    a.reshape(nb * b, -1)[:n, 3 * b:] = rhs
+    for p in range(nb):
+        if p:
+            update = a[p, :, :b] @ a[p - 1, :, 2 * b:]
+            a[p, :, b:2 * b] -= update[:, :b]
+            a[p, :, 3 * b:] -= update[:, b:]
+        a[p, :, 2 * b:] = np.linalg.solve(a[p, :, b:2 * b], a[p, :, 2 * b:])
+    z = a[:, :, 3 * b:]
+    for p in range(nb - 2, -1, -1):
+        z[p] -= a[p, :, 2 * b:3 * b] @ z[p + 1]
+    return z.reshape(nb * b, -1)[:n]

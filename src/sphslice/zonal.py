@@ -274,6 +274,8 @@ def load_profile_csv(path) -> ZonalProfile:
     for lineno, values in rows:
         if len(values) < 2:
             raise ValueError(f"{path}:{lineno}: profile CSV needs columns s,f0")
+        if not math.isfinite(values[1]):
+            raise ValueError(f"{path}:{lineno}: profile value f0 must be finite, got {values[1]!r}")
     s, vals = np.array([values[:2] for _, values in rows]).T
     # NaN fails every comparison, so the grid is tested for finiteness first
     if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) <= 0):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import sphslice.geometry as geometry
+import sphslice.scenes as scenes
 import sphslice.transforms as transforms
-from sphslice import (Dimensions, FlatSpec, PlaneField, QuadratureSpec, SphereField, op_B, radon_john,
+from sphslice import (Dimensions, FlatSpec, PlaneField, QuadratureSpec, SphereField, ZonalProfile, op_B, radon_john,
                       save_profile_csv)
 from sphslice import cli
 from sphslice.cli import main
@@ -162,15 +163,18 @@ def test_parse_error_reports_lineno(tmp_path, capsys):
 
 
 @pytest.fixture
-def nan_scene(tmp_path):
-    # a zonal profile with one NaN sample
+def nan_scene(tmp_path, monkeypatch):
+    # a zonal profile with one NaN sample, interpolated as load_profile_csv
+    # does; a profile CSV holding NaN is refused (exit 2), so the scene's
+    # loader hands the profile over and its file is never read
     grid = np.geomspace(0.1, 10.0, 50)
     values = np.exp(-grid)
     values[20] = np.nan
-    csv_path = tmp_path / "bad_profile.csv"
-    save_profile_csv(csv_path, grid, values)
+    profile = ZonalProfile(lambda s: np.interp(np.log(np.clip(s, grid[0], None)), np.log(grid), values, right=0.0),
+                           grid=(grid, values))
+    monkeypatch.setattr(scenes, "load_profile_csv", lambda path: profile)
     scene = tmp_path / "bad.scene"
-    scene.write_text(f"family = custom_profile_csv\npath = {csv_path}\n")
+    scene.write_text(f"family = custom_profile_csv\npath = {tmp_path / 'unread.csv'}\n")
     return str(scene)
 
 
@@ -218,6 +222,15 @@ def test_non_finite_profile_grid_exits_2(tmp_path, capsys, grid, extra):
     assert run(["zonal-forward", str(scene), "--t-count", "5"] + extra) == 2
     err = capsys.readouterr().err
     assert str(csv_path) in err and "profile grid must be finite" in err
+
+
+def test_non_finite_profile_value_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "profile.csv"
+    csv_path.write_text("s,f0\n0.1,1.0\n0.5,nan\n1.0,0.2\n")
+    scene = tmp_path / "custom.scene"
+    scene.write_text(f"family = custom_profile_csv\npath = {csv_path}\n")
+    assert run(["zonal-forward", str(scene), "--t-count", "5"]) == 2
+    assert f"{csv_path}:3: profile value f0 must be finite" in capsys.readouterr().err
 
 
 # A subcommand that reads each setting flag of test_out_of_range_setting_exits_2, at a low order.
@@ -567,6 +580,15 @@ def test_tol_is_refused_where_nothing_is_judged(capsys, gauss_scene, command):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["factor-check", "zonal-invert", "invert"])
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_nan_or_negative_tol_is_a_usage_error(monkeypatch, capsys, gauss_scene, command, tol):
+    # refused by the parser, before any scene is read or integral computed
+    monkeypatch.setattr(cli, "parse_scene", lambda path: pytest.fail("the scene was read"))
+    assert run([command, gauss_scene] + PLANE_COUNT.get(command, []) + ["--tol", tol]) == 2
+    assert "invalid tolerance value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,default", [
     (["factor-check", "s.scene", "1"], 1e-6),
     (["zonal-invert", "s.scene"], 1e-3),
@@ -576,6 +598,8 @@ def test_tol_defaults_per_subcommand(argv, default):
     parser = cli._build_parser()
     assert parser.parse_args(argv).tol == default
     assert parser.parse_args(argv + ["--tol", "0.25"]).tol == 0.25
+    assert parser.parse_args(argv + ["--tol", "0"]).tol == 0.0
+    assert parser.parse_args(argv + ["--tol", "inf"]).tol == math.inf
 
 
 # The setting flags each subcommand's computation reads.  zonal-invert accepts

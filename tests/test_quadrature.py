@@ -402,3 +402,24 @@ def test_spline_evaluates_every_channel_and_one_at_a_time():
     for i in range(3):
         assert np.array_equal(row.channel(i)(s), row(s)[..., i])
     assert np.array_equal(values[..., 0], row(s))
+
+
+@pytest.mark.parametrize("channels", [1, 8])
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("n", ["k + 1", 31, 32, 33, 127, 128, 129, 1241])
+def test_banded_solve_matches_a_dense_solve(n, k, channels):
+    # one block, a padded last block and many blocks, on both sides of each block boundary
+    n = k + 1 if n == "k + 1" else n
+    rng = np.random.default_rng(n + 10 * k + channels)
+    x = np.cumsum(rng.uniform(0.05, 1.0, n))
+    m = (k - 1) // 2
+    t = np.concatenate([np.full(k + 1, x[0]), x[m + 1:n - m - 1], np.full(k + 1, x[-1])])
+    left = np.minimum(np.searchsorted(t, x, side="right") - 1, n - 1)
+    rows = quadrature._bspline_basis(t, left, x, k)[k]
+    matrix = np.zeros((n, n))
+    np.put_along_axis(matrix, left[:, None] - k + np.arange(k + 1), rows, axis=1)
+    rhs = rng.standard_normal((n, channels))
+    want = np.linalg.solve(matrix, rhs)
+    got = quadrature._banded_solve(left - k, rows, rhs)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

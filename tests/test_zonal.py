@@ -307,6 +307,14 @@ def test_profile_csv_error_names_its_line(tmp_path):
         load_profile_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_profile_csv_refuses_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "profile.csv"
+    path.write_text(f"s,f0\n0.1,1.0\n0.5,{value}\n1.0,0.2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: profile value f0 must be finite, got {value}")):
+        load_profile_csv(path)
+
+
 def _half_integral_by_rows(u, w):
     """The half-order integral one grid point at a time, as zonal_invert first computed it."""
     n = len(u)
