@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Dimensions, _check_flats, _freeze
+from .geometry import Dimensions, _check_flats, _distances, _freeze
 from .quadrature import QuadratureSpec, _as_integer, _interp_spline, composite_gauss, gauss_legendre, sphere_rule
 # gauss_legendre, flat_through and orientation_set are unused here but stay
 # importable as inversion.<name>: the traced benchmark (bench/tracer.py)
@@ -165,12 +165,12 @@ def _richardson(levels, p: int):
 
     The truncation error of the difference integral is a series in eps^p,
     eps^(p+2), ...; the first stage removes the eps^p term from each adjacent
-    pair, the second removes eps^(p+2).  Returns (a1, a2, value).
+    pair, the second removes eps^(p+2).  Returns the extrapolated value.
     """
     denom = 2.0**p - 1.0
     a1 = levels[1] + (levels[1] - levels[0]) / denom
     a2 = levels[2] + (levels[2] - levels[1]) / denom
-    return a1, a2, a2 + (a2 - a1) / (2.0 ** (p + 2) - 1.0)
+    return a2 + (a2 - a1) / (2.0 ** (p + 2) - 1.0)
 
 
 def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec) -> np.ndarray:
@@ -196,10 +196,11 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec) ->
     signs = np.array([(-1.0) ** j * math.comb(ell, j) for j in range(1, ell + 1)])
     p = _evenized(ell) - k
 
-    # Difference offsets j * rho_i * omega_a, shared by every evaluation point.
+    # Difference offsets j * r * omega_a, shared by every evaluation point, at
+    # the radii r = rho_i and last at outer_R, where the tail samples h.
     j_arange = np.arange(1, ell + 1, dtype=float)
-    offsets = rho[:, None, None, None] * omega[None, :, None, :] * j_arange[None, None, :, None]
-    tail_offsets = params.outer_R * (omega[:, None, :] * j_arange[None, :, None])
+    radii = np.append(rho, params.outer_R)
+    offsets = radii[:, None, None, None] * omega[None, :, None, :] * j_arange[None, None, :, None]
     radial_factor = w_rho * rho ** (-k - 1.0)
     surface = sigma(n - 1)
     # Rounding noise of one level per unit of sampled |h|: the differences
@@ -216,22 +217,30 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec) ->
     # A block's stencils hold at most _BLOCK_POINTS values, unless one
     # point's stencil alone is larger; h_all, as many values as the result,
     # is sampled at once.
-    for block in _blocks(len(X), len(rho) * len(omega) * ell * h_all.shape[1]):
+    for block in _blocks(len(X), offsets[..., 0].size * h_all.shape[1]):
         xs = X[block]
         h_at_x = h_all[block].T
-        vals = _point_major(h, xs, offsets)
+        # h is sampled offset-major: for each offset, all of xs in order, so
+        # that a spline queried at ascending points resumes its interval
+        # search where the last query stopped.  The values are then copied
+        # point-major with channels first, so that the products over them do
+        # not depend on the order of sampling.
+        pts = xs - offsets.reshape(-1, 1, n)
+        sampled = np.asarray(h(pts.reshape(-1, n)), dtype=float)
+        sampled = sampled.reshape(len(pts), len(xs), -1).swapaxes(0, 1).copy()
+        sampled = np.moveaxis(sampled.reshape((len(xs),) + offsets.shape[:-1] + sampled.shape[-1:]), -1, 0)
+        vals, tail_vals = sampled[:, :, :-1], sampled[:, :, -1]
         diff = vals @ signs + h_at_x[..., None, None]
         angular = diff @ w_omega
         # Tail beyond outer_R: the j = 0 term integrates exactly; for j >= 1
         # the field is replaced by its angular average at radius j * outer_R
         # decaying like r^{-gamma}.
-        tail_vals = _point_major(h, xs, tail_offsets)
         tail_avg = np.tensordot(tail_vals, w_omega, axes=([-2], [0])) / surface
         tail = surface * params.outer_R ** (-k) * (
             h_at_x / k + (tail_avg @ signs) / (k + gamma)
         )
         levels = [(angular @ (radial_factor * m) + tail) / d_norm for m in level_masks]
-        out[..., block] = _richardson(levels, p)[2]
+        out[..., block] = _richardson(levels, p)
         d1 = np.abs(levels[1] - levels[0])
         d2 = np.abs(levels[2] - levels[1])
         # smooth fields shrink the halving differences by 2^p or better; a
@@ -253,31 +262,18 @@ def _riesz_batch(h, X: np.ndarray, params: RieszParams, spec: QuadratureSpec) ->
     return out.T
 
 
-def _point_major(h, xs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """h at xs - offsets, shaped (C, len(xs), *offsets.shape[:-1]), with h's channel axis first.
-
-    h is sampled offset-major: for each offset, all of xs in order, so that a
-    spline queried at ascending points resumes its interval search where the
-    last query stopped.  The values are then copied to the point-major
-    layout, so that the products over them do not depend on the order of
-    sampling.
-    """
-    n = xs.shape[1]
-    pts = xs - offsets.reshape(-1, 1, n)
-    values = np.asarray(h(pts.reshape(-1, n)), dtype=float)
-    values = values.reshape(len(pts), len(xs), -1).swapaxes(0, 1).copy()
-    return np.moveaxis(values.reshape((len(xs),) + offsets.shape[:-1] + values.shape[-1:]), -1, 0)
-
-
 def riesz_derivative(h, x, params: RieszParams, dims: Dimensions, spec: QuadratureSpec):
     """Fractional derivative of order params.k_order of h at x.
 
     h must accept arrays of shape (N, n) and return (N,) values, n = dims.n.
-    x may be a single point of shape (n,) or any batch of shape (..., n); the
-    result has the batch shape.  When the eps-halving differences fail to
-    decrease at a level that matters against the largest value, the
-    refinement is reported with a "hypersingular non-convergent" warning,
-    which usually means eps is too coarse or h is rough at the eps scale.
+    It must be pointwise: the value at a point may not depend on the other
+    points of the batch, because the kernel groups and orders the points it
+    samples itself.  x may be a single point of shape (n,) or any batch of
+    shape (..., n); the result has the batch shape.  When the eps-halving
+    differences fail to decrease at a level that matters against the largest
+    value, the refinement is reported with a "hypersingular non-convergent"
+    warning, which usually means eps is too coarse or h is rough at the eps
+    scale.
     """
     arr = _as_points(x, dims.n)
     values = _riesz_batch(lambda P: np.asarray(h(P), dtype=float)[:, None], arr.reshape(-1, dims.n), params, spec)
@@ -358,8 +354,7 @@ class _LineDualField:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = _as_points(X, 2)
-        # not _distances: its last bit differs on 8 % of points, and this radius decides how far the table grows
-        self._ensure(float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else 0.0)
+        self._ensure(float(np.max(_distances(X))) if len(X) else 0.0)
         return self._mean(X, [lambda p, row=row: np.interp(p, self._p, row) for row in self._table])
 
     def filtered(self, X: np.ndarray, params: RieszParams, spec: QuadratureSpec) -> np.ndarray:
@@ -368,7 +363,7 @@ class _LineDualField:
         The rows are filtered for one params and spec, kept, and filtered
         again only when X reaches farther than every earlier call.
         """
-        radius = float(np.max(np.linalg.norm(X, axis=-1))) if len(X) else -1.0  # not _distances, as in __call__
+        radius = float(np.max(_distances(X))) if len(X) else -1.0
         if radius > self._filtered_radius:
             reach = radius + ROW_PAD
             self._ensure(reach + params.ell * params.outer_R)

@@ -281,6 +281,13 @@ def load_profile_csv(path) -> ZonalProfile:
     if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) <= 0):
         raise ValueError(f"{path}: profile grid must be finite, positive and strictly increasing")
     xi = np.log(s)
+    # np.interp's slope between neighbours can overflow for huge finite
+    # values, and the profile between them is then infinite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slopes = np.diff(vals) / np.diff(xi)
+    for (lineno, _), slope in zip(rows[1:], slopes):
+        if not math.isfinite(slope):
+            raise ValueError(f"{path}:{lineno}: profile does not interpolate to finite values from the row before")
 
     def f0(sq: np.ndarray) -> np.ndarray:
         sq = np.asarray(sq, dtype=float)

@@ -233,6 +233,16 @@ def test_non_finite_profile_value_exits_2(tmp_path, capsys):
     assert f"{csv_path}:3: profile value f0 must be finite" in capsys.readouterr().err
 
 
+def test_overflowing_profile_interpolant_exits_2(tmp_path, capsys):
+    # every value is finite, but np.interp's slope from 1.8e308 to 0.2 is not
+    csv_path = tmp_path / "profile.csv"
+    csv_path.write_text("s,f0\n0.1,1.0\n0.5,1.7976931348623157e308\n0.6,0.2\n1.0,0.1\n")
+    scene = tmp_path / "custom.scene"
+    scene.write_text(f"family = custom_profile_csv\npath = {csv_path}\n")
+    assert run(["zonal-forward", str(scene), "--t-count", "5"]) == 2
+    assert f"{csv_path}:4: profile does not interpolate to finite values" in capsys.readouterr().err
+
+
 # A subcommand that reads each setting flag of test_out_of_range_setting_exits_2, at a low order.
 READER = {"--eps": ["invert", "--n", "2", "--k", "2", "--sphere-order", "8"],
           "--outer": ["invert", "--n", "2", "--k", "2", "--sphere-order", "8"],

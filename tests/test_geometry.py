@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphslice
 import sphslice.inversion as inversion
 from sphslice import (
     Dimensions,
@@ -217,6 +220,18 @@ def test_stacked_norm_is_the_flat_distance(n):
     flats = [random_flat(rng, n, 1, t) for t in distances[:200]]
     assert np.array_equal([zeta.distance for zeta in flats], _distances(np.array([zeta.offset for zeta in flats])))
     assert np.array_equal([zeta.distance for zeta in flats], [np.linalg.norm(zeta.offset) for zeta in flats])
+
+
+def test_the_package_has_one_norm():
+    # geometry._distances is the only norm in the package: no module calls numpy's
+    for path in sorted(Path(sphslice.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        norms = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "norm"
+                 and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+        norms += [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"]
+        assert norms == [], f"{path.name} takes numpy's norm on lines {norms}"
 
 
 def _flats_at(how, scale):

@@ -685,7 +685,7 @@ def test_kernel_calls_stay_within_the_block_budget(monkeypatch):
     # is larger.
     spec = QuadratureSpec(sphere_order=64, radial_order=64, radial_cutoff=12.0, orientation_samples=8)
     rho, _ = composite_gauss(PARAMS.eps / 4.0, PARAMS.outer_R, 8)
-    stencil = len(rho) * len(sphere_rule(0, 64)[0]) * PARAMS.ell
+    stencil = (len(rho) + 1) * len(sphere_rule(0, 64)[0]) * PARAMS.ell  # the radii rho and outer_R
     calls, batches = [], []
     kernel = inversion._riesz_batch
 
@@ -815,7 +815,31 @@ def test_kernel_ladder_closes_at_outer_R():
         return np.exp(-P[:, 0] ** 2)[:, None]
 
     inversion._riesz_batch(h, np.zeros((1, 1)), params, spec)
-    # at x = 0 the points are -rho * omega for omega = +1, -1, node by node
-    kernel_points = next(p for p in seen if len(p) == 2 * len(rho))
-    assert np.array_equal(-kernel_points[0::2], rho)
+    # at x = 0 the points are -r * omega for omega = +1, -1, radius by radius:
+    # the nodes rho, then outer_R, where the tail samples h, in one call
+    kernel_points = next(p for p in seen if len(p) == 2 * (len(rho) + 1))
+    assert np.array_equal(-kernel_points[:-2:2], rho)
+    assert -kernel_points[-2] == outer_R
     assert math.fsum(w) == pytest.approx(outer_R - eps / 4.0, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("channels", [1, 8])
+def test_kernel_samples_each_block_once(channels):
+    # h is called once for the evaluation points and once per block, whose
+    # stencil and tail at outer_R are one sample set
+    spec = QuadratureSpec(sphere_order=16, radial_order=64)
+    X = np.linspace(-2.0, 2.0, 200)[:, None]
+    widths = np.linspace(0.5, 2.0, channels)
+    calls = []
+
+    def h(P):
+        calls.append(len(P))
+        return np.exp(-P**2 / widths**2)
+
+    inversion._riesz_batch(h, X, PARAMS, spec)
+    rho, _ = composite_gauss(PARAMS.eps / 4.0, PARAMS.outer_R, max(8, spec.radial_order // 8))
+    stencil = (len(rho) + 1) * len(sphere_rule(0, spec.sphere_order)[0]) * PARAMS.ell
+    blocks = transforms._blocks(len(X), stencil * channels)
+    assert len(blocks) > 1
+    assert len(calls) == len(blocks) + 1
+    assert sum(calls) == len(X) * (stencil + 1)

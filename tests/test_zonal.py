@@ -315,6 +315,25 @@ def test_profile_csv_refuses_a_non_finite_value(tmp_path, value):
         load_profile_csv(path)
 
 
+@pytest.mark.parametrize("rows,line", [
+    ("0.1,1.0\n0.5,1.7976931348623157e308\n0.6,0.2\n1.0,0.1\n", 4),  # the slope to 0.2 overflows
+    ("0.1,1.7e308\n0.5,-1.7e308\n", 3),  # the difference itself overflows
+], ids=["slope", "difference"])
+def test_profile_csv_refuses_values_whose_interpolant_overflows(tmp_path, rows, line):
+    path = tmp_path / "profile.csv"
+    path.write_text("s,f0\n" + rows)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: profile does not interpolate to finite values")):
+        load_profile_csv(path)
+
+
+def test_profile_csv_keeps_huge_values_whose_interpolant_is_finite(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("s,f0\n0.1,1e300\n0.5,1e299\n")
+    values = load_profile_csv(path).f0(np.array([0.1, 0.3, 0.5]))
+    assert np.all(np.isfinite(values))
+    assert values[0] == 1e300 and values[-1] == 1e299
+
+
 def _half_integral_by_rows(u, w):
     """The half-order integral one grid point at a time, as zonal_invert first computed it."""
     n = len(u)
