@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Dimensions, _draw_flats
-from .quadrature import QuadratureSpec, composite_gauss, sphere_rule
+from .quadrature import QuadratureSpec, _as_integer, composite_gauss, sphere_rule
 from .transforms import PlaneField, SphereField, _blocks, _flat_sums, _slice_sums
 
 __all__ = [
@@ -262,8 +262,7 @@ def support_experiment(
     plus control values at distance CONTROL_DIST showing the data is not
     trivially zero.  Only the forward transform is sampled; no inversion runs.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     rng = np.random.default_rng(spec.seed)
     scale = _peak_on_sphere(f, dims, spec)
     transform = functools.partial(_slice_sums, f, spec=spec)
@@ -277,6 +276,14 @@ def support_experiment(
     max_control = _probe_max(rng, dims, max(8, trials // 8), lambda rng: t_control, transform)
     return SupportReport(threshold=cap.b_star, scale=scale, max_beyond=max_beyond, max_control=max_control,
                          trials=trials, noise_floor=NOISE_FLOOR)
+
+
+def _check_trials(trials):
+    """Refuse a trial count that is not a Python or numpy integer of at least 1."""
+    if _as_integer(trials) is None:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def _probe_max(rng, dims: Dimensions, count: int, offset, transform) -> float:
@@ -314,8 +321,7 @@ def kplane_support_probe(
     """
     if r <= 0.0:
         raise ValueError("support radius must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     rng = np.random.default_rng(spec.seed)
     transform = functools.partial(_flat_sums, g, spec=spec)
     max_outside = _probe_max(rng, dims, trials, lambda rng: r * rng.uniform(1.05, 3.0), transform)

@@ -69,12 +69,10 @@ class QuadratureSpec:
 
 
 # Rules are built once per process for each key and returned read-only, so
-# every caller shares one copy.  The flat templates are the largest entries
-# (one node per pair of radial and angular nodes), hence their smaller cache.
-# A stack of planes whose rule is larger than a block of the field (the
-# stacked integrals stream it) shares the rule across its planes without a
-# cache: it builds the rule itself, from the cached rules it is a product of,
-# and drops it on return.  See _stack_sphere_rule and _stack_flat_template.
+# every per-call integral shares one copy.  The flat templates are the
+# largest entries (one node per pair of radial and angular nodes), hence
+# their smaller cache.  A stack of planes builds its product rule itself,
+# from the cached rules it is a product of, and drops it on return.
 _RULE_CACHE_SIZE = 64
 _TEMPLATE_CACHE_SIZE = 16
 
@@ -168,9 +166,10 @@ def panel_edges(lo: float, hi: float) -> np.ndarray:
     """Dyadic panel boundaries covering [lo, hi].
 
     From lo = 0 the first panel ends at min(1, hi); afterwards each panel is
-    twice as wide as its predecessor, the last one clipped at hi.
+    twice as wide as its predecessor, the last one clipped at hi, which
+    must be finite.
     """
-    if not hi > lo or lo < 0.0:
+    if not 0.0 <= lo < hi < math.inf:
         raise ValueError(f"bad radial range [{lo}, {hi}]")
     edges = [lo]
     cur = 1.0 if lo == 0.0 else 2.0 * lo
@@ -235,17 +234,6 @@ def _build_sphere_rule(d: int, order: int):
 
 
 _sphere_rule = lru_cache(maxsize=_RULE_CACHE_SIZE)(_build_sphere_rule)
-
-
-def _sphere_rule_size(d: int, order: int) -> int:
-    """The node count of sphere_rule(d, order): the circle's even count times order per further dimension."""
-    return 2 if d == 0 else (order + order % 2) * order ** (d - 1)
-
-
-def _stack_sphere_rule(d: int, order: int, limit: int):
-    """The sphere rule of a stack of planes: the cached rule if it has at most limit nodes, else a new one it owns."""
-    order = _rule_order(order)
-    return (_sphere_rule if _sphere_rule_size(d, order) <= limit else _build_sphere_rule)(d, order)
 
 
 def flat_rule(zeta, spec: QuadratureSpec):
@@ -319,14 +307,6 @@ def _build_flat_template(d: int, radial_cutoff: float, radial_order: int, sphere
 
 
 _flat_template = lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)(_build_flat_template)
-
-
-def _stack_flat_template(d: int, spec: QuadratureSpec, limit: int):
-    """The d-flat template of a stack of flats: the cached one if it has at most limit nodes, else a new one it owns."""
-    key = _template_key(d, spec)
-    radii = len(composite_gauss(0.0, spec.radial_cutoff, spec.radial_order)[1])
-    cached = radii * _sphere_rule_size(d - 1, spec.sphere_order) <= limit
-    return (_flat_template if cached else _build_flat_template)(*key)
 
 
 # Rows per diagonal block of the spline systems (see _banded_solve).

@@ -27,8 +27,8 @@ import numpy as np
 # transforms.<name>: the traced benchmark (bench/tracer.py) replaces them.
 from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_frames,
                        _section_points, _unchecked_flat, flat_through, make_flat, sample_sphere_cross_section)
-from .quadrature import (QuadratureSpec, _flat_points, _flat_span, _flat_template, _stack_flat_template,
-                         _stack_sphere_rule, _template_key, flat_rule, sphere_rule)
+from .quadrature import (QuadratureSpec, _build_flat_template, _build_sphere_rule, _flat_points, _flat_span,
+                         _flat_template, _template_key, flat_rule, sphere_rule)
 from .stereo import _nu_and_denominator as nu, nu_inverse, plane_to_sphere_weight
 
 __all__ = [
@@ -128,7 +128,7 @@ def _span_of(basis: bytes, shape: tuple, spec: QuadratureSpec):
     so after the first line each costs one add of its offset, one field call
     and one sum.  The span is built from its own key, so it cannot belong to
     another basis, and a basis changed in place has other bytes.  A rule
-    larger than _BLOCK_POINTS keeps no span, as a stack keeps no such rule:
+    larger than _BLOCK_POINTS keeps no span, as a stack keeps no rule:
     the span is None.
     """
     intrinsic, weights = _flat_template(*_template_key(shape[0], spec))
@@ -143,20 +143,16 @@ def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: Qu
                 check: bool = True) -> list[float]:
     """slice_transform of f over each plane whose trace is a flat of the (C, d, n), (C, n) stack.
 
-    A cross-section rule larger than _BLOCK_POINTS is built for the stack
-    and dropped on return (_stack_sphere_rule).  check=False skips the
-    pole-growth warning, for a caller that checked once for all its stacks.
+    The cross-section rule is built for the stack and dropped on return.
+    check=False skips the pole-growth warning, for a caller that checked
+    once for all its stacks.
     """
     k = bases.shape[1] + 1
     if check:
         _warn_on_pole_growth(f, k)
     if spec.sphere_order < k:
         raise ValueError("cross-section rule needs order >= k")
-    # A large rule taken from the cache instead slowed forward_sweep's
-    # operations by 25-30 %: freeing a cached rule of several MB raises
-    # glibc's dynamic mmap threshold, and the block-sized temporaries then
-    # fault their pages in anew (82,727 minor faults against 2,765).
-    sigma_nodes, sigma_w = _stack_sphere_rule(k - 1, spec.sphere_order, _BLOCK_POINTS)
+    sigma_nodes, sigma_w = _build_sphere_rule(k - 1, spec.sphere_order)
 
     def place(b, v):
         frames, scales = _section_frames(b, v)
@@ -169,15 +165,14 @@ def _flat_sums(g: PlaneField, bases: np.ndarray, offsets: np.ndarray, spec: Quad
                check: bool = True) -> list[float]:
     """radon_john of g over each flat of the (C, d, n), (C, n) stack.
 
-    A flat template larger than _BLOCK_POINTS is built for the stack and
-    dropped on return (_stack_flat_template).  check=False skips the decay
-    warning, for a caller that checked once for all its stacks.
+    The flat template is built for the stack and dropped on return.
+    check=False skips the decay warning, for a caller that checked once for
+    all its stacks.
     """
     d = bases.shape[1]
     if check:
         _warn_on_slow_decay(g, d)
-    # not cached when larger than a block, for _slice_sums' reason
-    intrinsic, weights = _stack_flat_template(d, spec, _BLOCK_POINTS)
+    intrinsic, weights = _build_flat_template(*_template_key(d, spec))
 
     def place(b, v):
         return (lambda run: _flat_points(b, v, intrinsic[run])), weights

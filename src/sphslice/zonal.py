@@ -87,7 +87,7 @@ def zonal_forward(profile: ZonalProfile, t: float | np.ndarray, dims: Dimensions
     converge there.
     """
     offsets = np.asarray(t, dtype=float)
-    if np.any(offsets < 0.0):
+    if not np.all(offsets >= 0.0):  # a NaN offset is refused too
         raise ValueError("offset length t must be >= 0")
     k = dims.k
     front = 2.0 ** (k - 1) * sigma(k - 2)

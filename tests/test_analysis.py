@@ -193,6 +193,27 @@ def test_kplane_probe_refuses_no_trials(trials):
         kplane_support_probe(PlaneField(refuse, decay_exponent=None), 1.0, Dimensions(3, 2), SPEC, trials)
 
 
+@pytest.mark.parametrize("trials", [2.5, True])
+def test_probes_refuse_a_trial_count_that_is_not_an_integer(trials):
+    def refuse(x):
+        raise AssertionError("the field was evaluated")
+
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        support_experiment(SphereField(refuse), CapSpec(0.0), Dimensions(3, 2), SPEC, trials)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        kplane_support_probe(PlaneField(refuse), 1.0, Dimensions(3, 2), SPEC, trials)
+
+
+def test_probes_take_a_numpy_trial_count():
+    spec = QuadratureSpec(sphere_order=12, radial_order=12)
+    dims = Dimensions(3, 2)
+    f = SphereField(lambda eta: np.exp(np.asarray(eta) @ [0.3, -0.2, 0.5, 0.1]))
+    g = PlaneField(lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1)))
+    assert support_experiment(f, CapSpec(0.2), dims, spec, np.int64(9)) == support_experiment(
+        f, CapSpec(0.2), dims, spec, 9)
+    assert kplane_support_probe(g, 0.8, dims, spec, np.int32(5)) == kplane_support_probe(g, 0.8, dims, spec, 5)
+
+
 def _loop_max(rng, n, d, count, offset, transform):
     # The probe loop as written out in each report before they shared one.
     peak = 0.0

@@ -685,35 +685,60 @@ def test_a_streamed_factorization_keeps_no_rule_and_one_plane_at_a_time():
 
 @pytest.mark.parametrize("n,k,orders", [(3, 3, (9, 8)), (4, 4, (5, 4))])
 def test_stacks_cache_only_the_rules_that_fit_a_block(monkeypatch, n, k, orders):
-    # At the package's block budget the stack's cross-section rule and flat
-    # template fit a block and come from the caches, as the per-call
-    # integrals' do.  At a budget of 64 nodes they are larger than a block:
-    # the stack builds them anew, caches neither and gives the same bits;
-    # only the smaller rules they are products of are cached.
+    # A stack owns its product rules, the cross-section rule and the flat
+    # template, whether they fit a block (the package's budget) or not (a
+    # budget of 64 nodes): a stacked factorization caches neither and gives
+    # the per-call bits.  Only the smaller rules they are products of enter
+    # the caches.  A later per-call factorization_check caches both.
     scene = SceneSpec(family="zonal_gaussian", dims=Dimensions(n, k))
     spec = QuadratureSpec(sphere_order=orders[0], radial_order=orders[1], radial_cutoff=suggested_cutoff(scene))
     f = build_field(scene)
     bases, offsets = cli._random_planes(scene.dims, 3, 1)
-    tau = section_to_plane(FlatSpec(bases[0], offsets[0]))
-    assert 64 < min(len(transforms.sample_sphere_cross_section(tau, spec.sphere_order)[1]),
-                    len(transforms.flat_rule(tau.section, spec)[1]))
+    taus = [section_to_plane(FlatSpec(basis, offset)) for basis, offset in zip(bases, offsets)]
+    assert 64 < min(len(transforms.sample_sphere_cross_section(taus[0], spec.sphere_order)[1]),
+                    len(transforms.flat_rule(taus[0].section, spec)[1]))
+    per_call = [factorization_check(f, tau, spec) for tau in taus]
 
     def cached_sphere_rule():
         misses = quadrature._sphere_rule.cache_info().misses
         quadrature.sphere_rule(k - 1, spec.sphere_order)
         return quadrature._sphere_rule.cache_info().misses == misses
 
+    for block in (_BLOCK_POINTS, 64):
+        monkeypatch.setattr(transforms, "_BLOCK_POINTS", block)
+        _clear_rule_caches()
+        assert transforms._factorization_checks(f, bases, offsets, spec) == per_call
+        assert quadrature._flat_template.cache_info().currsize == 0
+        assert not cached_sphere_rule()
     _clear_rule_caches()
-    in_blocks = transforms._factorization_checks(f, bases, offsets, spec)
+    assert factorization_check(f, taus[0], spec) == per_call[0]
     assert quadrature._flat_template.cache_info().currsize == 1
     assert cached_sphere_rule()
-    _clear_rule_caches()
-    monkeypatch.setattr(transforms, "_BLOCK_POINTS", 64)
-    assert transforms._factorization_checks(f, bases, offsets, spec) == in_blocks
-    assert quadrature._flat_template.cache_info().currsize == 0
-    assert not cached_sphere_rule()
-    assert factorization_check(f, tau, spec) == in_blocks[0]
-    assert quadrature._flat_template.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("planes,block", [(400, _BLOCK_POINTS), (3, 64)])
+def test_a_stacked_call_builds_each_product_rule_once(monkeypatch, planes, block):
+    # 400 planes at the package's budget are summed in several chunks per
+    # side; 3 planes at a budget of 64 nodes are streamed, run by run.
+    # Either way the call builds its cross-section rule and its flat
+    # template once and shares them.
+    scene = SceneSpec(family="zonal_gaussian", dims=Dimensions(3, 3))
+    spec = QuadratureSpec(sphere_order=9, radial_order=8, radial_cutoff=suggested_cutoff(scene))
+    f = build_field(scene)
+    bases, offsets = cli._random_planes(scene.dims, planes, 2)
+    builds = []
+    for name in ("_build_sphere_rule", "_build_flat_template"):
+        build = getattr(transforms, name)
+        monkeypatch.setattr(transforms, name, lambda *args, _name=name, _build=build:
+                            builds.append(_name) or _build(*args))
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", block)
+    sizes = []
+    counted = SphereField(lambda eta: sizes.append(len(eta)) or f(eta), f.pole_exponent)
+    assert len(transforms._factorization_checks(counted, bases, offsets, spec)) == planes
+    assert sorted(builds) == ["_build_flat_template", "_build_sphere_rule"]
+    # more than one field call per plane and side when streamed, per side when chunked
+    assert len(sizes) > 2 * (planes if block == 64 else 1)
+    assert max(sizes) <= block
 
 
 def _radon_john_unshared(g, zeta, spec):

@@ -262,8 +262,20 @@ def test_batched_offsets_reject_a_negative_or_nan_offset():
     dims = Dimensions(3, 2)
     with pytest.raises(ValueError, match=">= 0"):
         zonal_forward(gauss_profile(), np.array([0.0, 0.5, -0.1]), dims, spec)
-    with pytest.raises(ValueError, match="blowup"):
+    with pytest.raises(ValueError, match=">= 0"):
         zonal_forward(gauss_profile(), np.array([0.0, np.nan, 1.0]), dims, spec)
+
+
+def test_a_nan_offset_is_refused_and_an_infinite_one_gives_zero():
+    # NaN fails every comparison, so it is refused with the offset message
+    # before any panel sees it; a plane at infinite distance cuts no section.
+    spec = QuadratureSpec(radial_order=16, radial_cutoff=10.0)
+    dims = Dimensions(3, 2)
+    with pytest.raises(ValueError, match="offset length t must be >= 0"):
+        zonal_forward(gauss_profile(), math.nan, dims, spec)
+    assert zonal_forward(gauss_profile(), math.inf, dims, spec) == 0.0
+    values = zonal_forward(gauss_profile(), np.array([math.inf, 0.5]), dims, spec)
+    assert values[0] == 0.0 and values[1] == zonal_forward(gauss_profile(), 0.5, dims, spec)
 
 
 def test_invert_propagates_an_error_of_the_batched_call():
