@@ -319,8 +319,8 @@ def kplane_support_probe(
     magnitudes.  Flats have the trace dimension dims.k - 1; the flat integrals
     warn when the decay exponent of g does not exceed it.
     """
-    if r <= 0.0:
-        raise ValueError("support radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"support radius must be positive and finite, got {r!r}")
     _check_trials(trials)
     rng = np.random.default_rng(spec.seed)
     transform = functools.partial(_flat_sums, g, spec=spec)

@@ -154,8 +154,8 @@ def _gegenbauer_values(x: np.ndarray, m: int, alpha: float):
 def gauss_legendre(order: int, a: float, b: float):
     """Gauss-Legendre nodes and weights on [a, b], exact through degree 2*order - 1."""
     order = _rule_order(order)
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"interval [{a}, {b}] must be finite and nonempty")
     x, w = _gauss_gegenbauer(order, 0.5)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -203,9 +203,12 @@ def sphere_rule(d: int, order: int):
     up to the requested order.  The arrays are cached per (d, order) and
     read-only.
     """
-    if d < 0:
+    dim = _as_integer(d)
+    if dim is None:
+        raise TypeError(f"sphere dimension must be an integer, got {d!r}")
+    if dim < 0:
         raise ValueError("sphere dimension must be >= 0")
-    return _sphere_rule(d, _rule_order(order))
+    return _sphere_rule(dim, _rule_order(order))
 
 
 def _build_sphere_rule(d: int, order: int):

@@ -27,8 +27,8 @@ import numpy as np
 # transforms.<name>: the traced benchmark (bench/tracer.py) replaces them.
 from .geometry import (Dimensions, FlatSpec, SlicePlane, _complete_orthonormal, _haar_frames, _section_frames,
                        _section_points, _unchecked_flat, flat_through, make_flat, sample_sphere_cross_section)
-from .quadrature import (QuadratureSpec, _build_flat_template, _build_sphere_rule, _flat_points, _flat_span,
-                         _flat_template, _template_key, flat_rule, sphere_rule)
+from .quadrature import (QuadratureSpec, _as_integer, _build_flat_template, _build_sphere_rule, _flat_points,
+                         _flat_span, _flat_template, _template_key, flat_rule, sphere_rule)
 from .stereo import _nu_and_denominator as nu, nu_inverse, plane_to_sphere_weight
 
 __all__ = [
@@ -106,7 +106,7 @@ def slice_transform(f: SphereField, tau: SlicePlane, spec: QuadratureSpec) -> fl
     """Integral of f over the sphere cross-section cut by tau."""
     _warn_on_pole_growth(f, tau.section.dim + 1)
     nodes, weights = sample_sphere_cross_section(tau, spec.sphere_order)
-    return _chunk_sums(f, nodes.T, weights, "the cross-section")
+    return _plane_sum(f, nodes.T, weights, "the cross-section")
 
 
 def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
@@ -115,9 +115,9 @@ def radon_john(g: PlaneField, zeta: FlatSpec, spec: QuadratureSpec) -> float:
     span, weights = _span_of(zeta.basis.tobytes(), zeta.basis.shape, spec)
     if span is None:
         nodes, weights = flat_rule(zeta, spec)
-        return _chunk_sums(g, nodes.T, weights, "the flat")
+        return _plane_sum(g, nodes.T, weights, "the flat")
     # span + offset is _flat_points' arithmetic for a stack of one: the same bits
-    return _chunk_sums(g, span + zeta.offset[:, None], weights, "the flat")
+    return _plane_sum(g, span + zeta.offset[:, None], weights, "the flat")
 
 
 @lru_cache(maxsize=1)
@@ -202,78 +202,60 @@ def _warn_on_slow_decay(g: PlaneField, d: int):
 def _stack_sums(field, bases: np.ndarray, offsets: np.ndarray, place, size: int, where: str) -> list[float]:
     """The sums of a stack of planes whose rules have size nodes each.
 
-    place(bases, offsets) takes a part of the stack and gives a function
-    nodes(run), the nodes of a run (a slice) of the rule on each of its
-    planes, (dim, C, len), and their weights.  Rules of at most
-    _BLOCK_POINTS nodes are summed one chunk of _blocks(len(bases), size)
-    at a time, with one field call per chunk.  A larger rule is summed one
-    plane at a time, its nodes built and evaluated one run at a time
-    (_streamed_sum).  So the field sees at most _BLOCK_POINTS nodes per
-    call.
+    place(bases, offsets) takes a block of _blocks(len(bases), size) and
+    gives a function nodes(run), the nodes of a run (a slice) of the rule on
+    each of the block's planes, (dim, C, len), and their weights, which
+    _run_sums sums.  So a block of several planes is one run, and a plane
+    whose rule is larger than _BLOCK_POINTS is a block of one, streamed run
+    by run: the field sees at most _BLOCK_POINTS nodes per call.
     """
-    if size > _BLOCK_POINTS:
-        return [_streamed_sum(field, *place(bases[i:i + 1], offsets[i:i + 1]), size, where)
-                for i in range(len(bases))]
     totals = []
     for block in _blocks(len(bases), size):
         nodes, weights = place(bases[block], offsets[block])
-        totals += _chunk_sums(field, nodes(slice(None)), weights, where)
+        totals += _run_sums(field, nodes, weights, len(offsets[block]), size, where)
     return totals
 
 
-def _streamed_sum(field, nodes, weights: np.ndarray, size: int, where: str) -> float:
-    """The sum of one plane whose rule of size nodes is larger than _BLOCK_POINTS, built run by run.
+def _run_sums(field, nodes, weights: np.ndarray, count: int, size: int, where: str) -> list[float]:
+    """sum(field(nodes) * weights) of each of count planes whose rules have size nodes, built run by run.
 
-    nodes(run) gives the plane's nodes of a run of its rule, (dim, len) or
-    (dim, 1, len).  The field's values on every run go into one array of
-    the plane's values, which is weighted in place and summed as
-    _chunk_sums sums a plane that fits a block: the same values, products
-    and np.add.reduce, so the same bits.
-    The runs are _blocks(size, 1).  Every rule has an even node count (its
-    circle or 0-sphere factor) and _BLOCK_POINTS is even, so no run holds a
-    single node, whose coordinates numpy's matmul would compute with gemv
-    instead of gemm, and other bits.
+    nodes(run) gives the planes' nodes of a run of their rules, (dim, count,
+    len), and weights are (size,) or (count, size).  The field's values on
+    the runs _blocks(size, count) fill one (count, size) array, checked run
+    by run before the weights overwrite them in place; each plane's row is
+    then summed at once.  The values are pointwise, so the sums depend
+    neither on the block nor on the runs.
+    Every rule has an even node count (its circle or 0-sphere factor) and
+    _BLOCK_POINTS is even, so no run holds a single node, whose coordinates
+    numpy's matmul would compute with gemv instead of gemm, and other bits.
     """
-    vals = np.empty(size)
-    for run in _blocks(size, 1):
+    vals = np.empty((count, size))
+    for run in _blocks(size, count):
         points = nodes(run)
-        vals[run] = field(points.reshape(len(points), -1).T)
-        # the values are checked here, before the weights overwrite them
-        if not np.isfinite(vals[run]).all():
+        vals[:, run] = field(points.reshape(len(points), -1).T).reshape(count, -1)
+        if not np.isfinite(vals[:, run]).all():
             raise ValueError(f"integrand blowup: field is not finite on {where}")
-    vals *= weights.ravel()
-    return float(np.add.reduce(vals))
+    vals *= weights
+    return np.add.reduce(vals, axis=1).tolist()
 
 
-def _chunk_sums(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> list[float] | float:
-    """sum(field(nodes) * weights) of each plane of a chunk.
+def _plane_sum(field, nodes: np.ndarray, weights: np.ndarray, where: str) -> float:
+    """sum(field(nodes) * weights) of one plane's rule, nodes (dim, m) and weights (m,).
 
-    nodes (dim, C, m) hold the C planes' rules, as the node builders lay
-    them out, with weights (m,) or (C, m), and give the list of C sums;
-    nodes (dim, m) hold one plane's rule, with weights (m,), and give its
-    sum.  The field is called once on all C * m nodes; one plane whose
-    rule is larger than _BLOCK_POINTS is summed by _streamed_sum, run by
-    run.  The values are pointwise and each plane's sum runs over its own
-    contiguous row of values at once, so the sums depend neither on the
-    chunk nor on the runs.
+    The field is called once on all m nodes; a rule larger than
+    _BLOCK_POINTS is summed by _run_sums, as a chunk of one.
     """
-    one = nodes.ndim == 2
-    if one and nodes.shape[1] > _BLOCK_POINTS:
-        return _streamed_sum(field, lambda run: nodes[:, run], weights, nodes.shape[1], where)
-    points = (nodes if one else nodes.reshape(len(nodes), -1)).T
-    vals = field(points)
-    if one:
-        sums = float(np.add.reduce(vals * weights))
-        finite = math.isfinite(sums)
-    else:
-        sums = np.add.reduce(vals.reshape(nodes.shape[1:]) * weights, axis=1).tolist()
-        finite = all(map(math.isfinite, sums))
-    # The weights are finite, so a non-finite value makes its plane's sum
-    # non-finite: the values are scanned only then.  A sum that overflows
-    # from finite values stays inf.
-    if not finite and not np.isfinite(vals).all():
+    size = nodes.shape[1]
+    if size > _BLOCK_POINTS:
+        return _run_sums(field, lambda run: nodes[:, None, run], weights, 1, size, where)[0]
+    vals = field(nodes.T)
+    total = float(np.add.reduce(vals * weights))
+    # The weights are finite, so a non-finite value makes the sum non-finite:
+    # the values are scanned only then.  A sum that overflows from finite
+    # values stays inf.
+    if not math.isfinite(total) and not np.isfinite(vals).all():
         raise ValueError(f"integrand blowup: field is not finite on {where}")
-    return sums
+    return total
 
 
 def op_B(f: SphereField, dims: Dimensions) -> PlaneField:
@@ -357,6 +339,8 @@ def orientation_set(flat_dim: int, n: int, count: int, seed: int) -> np.ndarray:
     normals in R^3 use a seeded rotation of a Fibonacci lattice; remaining
     cases fall back to seeded Haar frames.
     """
+    if _as_integer(flat_dim) is None:
+        raise TypeError(f"flat dimension must be an integer, got {flat_dim!r}")
     if not 1 <= flat_dim <= n - 1:
         raise ValueError("flat dimension must lie in [1, n-1]")
     if n == 2:

@@ -249,11 +249,18 @@ def profile_to_sphere_field(profile: ZonalProfile):
 
 
 def save_profile_csv(path, s: np.ndarray, values: np.ndarray):
-    """Write a two-column (s, f0) profile under an `s,f0` header line."""
+    """Write a two-column (s, f0) profile under an `s,f0` header line.
+
+    What load_profile_csv refuses is refused here too: a non-finite f0, or
+    a grid that is not finite, positive and strictly increasing.
+    """
     s = np.asarray(s, dtype=float)
     values = np.asarray(values, dtype=float)
     if s.shape != values.shape or s.ndim != 1:
         raise ValueError("profile grid and values must be matching vectors")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("profile value f0 must be finite")
+    _check_profile_grid(s, "")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("s,f0\n")
         for si, vi in zip(s, values):
@@ -277,9 +284,7 @@ def load_profile_csv(path) -> ZonalProfile:
         if not math.isfinite(values[1]):
             raise ValueError(f"{path}:{lineno}: profile value f0 must be finite, got {values[1]!r}")
     s, vals = np.array([values[:2] for _, values in rows]).T
-    # NaN fails every comparison, so the grid is tested for finiteness first
-    if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) <= 0):
-        raise ValueError(f"{path}: profile grid must be finite, positive and strictly increasing")
+    _check_profile_grid(s, f"{path}: ")
     xi = np.log(s)
     # np.interp's slope between neighbours can overflow for huge finite
     # values, and the profile between them is then infinite
@@ -296,6 +301,12 @@ def load_profile_csv(path) -> ZonalProfile:
         return np.interp(q, xi, vals, right=0.0)
 
     return ZonalProfile(f0=f0, grid=(s, vals))
+
+
+def _check_profile_grid(s: np.ndarray, where: str):
+    # NaN fails every comparison, so the grid is tested for finiteness first
+    if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) <= 0):
+        raise ValueError(f"{where}profile grid must be finite, positive and strictly increasing")
 
 
 def _read_table(path) -> list[tuple[int, list[float]]]:

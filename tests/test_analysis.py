@@ -193,6 +193,16 @@ def test_kplane_probe_refuses_no_trials(trials):
         kplane_support_probe(PlaneField(refuse, decay_exponent=None), 1.0, Dimensions(3, 2), SPEC, trials)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+def test_kplane_probe_refuses_a_radius_that_is_not_positive_and_finite(r):
+    # NaN and inf passed r <= 0 and failed later as a flat that is not finite
+    def refuse(x):
+        raise AssertionError("the field was evaluated")
+
+    with pytest.raises(ValueError, match="support radius must be positive and finite"):
+        kplane_support_probe(PlaneField(refuse, decay_exponent=None), r, Dimensions(3, 2), SPEC, trials=4)
+
+
 @pytest.mark.parametrize("trials", [2.5, True])
 def test_probes_refuse_a_trial_count_that_is_not_an_integer(trials):
     def refuse(x):

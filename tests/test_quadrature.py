@@ -162,6 +162,22 @@ def test_rules_refuse_an_order_that_is_not_an_integer(build):
     assert np.array_equal(build(np.int64(8))[0], nodes)
 
 
+def test_sphere_rule_refuses_a_dimension_that_is_not_an_integer():
+    # True gave the 8-node circle rule, 1.5 failed in the eigensolver and 2.0 inside np.empty
+    for d in (True, False, 1.5, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError, match="sphere dimension must be an integer"):
+            sphere_rule(d, 8)
+    assert sphere_rule(np.int64(2), 8)[0] is sphere_rule(2, 8)[0]
+
+
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan),
+                                 (1.0, 1.0), (2.0, 1.0)])
+def test_gauss_legendre_refuses_an_interval_that_is_not_finite_and_nonempty(a, b):
+    # [0, inf] gave NaN nodes under an "invalid value" warning
+    with pytest.raises(ValueError, match="must be finite and nonempty"):
+        gauss_legendre(4, a, b)
+
+
 # -- the 1-D Gauss rules -----------------------------------------------------
 # quadrature._gauss_gegenbauer builds every 1-D Gauss rule: Gauss-Legendre is
 # its alpha = 1/2 case, the polar factor of the rule on S^d its

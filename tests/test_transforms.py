@@ -255,6 +255,17 @@ def test_dual_transform_refuses_a_non_finite_flat_value():
         dual_transform(lambda zeta: next(values), np.ones(2), 1, Dimensions(2, 2), spec)
 
 
+@pytest.mark.parametrize("flat_dim,n", [(1.0, 2), (True, 2), (2.0, 3), (1.5, 3)])
+def test_dual_transform_refuses_a_flat_dimension_that_is_not_an_integer(flat_dim, n):
+    # 1.0 and True at (2, 2) and 2.0 at (3, 3) ran; 1.5 failed inside numpy's slicing
+    def refuse(zeta):
+        raise AssertionError("the flat function was evaluated")
+
+    with pytest.raises(TypeError, match="flat dimension must be an integer"):
+        dual_transform(refuse, np.zeros(n), flat_dim, Dimensions(n, n), QuadratureSpec(orientation_samples=4))
+    assert np.array_equal(orientation_set(np.int64(n - 1), n, 4, 0), orientation_set(n - 1, n, 4, 0))
+
+
 # Lines in the plane use uniform midpoint angles, which integrate the smooth
 # periodic data to rounding: the largest relative error at the points below is
 # 4.4e-16, so 1e-14 leaves a margin of 22.  Lines in space use 256 directions
@@ -650,6 +661,36 @@ def test_a_streamed_plane_refuses_non_finite_values_and_keeps_an_overflow(monkey
         transforms._flat_sums(PlaneField(last_node_nan), bases, offsets, spec)
     with pytest.raises(ValueError, match="integrand blowup: field is not finite on the cross-section"):
         transforms._slice_sums(SphereField(last_node_nan), bases, offsets, spec)
+
+
+def test_a_chunk_of_planes_refuses_non_finite_values_and_keeps_an_overflow():
+    # The same checks at the package's block budget, where both planes share
+    # one chunk and so one field call: a NaN on the second plane is refused,
+    # finite values whose weighted sums overflow give inf.
+    spec = QuadratureSpec(sphere_order=8, radial_order=16, radial_cutoff=40.0)
+    bases, offsets = cli._random_planes(Dimensions(3, 3), 2, 3)
+    sizes = []
+
+    def last_node_nan(x):
+        sizes.append(len(x))
+        out = np.ones(len(x))
+        out[-1] = np.nan
+        return out
+
+    def huge(x):
+        sizes.append(len(x))
+        return np.full(len(x), 1e308)
+
+    with np.errstate(over="ignore"):
+        assert transforms._flat_sums(PlaneField(huge), bases, offsets, spec) == [math.inf, math.inf]
+        assert transforms._slice_sums(SphereField(huge), bases, offsets, spec) == [math.inf, math.inf]
+    with pytest.raises(ValueError, match="integrand blowup: field is not finite on the flat"):
+        transforms._flat_sums(PlaneField(last_node_nan), bases, offsets, spec)
+    with pytest.raises(ValueError, match="integrand blowup: field is not finite on the cross-section"):
+        transforms._slice_sums(SphereField(last_node_nan), bases, offsets, spec)
+    flat_size = len(transforms.flat_rule(FlatSpec(bases[0], offsets[0]), spec)[1])
+    section_size = len(quadrature.sphere_rule(2, spec.sphere_order)[1])
+    assert sizes == [2 * flat_size, 2 * section_size] * 2
 
 
 def _clear_rule_caches():

@@ -327,6 +327,28 @@ def test_profile_csv_refuses_a_non_finite_value(tmp_path, value):
         load_profile_csv(path)
 
 
+@pytest.mark.parametrize("grid,values,message", [
+    ([0.1, 0.5, 1.0], [1.0, math.nan, 0.2], "profile value f0 must be finite"),
+    ([0.1, 0.5, 1.0], [1.0, 0.5, -math.inf], "profile value f0 must be finite"),
+    ([0.1, math.nan, 1.0], [1.0, 0.5, 0.2], "profile grid must be finite"),
+    ([0.1, 0.5, math.inf], [1.0, 0.5, 0.2], "profile grid must be finite"),
+    ([0.0, 0.5, 1.0], [1.0, 0.5, 0.2], "profile grid must be finite, positive"),
+    ([0.1, 1.0, 0.5], [1.0, 0.5, 0.2], "strictly increasing"),
+], ids=["nan-value", "inf-value", "nan-grid", "inf-grid", "zero-grid", "decreasing-grid"])
+def test_save_profile_csv_refuses_what_load_profile_csv_refuses(tmp_path, grid, values, message):
+    # the same rows written by hand fail to load; save_profile_csv refuses them and writes nothing
+    written = tmp_path / "written.csv"
+    written.write_text("s,f0\n" + "".join(f"{s!r},{v!r}\n" for s, v in zip(grid, values)))
+    with pytest.raises(ValueError, match=message):
+        load_profile_csv(written)
+    saved = tmp_path / "saved.csv"
+    with pytest.raises(ValueError, match=message):
+        save_profile_csv(saved, np.array(grid), np.array(values))
+    assert not saved.exists()
+    save_profile_csv(saved, np.array([0.1, 0.5, 1.0]), np.array([1.0, 0.5, 0.2]))
+    assert np.array_equal(load_profile_csv(saved).grid[1], [1.0, 0.5, 0.2])
+
+
 @pytest.mark.parametrize("rows,line", [
     ("0.1,1.0\n0.5,1.7976931348623157e308\n0.6,0.2\n1.0,0.1\n", 4),  # the slope to 0.2 overflows
     ("0.1,1.7e308\n0.5,-1.7e308\n", 3),  # the difference itself overflows
