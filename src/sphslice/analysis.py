@@ -105,7 +105,7 @@ def power_growth_field(mu: float) -> SphereField:
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(u > 0.0, u ** (-mu), np.inf if mu > 0 else (1.0 if mu == 0 else 0.0))
 
-    return SphereField(eval=eval_power, pole_exponent=max(mu, 0.0))
+    return SphereField(eval=eval_power, pole_exponent=max(mu, 0.0), zonal=True)
 
 
 def _cap_point_batch(u: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -335,15 +335,21 @@ def _section_frames(bases: np.ndarray, offsets: np.ndarray):
     return frames, np.array(scales)[:, None]
 
 
-def _section_points(frames, sigma_nodes: np.ndarray) -> np.ndarray:
+def _section_points(frames, sigma_nodes: np.ndarray, last_only: bool = False) -> np.ndarray:
     """center + r * (sigma_nodes @ dirs) on each plane of frames, for unit-sphere nodes (m, k): (n + 1, C, m).
 
     Built coordinate-major as in flat_rule.  sigma_nodes may be a run of a
     rule's nodes: each node's coordinates take the same products, with the
     same BLAS call, as in the whole rule, unless the run is a single node,
-    which numpy hands to gemv instead of gemm.
+    which numpy hands to gemv instead of gemm.  With last_only only the last
+    coordinate is built, (1, C, m), which is all a zonal field reads.  Its
+    direction row is (0, ..., 0, r): whichever BLAS call numpy makes, the
+    one nonzero product is rounded once and the zeros add nothing, so the
+    coordinate is the whole build's.
     """
     dirs, centers, radii = frames
+    if last_only:
+        dirs, centers = dirs[:, -1:], centers[-1:]
     nodes = np.empty((dirs.shape[1], len(dirs), len(sigma_nodes)))
     np.matmul(dirs, sigma_nodes.T, out=nodes.transpose(1, 0, 2))
     nodes *= radii

@@ -169,7 +169,7 @@ def build_field(scene: SceneSpec) -> SphereField:
             eta = np.asarray(eta, dtype=float)
             return np.full(eta.shape[:-1], amplitude)
 
-        return SphereField(eval=eval_constant)
+        return SphereField(eval=eval_constant, zonal=True)
     if scene.family == "zonal_gaussian":
         return profile_to_sphere_field(scene_profile(scene))
     if scene.family == "cap_bump":
@@ -177,7 +177,7 @@ def build_field(scene: SceneSpec) -> SphereField:
         def eval_bump(eta):
             return _cap_bump(scene, np.asarray(eta, dtype=float)[..., -1])
 
-        return SphereField(eval=eval_bump)
+        return SphereField(eval=eval_bump, zonal=True)
     if scene.family == "first_harmonic_weighted":
 
         def eval_harmonic(eta):

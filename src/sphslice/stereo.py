@@ -46,19 +46,24 @@ def _sq_norm(arr: np.ndarray) -> np.ndarray:
     return s2
 
 
-def _nu_and_denominator(x):
+def _nu_and_denominator(x, last_only: bool = False):
     """nu(x) together with its denominator |x|^2 + 1, shape (...,).
 
     The conjugation op_B divides by a power of the same denominator, so it
-    takes the pair instead of squaring |x| a second time.  transforms binds
-    this function under the name nu: the traced benchmark counts
-    stereo.points by replacing transforms.nu with a wrapper that passes the
+    takes the pair instead of squaring |x| a second time.  With last_only
+    the projected points are only their last coordinates, (..., 1):
+    (|x|^2 - 1) / (|x|^2 + 1), the same expression and bits as in the whole
+    projection, which is all a zonal field reads.  transforms binds this
+    function under the name nu: the traced benchmark counts stereo.points by
+    replacing transforms.nu with a wrapper that passes the arguments and the
     return value through.
     """
     arr = np.asarray(x, dtype=float)
     n = arr.shape[-1]
     s2 = _sq_norm(arr)
     denom = s2 + 1.0
+    if last_only:
+        return ((s2 - 1.0) / denom)[..., None], denom
     out = np.empty(arr.shape[:-1] + (n + 1,), order="F")
     for i in range(n):
         np.divide(2.0 * arr[..., i], denom, out=out[..., i])

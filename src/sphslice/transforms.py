@@ -64,10 +64,18 @@ class SphereField:
     quadrature nodes in blocks.  pole_exponent mu is growth metadata:
     (1 - eta_last)^mu |f| stays bounded near the pole.  The slice transform of
     f is finite on every plane exactly when mu < (k-1)/2.
+
+    zonal declares that eval reads only the last coordinate eta[..., -1]: it
+    may then be given that coordinate alone, as an (..., 1) array, and must
+    return the same values as on the whole points.  The stacked slice sums
+    and op_B's conjugate then build only that coordinate.  The flag is not
+    checked: a field declared zonal that reads other coordinates gives wrong
+    values, or fails on the (..., 1) array.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     pole_exponent: float = 0.0
+    zonal: bool = False
 
     def __call__(self, coords) -> np.ndarray:
         return np.asarray(self.eval(np.asarray(coords, dtype=float)), dtype=float)
@@ -143,7 +151,8 @@ def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: Qu
                 check: bool = True) -> list[float]:
     """slice_transform of f over each plane whose trace is a flat of the (C, d, n), (C, n) stack.
 
-    The cross-section rule is built for the stack and dropped on return.
+    The cross-section rule is built for the stack and dropped on return.  A
+    field declared zonal is given only the nodes' last coordinates.
     check=False skips the pole-growth warning, for a caller that checked
     once for all its stacks.
     """
@@ -153,10 +162,11 @@ def _slice_sums(f: SphereField, bases: np.ndarray, offsets: np.ndarray, spec: Qu
     if spec.sphere_order < k:
         raise ValueError("cross-section rule needs order >= k")
     sigma_nodes, sigma_w = _build_sphere_rule(k - 1, spec.sphere_order)
+    last_only = f.zonal
 
     def place(b, v):
         frames, scales = _section_frames(b, v)
-        return (lambda run: _section_points(frames, sigma_nodes[run])), sigma_w * scales
+        return (lambda run: _section_points(frames, sigma_nodes[run], last_only)), sigma_w * scales
 
     return _stack_sums(f, bases, offsets, place, len(sigma_w), "the cross-section")
 
@@ -262,13 +272,15 @@ def op_B(f: SphereField, dims: Dimensions) -> PlaneField:
     """Conjugation sending a sphere field to its plane-side counterpart."""
     k = dims.k
     scale = 2.0 ** (k - 1)
+    # a field declared zonal is given only the projected points' last coordinates
+    last_only = {"last_only": True} if f.zonal else {}
 
     def geval(x: np.ndarray) -> np.ndarray:
         # nu is stereo._nu_and_denominator, so |x|^2 is computed once per
         # point.  It is looked up in this module at each call under the name
         # nu: the traced benchmark counts stereo.points by replacing
         # transforms.nu.
-        eta, denom = nu(x)
+        eta, denom = nu(x, **last_only)
         return scale * f(eta) / denom ** (k - 1)
 
     return PlaneField(eval=geval, decay_exponent=2.0 * (k - 1) - 2.0 * f.pole_exponent)

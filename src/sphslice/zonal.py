@@ -236,6 +236,7 @@ def profile_to_sphere_field(profile: ZonalProfile):
 
     The stereographic radius at a sphere point is s = sqrt((1+eta_last)/(1-eta_last));
     the profile must decay at infinity for the field to extend to the pole.
+    The field reads only eta_last and is declared zonal.
     """
     def feval(eta: np.ndarray) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
@@ -245,14 +246,15 @@ def profile_to_sphere_field(profile: ZonalProfile):
         vals = np.asarray(profile(sq), dtype=float)
         return np.where(np.isfinite(sq), vals, 0.0)
 
-    return SphereField(eval=feval)
+    return SphereField(eval=feval, zonal=True)
 
 
 def save_profile_csv(path, s: np.ndarray, values: np.ndarray):
     """Write a two-column (s, f0) profile under an `s,f0` header line.
 
-    What load_profile_csv refuses is refused here too: a non-finite f0, or
-    a grid that is not finite, positive and strictly increasing.
+    What load_profile_csv refuses is refused here too: a non-finite f0, a
+    grid that is not finite, positive and strictly increasing, or
+    neighbouring values whose interpolant is not finite between them.
     """
     s = np.asarray(s, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -261,6 +263,8 @@ def save_profile_csv(path, s: np.ndarray, values: np.ndarray):
     if not np.all(np.isfinite(values)):
         raise ValueError("profile value f0 must be finite")
     _check_profile_grid(s, "")
+    # the .17g rows read back as these floats, so the loaded profile has these slopes
+    _check_profile_slopes(np.log(s), values, lambda i: f"row {i + 1}: ")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("s,f0\n")
         for si, vi in zip(s, values):
@@ -286,13 +290,7 @@ def load_profile_csv(path) -> ZonalProfile:
     s, vals = np.array([values[:2] for _, values in rows]).T
     _check_profile_grid(s, f"{path}: ")
     xi = np.log(s)
-    # np.interp's slope between neighbours can overflow for huge finite
-    # values, and the profile between them is then infinite
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        slopes = np.diff(vals) / np.diff(xi)
-    for (lineno, _), slope in zip(rows[1:], slopes):
-        if not math.isfinite(slope):
-            raise ValueError(f"{path}:{lineno}: profile does not interpolate to finite values from the row before")
+    _check_profile_slopes(xi, vals, lambda i: f"{path}:{rows[i][0]}: ")
 
     def f0(sq: np.ndarray) -> np.ndarray:
         sq = np.asarray(sq, dtype=float)
@@ -307,6 +305,20 @@ def _check_profile_grid(s: np.ndarray, where: str):
     # NaN fails every comparison, so the grid is tested for finiteness first
     if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) <= 0):
         raise ValueError(f"{where}profile grid must be finite, positive and strictly increasing")
+
+
+def _check_profile_slopes(xi: np.ndarray, values: np.ndarray, where):
+    """Refuse a profile whose interpolant in xi = log s is not finite between two rows.
+
+    np.interp's slope between neighbours can overflow for huge finite
+    values, and the profile between them is then infinite.  where(i) gives
+    the message's prefix for row i, counted from 0.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slopes = np.diff(values) / np.diff(xi)
+    bad = np.flatnonzero(~np.isfinite(slopes))
+    if len(bad):
+        raise ValueError(f"{where(bad[0] + 1)}profile does not interpolate to finite values from the row before")
 
 
 def _read_table(path) -> list[tuple[int, list[float]]]:

@@ -4,10 +4,15 @@ import pytest
 from sphslice import (
     FAMILIES,
     Dimensions,
+    PlaneField,
     SceneError,
     SceneSpec,
+    ZonalProfile,
     build_field,
+    op_B_inverse,
     parse_scene,
+    power_growth_field,
+    profile_to_sphere_field,
     save_profile_csv,
     scene_profile,
     sphere_rule,
@@ -191,3 +196,45 @@ def test_cap_bump_keeps_the_gathered_bits(b):
             eta[..., -1] = points
             assert np.array_equal(field(eta), _cap_bump_by_gather(scene, points))
             assert np.array_equal(field(eta[5]), _cap_bump_by_gather(scene, points[5:6])[0])
+
+
+def _declared_fields(tmp_path, n):
+    """Every library field that declares itself zonal, by name, for scenes of dimension n."""
+    grid = np.geomspace(0.01, 30.0, 50)
+    csv_path = tmp_path / "profile.csv"
+    save_profile_csv(csv_path, grid, np.exp(-grid))
+    scenes = [SceneSpec(family="constant", parameters={"amplitude": -2.5}, dims=Dimensions(n, 2)),
+              SceneSpec(family="zonal_gaussian", parameters={"width": 0.7}, dims=Dimensions(n, 2)),
+              SceneSpec(family="cap_bump", parameters={"b": 0.3}, dims=Dimensions(n, 2)),
+              SceneSpec(family="cap_bump", parameters={"b": -0.4, "sharpness": 0.05}, dims=Dimensions(n, 2)),
+              SceneSpec(family="custom_profile_csv", parameters={"path": str(csv_path)}, dims=Dimensions(n, 2))]
+    fields = {f"{scene.family}-{i}": build_field(scene) for i, scene in enumerate(scenes)}
+    fields.update({f"power-{mu}": power_growth_field(mu) for mu in (-0.5, 0.0, 0.4, 1.5)})
+    fields["profile"] = profile_to_sphere_field(ZonalProfile(lambda s: 1.0 / (1.0 + s**3)))
+    return fields
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_declared_fields_read_only_the_last_coordinate(tmp_path, n):
+    # on random points, the pole and the antipode, in a (4, 6, n+1) batch and
+    # as one (n+1,) point: the last coordinate alone gives the same bits
+    rng = np.random.default_rng(n)
+    pts = rng.standard_normal((4, 6, n + 1))
+    pts /= np.sqrt(np.sum(pts * pts, axis=-1, keepdims=True))
+    pole = np.zeros(n + 1)
+    pole[-1] = 1.0
+    pts[0, 0], pts[0, 1] = pole, -pole
+    with np.errstate(divide="ignore", over="ignore"):
+        for name, f in _declared_fields(tmp_path, n).items():
+            assert f.zonal, name
+            for eta in [pts, pole, -pole, pts[2, 3]]:
+                whole, last = f(eta), f(eta[..., -1:])
+                assert whole.shape == eta.shape[:-1], name
+                assert np.array_equal(whole, last), name
+
+
+def test_fields_that_read_every_coordinate_are_not_declared():
+    scene = SceneSpec(family="first_harmonic_weighted", parameters={})
+    assert not build_field(scene).zonal
+    radial = PlaneField(lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1)))
+    assert not op_B_inverse(radial, scene.dims).zonal

@@ -344,6 +344,100 @@ def test_op_B_sends_each_point_through_transforms_nu_once(monkeypatch):
     assert sum(seen) == len(nodes)
 
 
+def declared(f):
+    """f declared zonal, recording the width of every batch it is called with."""
+    widths = []
+    return SphereField(lambda eta: widths.append(np.shape(eta)[-1]) or f(eta), f.pole_exponent, zonal=True), widths
+
+
+def test_op_B_gives_a_declared_field_the_last_coordinate_through_transforms_nu_once(monkeypatch):
+    # the declared path calls the same name with last_only, so the traced
+    # benchmark still counts every projected point once
+    seen = []
+    real_nu = transforms.nu
+
+    def counting_nu(x, **kwargs):
+        seen.append((len(np.asarray(x).reshape(-1, np.shape(x)[-1])), kwargs))
+        return real_nu(x, **kwargs)
+
+    monkeypatch.setattr(transforms, "nu", counting_nu)
+    f, widths = declared(zonal_decaying_field())
+    x = np.random.default_rng(3).standard_normal((37, 3))
+    assert np.array_equal(op_B(f, Dimensions(3, 2))(x), op_B(zonal_decaying_field(), Dimensions(3, 2))(x))
+    assert seen == [(37, {"last_only": True}), (37, {})] and widths == [1]
+    seen.clear()
+    zeta = line_at(0.4)
+    nodes, _ = transforms.flat_rule(zeta, SPEC)
+    radon_john(op_B(f, Dimensions(2, 2)), zeta, SPEC)
+    assert seen == [(len(nodes), {"last_only": True})] and widths == [1, 1]
+
+
+@pytest.mark.parametrize("width", range(0, 8))
+def test_op_B_of_a_declared_field_keeps_the_undeclared_bits(width):
+    # the last coordinate alone is the whole projection's last coordinate, bit for bit
+    f = zonal_decaying_field()
+    n = max(width, 2)
+    rng = np.random.default_rng(width)
+    for k in range(2, n + 1):
+        g, g_declared = op_B(f, Dimensions(n, k)), op_B(declared(f)[0], Dimensions(n, k))
+        for batch in [(300,), (4, 6), (0,), ()]:
+            x = rng.standard_normal(batch + (width,)) * 10.0 ** rng.uniform(-3, 3, batch + (width,))
+            got = g_declared(x)
+            assert np.shape(got) == batch
+            assert np.array_equal(got, g(x))
+            eta, denom = stereo._nu_and_denominator(x)
+            last, last_denom = stereo._nu_and_denominator(x, last_only=True)
+            assert last.shape == batch + (1,) and np.array_equal(last[..., 0], eta[..., -1])
+            assert np.array_equal(last_denom, denom)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 4)])
+def test_the_last_row_of_the_section_nodes_is_the_whole_builds(n, k):
+    # one row of the stacked product, on chunks of 1, 3 and 17 planes at
+    # offsets from 0 to 1e3, and on runs of the rule from several starts
+    rng = np.random.default_rng(10 * n + k)
+    sigma = quadrature.sphere_rule(k - 1, 12)[0]
+    m = len(sigma)
+    runs = [slice(0, m), slice(0, 2), slice(2, 8), slice(m // 2, m // 2 + 6), slice(m - 4, m)]
+    for count in (1, 3, 17):
+        bases, offsets = cli._random_planes(Dimensions(n, k), count, count)
+        offsets = offsets * np.geomspace(1e-3, 1e3, count)[:, None]
+        offsets[0] = 0.0
+        frames, _ = geometry._section_frames(bases, offsets)
+        for run in runs:
+            whole = geometry._section_points(frames, sigma[run])
+            last = geometry._section_points(frames, sigma[run], last_only=True)
+            assert last.shape == (1, count, len(sigma[run]))
+            assert np.array_equal(last[0], whole[n])
+            dirs, centers, radii = frames
+            by_hand = np.matmul(dirs[:, n:n + 1, :], sigma[run].T)[:, 0]
+            by_hand *= radii
+            by_hand += centers[n]
+            assert np.array_equal(by_hand, whole[n])
+
+
+@pytest.mark.parametrize("block", [64, _BLOCK_POINTS])
+@pytest.mark.parametrize("family", ["constant", "zonal_gaussian", "cap_bump"])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (4, 3)])
+def test_declared_stacks_keep_the_undeclared_bits(monkeypatch, family, n, k, block):
+    # the slice and flat sums of a declared scene field against the same
+    # field undeclared: the same bits, with one-coordinate batches only, on
+    # chunks of planes and, at a block of 64 nodes, on streamed planes
+    scene = SceneSpec(family=family, dims=Dimensions(n, k))
+    spec = QuadratureSpec(sphere_order=12, radial_order=16, radial_cutoff=suggested_cutoff(scene))
+    f = build_field(scene)
+    assert f.zonal
+    undeclared = SphereField(f.eval, f.pole_exponent)
+    bases, offsets = cli._random_planes(scene.dims, 9, 5)
+    monkeypatch.setattr(transforms, "_BLOCK_POINTS", block)
+    counted, widths = declared(f)
+    assert transforms._slice_sums(counted, bases, offsets, spec) == transforms._slice_sums(undeclared, bases,
+                                                                                             offsets, spec)
+    assert transforms._flat_sums(op_B(counted, scene.dims), bases, offsets, spec) == \
+        transforms._flat_sums(op_B(undeclared, scene.dims), bases, offsets, spec)
+    assert widths and set(widths) == {1}
+
+
 class CountingField:
     """A pointwise field that records every batch it is called with."""
 

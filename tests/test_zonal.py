@@ -360,6 +360,24 @@ def test_profile_csv_refuses_values_whose_interpolant_overflows(tmp_path, rows, 
         load_profile_csv(path)
 
 
+@pytest.mark.parametrize("grid,values,row", [
+    ([0.1, 0.5, 0.6, 1.0], [1.0, 1.7976931348623157e308, 0.2, 0.1], 3),  # the slope to 0.2 overflows
+    ([0.1, 0.5], [1.7e308, -1.7e308], 2),  # the difference itself overflows
+], ids=["slope", "difference"])
+def test_save_profile_csv_refuses_values_whose_interpolant_overflows(tmp_path, grid, values, row):
+    # the rows load_profile_csv refuses: save_profile_csv refuses them too and writes nothing
+    path = tmp_path / "profile.csv"
+    with pytest.raises(ValueError, match=f"row {row}: profile does not interpolate to finite values"):
+        save_profile_csv(path, np.array(grid), np.array(values))
+    assert not path.exists()
+
+
+def test_save_profile_csv_keeps_huge_values_whose_interpolant_is_finite(tmp_path):
+    path = tmp_path / "profile.csv"
+    save_profile_csv(path, np.array([0.1, 0.5]), np.array([1e300, 1e299]))
+    assert np.array_equal(load_profile_csv(path).grid[1], [1e300, 1e299])
+
+
 def test_profile_csv_keeps_huge_values_whose_interpolant_is_finite(tmp_path):
     path = tmp_path / "profile.csv"
     path.write_text("s,f0\n0.1,1e300\n0.5,1e299\n")
